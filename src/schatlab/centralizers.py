@@ -18,8 +18,11 @@ import numpy as np
 from .ioutil import doc_hash
 from .matcore import (
     DEFAULT_TOL,
+    SCHMIDT_BACKENDS,
     InputError,
     Tolerances,
+    adjoint,
+    as_matrices,
     as_matrix,
     as_vector,
     combine_indices,
@@ -29,7 +32,7 @@ from .matcore import (
     schmidt,
     validate_index,
 )
-from .seqcore import get_phi, kp_phi, kp_phi_rows
+from .seqcore import get_phi, kp_phi_rows
 
 __all__ = [
     "QuasilinearMap",
@@ -106,14 +109,16 @@ def apply_qmap(m: QuasilinearMap, y) -> np.ndarray:
 
 
 def apply_qmap_cols(m: QuasilinearMap, cols: np.ndarray) -> np.ndarray:
-    """Apply a vector map to every column of a 2-d array."""
+    """Apply a vector map to every column of a 2-d array or of a stack."""
     cols = np.asarray(cols, dtype=np.complex128)
     if isinstance(m, KPOnH):
-        return kp_phi_rows(cols.T, get_phi(m.phi), 2.0).T
+        # a view, not a copy: numpy's row sums follow the memory layout, so
+        # a lone matrix and a stack must present their columns alike
+        return kp_phi_rows(cols.swapaxes(-1, -2), get_phi(m.phi), 2.0).swapaxes(-1, -2)
     if isinstance(m, LinearMap):
         L = as_matrix(m.matrix)
-        if L.shape[1] != cols.shape[0]:
-            raise InputError(f"linear map of shape {L.shape} cannot act on C^{cols.shape[0]}")
+        if L.shape[1] != cols.shape[-2]:
+            raise InputError(f"linear map of shape {L.shape} cannot act on C^{cols.shape[-2]}")
         return L @ cols
     if isinstance(m, ScaledMap):
         return m.c * apply_qmap_cols(m.inner, cols)
@@ -209,7 +214,7 @@ def frame_ambiguous(f, tol: Tolerances = DEFAULT_TOL) -> bool:
     consecutive singular values are separated by more than the gap
     tolerance; measurement reports attach this flag to their witnesses.
     """
-    return bool(schmidt(f, tol).gap < tol.gap_rtol)
+    return bool(schmidt(as_matrix(f), tol).gap < tol.gap_rtol)
 
 
 def _lowered_indices(spec: Lowered) -> tuple[float, float | None]:
@@ -259,11 +264,8 @@ def kp_bicentralizer(f, phi, p: float, tol: Tolerances = DEFAULT_TOL,
         raise InputError("kp_bicentralizer needs a finite index")
     if not phi.vanishes_at_origin:
         raise InputError(f"phi {phi.name!r} must vanish at the origin")
-    form = schmidt(f, tol, backend=backend)
-    if form.rank == 0:
-        return np.zeros(form.shape, dtype=np.complex128)
-    t = kp_phi(form.s.astype(np.complex128), phi, p)
-    return (form.y * t) @ form.x.conj().T
+    return schmidt(f, tol, backend=backend).expand(lambda part: (
+        (part.y * kp_phi_rows(part.s, phi, p)[:, None, :]) @ adjoint(part.x)))
 
 
 def lift_quasilinear(qmap: QuasilinearMap, u, p: float,
@@ -274,11 +276,8 @@ def lift_quasilinear(qmap: QuasilinearMap, u, p: float,
     x (x) y the value is exactly rank_one(x, qmap(y)).
     """
     validate_index(p)
-    form = schmidt(u, tol)
-    if form.rank == 0:
-        return np.zeros(form.shape, dtype=np.complex128)
-    phi_y = apply_qmap_cols(qmap, form.y)
-    return (phi_y * form.s) @ form.x.conj().T
+    return schmidt(u, tol).expand(lambda part: (
+        (apply_qmap_cols(qmap, part.y) * part.s[:, None, :]) @ adjoint(part.x)))
 
 
 def lower_s(spec: CentralizerSpec, s: float, h, p_inner: float | None = None,
@@ -296,13 +295,14 @@ def lower_s(spec: CentralizerSpec, s: float, h, p_inner: float | None = None,
         raise InputError("lowering needs the inner map's input index")
     p2 = validate_index(p_inner)
     p1 = combine_indices(p2, s)
-    form = schmidt(h, tol)
-    if form.rank == 0:
-        return np.zeros(form.shape, dtype=np.complex128)
-    xh = form.x.conj().T
-    inner_arg = (form.y * form.s ** (p1 / p2)) @ xh
-    radial = (form.x * form.s ** (p1 / s)) @ xh
-    return evaluate(spec, inner_arg, tol) @ radial
+
+    def lowered(part):
+        xh = adjoint(part.x)
+        inner_arg = (part.y * (part.s ** (p1 / p2))[:, None, :]) @ xh
+        radial = (part.x * (part.s ** (p1 / s))[:, None, :]) @ xh
+        return evaluate(spec, inner_arg, tol) @ radial
+
+    return schmidt(h, tol).expand(lowered)
 
 
 def validate_projection(e, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -320,15 +320,16 @@ def validate_projection(e, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 def localize(spec: CentralizerSpec, e, f, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Evaluate ``spec`` at ``f e`` for a finite-rank projection ``e``."""
     e = validate_projection(e, tol)
-    f = as_matrix(f)
-    if f.shape[1] != e.shape[0]:
+    f = as_matrices(f)
+    if f.shape[-1] != e.shape[0]:
         raise InputError(f"cannot localize {f.shape} through {e.shape}")
     return evaluate(spec, f @ e, tol)
 
 
 def evaluate(spec: CentralizerSpec, f, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Evaluate a spec tree at a matrix."""
-    f = as_matrix(f)
+    """Evaluate a spec tree at a matrix, or at each matrix of a (k, m, n)
+    stack; every matrix of a stack gets the value it would get alone."""
+    f = as_matrices(f)
     if isinstance(spec, KPBicentralizer):
         return kp_bicentralizer(f, spec.phi, spec.p, tol, backend=spec.backend)
     if isinstance(spec, LiftedQuasilinear):
@@ -339,7 +340,7 @@ def evaluate(spec: CentralizerSpec, f, tol: Tolerances = DEFAULT_TOL) -> np.ndar
         return localize(spec.inner, spec.e, f, tol)
     if isinstance(spec, RightMultiplication):
         g = as_matrix(spec.g)
-        if f.shape[1] != g.shape[0]:
+        if f.shape[-1] != g.shape[0]:
             raise InputError(f"cannot multiply {f.shape} by {g.shape}")
         return f @ g
     if isinstance(spec, Scaled):
@@ -486,8 +487,11 @@ def spec_from_doc(doc: dict) -> CentralizerSpec:
     kind = doc.get("kind")
     if kind == "kp_bicentralizer":
         get_phi(doc["phi"])
+        backend = doc.get("backend", "svd")
+        if backend not in SCHMIDT_BACKENDS:
+            raise InputError(f"unknown schmidt backend {backend!r}; known: {SCHMIDT_BACKENDS}")
         return KPBicentralizer(phi=doc["phi"], p=validate_index(doc["p"]),
-                               backend=doc.get("backend", "svd"))
+                               backend=backend)
     if kind == "lifted_quasilinear":
         return LiftedQuasilinear(qmap=qmap_from_doc(doc["qmap"]),
                                  p=validate_index(doc["p"]),

@@ -29,10 +29,11 @@ from .centralizers import (
     spec_from_doc,
     spec_hash,
 )
-from .ioutil import doc_hash
+from .ioutil import doc_hash, jsonable_float
 from .matcore import DEFAULT_TOL, InputError, Tolerances, mat_from_json, validate_index
 from .metrology import (
     ESTIMATE_KINDS,
+    SAMPLE_TAGS,
     STREAM_PRIMARY,
     Sampler,
     distance_estimate,
@@ -132,10 +133,14 @@ class ExperimentConfig:
             "kinds": list(self.kinds),
             "tolerances": dict(self.tolerances),
         }
-        for key in ("spec", "spec2", "operator", "p", "q", "s"):
+        for key in ("spec", "spec2", "operator"):
             value = getattr(self, key)
             if value is not None:
                 out[key] = value
+        for key in ("p", "q", "s"):  # an infinite index is written "inf"
+            value = getattr(self, key)
+            if value is not None:
+                out[key] = jsonable_float(value)
         return out
 
     def hash(self) -> str:
@@ -147,6 +152,15 @@ _KNOWN_KEYS = {
     "p", "q", "s", "kinds", "samples", "tag", "side", "slot", "phi",
     "tolerances",
 }
+
+
+def _integers(values, key: str) -> tuple[int, ...]:
+    try:
+        if isinstance(values, str) or any(isinstance(v, bool) for v in values):
+            raise TypeError
+        return tuple(int(v) for v in values)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be integer", field_name=key) from None
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -165,13 +179,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if "seed" not in doc:
         raise ConfigError("a seed is required; no implicit entropy",
                           field_name="seed")
-    try:
-        seed = int(doc["seed"])
-    except (TypeError, ValueError):
-        raise ConfigError("seed must be an integer", field_name="seed") from None
+    (seed,) = _integers([doc["seed"]], "seed")
     if seed < 0:
         raise ConfigError("seed must be nonnegative", field_name="seed")
-    dims = tuple(int(d) for d in doc.get("dims", ()))
+    dims = _integers(doc.get("dims", ()), "dims")
     if any(d < 1 for d in dims):
         raise ConfigError("dimensions must be positive", field_name="dims")
     if any(b <= a for a, b in zip(dims, dims[1:])):
@@ -188,7 +199,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 raise ConfigError(f"index {key} must be positive",
                                   field_name=key) from None
         indices[key] = value
-    samples = int(doc.get("samples", 200))
+    (samples,) = _integers([doc.get("samples", 200)], "samples")
     if samples < 1:
         raise ConfigError("samples must be at least 1", field_name="samples")
     kinds = tuple(str(k) for k in doc.get("kinds", ()))
@@ -198,6 +209,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
     side = doc.get("side", "left")
     if side not in ("left", "right"):
         raise ConfigError("side must be 'left' or 'right'", field_name="side")
+    tag = doc.get("tag", "ginibre")
+    if tag not in SAMPLE_TAGS:
+        raise ConfigError(f"unknown sample tag {tag!r}; known: {list(SAMPLE_TAGS)}",
+                          field_name="tag")
     slot = doc.get("slot", "mat")
     if slot not in ("mat", "vec"):
         raise ConfigError("slot must be 'mat' or 'vec'", field_name="slot")
@@ -209,8 +224,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if key not in known_tols:
             raise ConfigError(f"unknown tolerance {key!r}; known: {sorted(known_tols)}",
                               field_name="tolerances")
-        if not isinstance(value, (int, float)) or not value > 0:
-            raise ConfigError(f"tolerance {key!r} must be a positive number",
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not 0 < value < math.inf):
+            raise ConfigError(f"tolerance {key!r} must be a positive finite number",
                               field_name="tolerances")
     cfg = ExperimentConfig(
         experiment=doc["experiment"],
@@ -225,7 +241,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         s=indices["s"],
         kinds=kinds,
         samples=samples,
-        tag=str(doc.get("tag", "ginibre")),
+        tag=tag,
         side=side,
         slot=slot,
         phi=str(doc.get("phi", "s")),

@@ -21,13 +21,16 @@ __all__ = [
     "DEFAULT_TOL",
     "validate_index",
     "as_matrix",
+    "as_matrices",
     "as_vector",
+    "adjoint",
     "rank_one",
     "trace",
     "singular_values",
     "schatten_norm",
     "concavity_modulus",
     "SchmidtForm",
+    "SCHMIDT_BACKENDS",
     "schmidt",
     "PolarForm",
     "polar",
@@ -103,6 +106,16 @@ def as_matrix(f) -> np.ndarray:
     return a
 
 
+def as_matrices(f) -> np.ndarray:
+    """A matrix, or a (k, m, n) stack of matrices."""
+    a = np.asarray(f, dtype=np.complex128)
+    if a.ndim not in (2, 3):
+        raise InputError(f"expected a matrix or a stack of matrices, got shape {a.shape}")
+    if a.size and not np.isfinite(a).all():
+        raise InputError("matrix entries must be finite")
+    return a
+
+
 def as_vector(x) -> np.ndarray:
     a = np.asarray(x, dtype=np.complex128)
     if a.ndim != 1:
@@ -110,6 +123,11 @@ def as_vector(x) -> np.ndarray:
     if a.size and not np.isfinite(a).all():
         raise InputError("vector entries must be finite")
     return a
+
+
+def adjoint(f) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.conj(f).swapaxes(-1, -2)
 
 
 def rank_one(x, y) -> np.ndarray:
@@ -142,8 +160,8 @@ def _condition_diagnostics(f: np.ndarray) -> dict:
 
 
 def singular_values(f) -> np.ndarray:
-    """Singular values of ``f`` in nonincreasing order."""
-    f = as_matrix(f)
+    """Singular values of ``f`` in nonincreasing order (per matrix of a stack)."""
+    f = as_matrices(f)
     try:
         return np.linalg.svd(f, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -153,25 +171,34 @@ def singular_values(f) -> np.ndarray:
         ) from exc
 
 
-def schatten_norm(f, p: float, tol: Tolerances = DEFAULT_TOL) -> float:
+def schatten_norm(f, p: float, tol: Tolerances = DEFAULT_TOL):
     """Schatten p-quasinorm: the l^p norm of the singular values.
 
     ``p = inf`` gives the operator norm.  The zero matrix has norm 0 for
     every index.  Values below the zero threshold are treated as exact
     zeros; for p < 1 this keeps factorization noise from being amplified
     (the true rank is what the quasinorm of a finite-rank operator sees).
+    A (k, m, n) stack gives an array of k norms, each equal to the norm
+    of its matrix alone.
     """
     p = validate_index(p)
     s = singular_values(f)
-    if s.size == 0 or s[0] == 0.0:
-        return 0.0
-    if math.isinf(p):
-        return float(s[0])
-    s = s[s > tol.zero_rtol * s[0]]
-    # summing the powers in ascending order keeps the result independent
-    # of the row/column presentation of f
-    powers = np.sort(s) ** p
-    return float(powers.sum() ** (1.0 / p))
+    rows = s.reshape(math.prod(s.shape[:-1]), s.shape[-1])
+    norms = np.zeros(rows.shape[0])
+    if rows.shape[1]:
+        if math.isinf(p):
+            norms = rows[:, 0].copy()
+        else:
+            kept = (rows > tol.zero_rtol * rows[:, :1]).sum(axis=1)
+            # summing the powers in ascending order keeps the result
+            # independent of the row/column presentation of f; the kept
+            # values are the largest, so they end each sorted row
+            powers = np.sort(rows, axis=1) ** p
+            for count in set(kept.tolist()) - {0}:
+                same = kept == count
+                sums = powers[same, powers.shape[1] - count:].sum(axis=1)
+                norms[same] = [total ** (1.0 / p) for total in sums.tolist()]
+    return norms.reshape(s.shape[:-1]) if s.ndim > 1 else float(norms[0])
 
 
 def concavity_modulus(r: float) -> float:
@@ -192,42 +219,85 @@ class SchmidtForm:
     pins the expansion whenever the kept singular values are distinct.
     ``gap`` is the smallest relative gap between consecutive kept values;
     frames with ``gap`` below tolerance are not uniquely determined.
+
+    The form of a (k, m, n) stack holds one expansion per matrix, with
+    leading axes on ``s``, ``x``, ``y`` and ``gap``; a matrix of lower
+    rank than the stack's largest has zero values and zero frame columns
+    past its own rank.
     """
 
     s: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    shape: tuple[int, int]
-    gap: float
+    shape: tuple[int, ...]
 
     @property
-    def rank(self) -> int:
-        return int(self.s.size)
+    def rank(self) -> int | np.ndarray:
+        ranks = (self.s != 0.0).sum(axis=-1)
+        return int(ranks) if self.s.ndim == 1 else ranks
+
+    @property
+    def gap(self) -> float | np.ndarray:
+        s = self.s.reshape(math.prod(self.s.shape[:-1]), self.s.shape[-1])
+        ranks = (s != 0.0).sum(axis=1)
+        gaps = np.full(ranks.shape, math.inf)
+        spread = ranks > 1
+        if spread.any():
+            steps = s[spread, :-1] - s[spread, 1:]
+            steps[np.arange(steps.shape[1]) >= ranks[spread, None] - 1] = math.inf
+            gaps[spread] = steps.min(axis=1) / s[spread, 0]
+        return float(gaps[0]) if self.s.ndim == 1 else gaps.reshape(self.s.shape[:-1])
 
     def reconstruct(self) -> np.ndarray:
-        if self.rank == 0:
-            return np.zeros(self.shape, dtype=np.complex128)
-        return (self.y * self.s) @ self.x.conj().T
+        return self.expand(lambda part: (part.y * part.s[:, None, :]) @ adjoint(part.x))
+
+    def expand(self, build) -> np.ndarray:
+        """Apply ``build`` to the expansion of each matrix.
+
+        ``build`` maps the form of a stack of matrices that share one
+        rank, with no padding, to a stack of result matrices; matrices of
+        rank zero map to zero.  Grouping by rank gives every matrix the
+        arithmetic it would get if factored alone.
+        """
+        k, (m, n), r = math.prod(self.shape[:-2]), self.shape[-2:], self.s.shape[-1]
+        s = self.s.reshape(k, r)
+        x = self.x.reshape(k, n, r)
+        y = self.y.reshape(k, m, r)
+        ranks = (s != 0.0).sum(axis=1)
+        out = None
+        for rank in set(ranks.tolist()) - {0}:
+            same = ranks == rank
+            if same.all():  # one rank throughout, which is then r
+                out = build(SchmidtForm(s=s, x=x, y=y, shape=(k, m, n)))
+                break
+            rows = np.flatnonzero(same)
+            part = build(SchmidtForm(s=s[rows, :rank], x=x[rows, :, :rank],
+                                     y=y[rows, :, :rank], shape=(rows.size, m, n)))
+            if out is None:
+                out = np.zeros((k,) + part.shape[1:], dtype=np.complex128)
+            out[rows] = part
+        if out is None:
+            out = np.zeros((k, m, n), dtype=np.complex128)
+        return out.reshape(self.shape[:-2] + out.shape[1:])
 
 
-def _gauge_fix(x: np.ndarray, y: np.ndarray, gauge_atol: float) -> None:
-    # in-place: multiply each column pair by a common unit scalar; the
-    # rank-one terms are invariant under this change
-    for i in range(x.shape[1]):
-        col = x[:, i]
-        idx = np.flatnonzero(np.abs(col) > gauge_atol)
-        if idx.size == 0:
-            continue
-        pivot = col[idx[0]]
-        mu = pivot.conjugate() / abs(pivot)
-        x[:, i] *= mu
-        y[:, i] *= mu
+def _gauge_fix(x: np.ndarray, y: np.ndarray, gauge_atol: float):
+    # multiply each column pair of a (k, n, r) stack by a common unit
+    # scalar; the rank-one terms are invariant under this change.  Columns
+    # without a significant coordinate (padding) are left as they are.
+    significant = np.abs(x) > gauge_atol
+    first = np.argmax(significant, axis=1)
+    at_first = (np.arange(x.shape[0])[:, None], first, np.arange(x.shape[2]))
+    pivot = x[at_first]
+    # hypot rounds exactly like abs() of a complex scalar; padding columns
+    # give 0/0 here and are masked out below
+    with np.errstate(invalid="ignore"):
+        mu = pivot.conj() / np.hypot(pivot.real, pivot.imag)
+    mu = np.where(significant[at_first], mu, 1.0)[:, None, :]
+    return x * mu, y * mu
 
 
-def _relative_gap(s: np.ndarray) -> float:
-    if s.size <= 1 or s[0] == 0.0:
-        return math.inf
-    return float(np.min(s[:-1] - s[1:]) / s[0])
+SCHMIDT_BACKENDS = ("svd", "eig")
 
 
 def schmidt(f, tol: Tolerances = DEFAULT_TOL, backend: str = "svd") -> SchmidtForm:
@@ -236,20 +306,24 @@ def schmidt(f, tol: Tolerances = DEFAULT_TOL, backend: str = "svd") -> SchmidtFo
     Values below ``tol.zero_rtol * s_1`` are dropped.  ``backend`` selects
     the factorization route ("svd", or "eig" which diagonalizes f*f and
     recovers the y-frame by applying f); both obey the same convention.
+    A (k, m, n) stack is factored in one call, one expansion per matrix.
     """
-    f = as_matrix(f)
+    f = as_matrices(f)
+    lead = f.shape[:-2]
+    stack = f.reshape((math.prod(lead),) + f.shape[-2:])
     try:
         if backend == "svd":
-            u, s, vh = np.linalg.svd(f, full_matrices=False)
-            x = vh.conj().T
+            u, s, vh = np.linalg.svd(stack, full_matrices=False)
+            x = adjoint(vh)
         elif backend == "eig":
-            w, x = np.linalg.eigh(f.conj().T @ f)
-            order = np.argsort(-w, kind="stable")
-            w = np.clip(w[order], 0.0, None)
-            x = x[:, order]
+            w, x = np.linalg.eigh(adjoint(stack) @ stack)
+            order = np.argsort(-w, axis=1, kind="stable")
+            w = np.clip(np.take_along_axis(w, order, axis=1), 0.0, None)
+            x = np.take_along_axis(x, order[:, None, :], axis=2)
             s = np.sqrt(w)
+            live = (s > 0.0)[:, None, :]
             with np.errstate(divide="ignore", invalid="ignore"):
-                u = np.where(s > 0.0, 1.0, 0.0) * (f @ x) / np.where(s > 0.0, s, 1.0)
+                u = np.where(live, 1.0, 0.0) * (stack @ x) / np.where(live, s[:, None, :], 1.0)
         else:
             raise InputError(f"unknown schmidt backend {backend!r}")
     except np.linalg.LinAlgError as exc:
@@ -257,17 +331,17 @@ def schmidt(f, tol: Tolerances = DEFAULT_TOL, backend: str = "svd") -> SchmidtFo
             "singular value decomposition did not converge",
             diagnostics=_condition_diagnostics(f),
         ) from exc
-    if s.size and s[0] > 0.0:
-        keep = s > tol.zero_rtol * s[0]
-    else:
-        keep = np.zeros(s.shape, dtype=bool)
-    s = np.ascontiguousarray(s[keep])
-    y = np.ascontiguousarray(u[:, keep])
-    x = np.ascontiguousarray(x[:, keep])
-    _gauge_fix(x, y, tol.gauge_atol)
+    # values are nonincreasing, so the kept ones form a prefix
+    keep = s > tol.zero_rtol * s[:, :1]
+    rank = int(keep.sum(axis=1).max(initial=0))
+    keep = keep[:, :rank]
+    s = np.where(keep, s[:, :rank], 0.0)
+    x, y = _gauge_fix(np.where(keep[:, None, :], x[:, :, :rank], 0.0),
+                      np.where(keep[:, None, :], u[:, :, :rank], 0.0), tol.gauge_atol)
+    s, x, y = (a.reshape(lead + a.shape[1:]) for a in (s, x, y))
     for arr in (s, x, y):  # forms are shared freely; keep them immutable
         arr.setflags(write=False)
-    return SchmidtForm(s=s, x=x, y=y, shape=f.shape, gap=_relative_gap(s))
+    return SchmidtForm(s=s, x=x, y=y, shape=f.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,7 +355,7 @@ class PolarForm:
 
 def polar(f, tol: Tolerances = DEFAULT_TOL) -> PolarForm:
     """Polar decomposition ``f = u |f|`` with ``u`` supported on ran|f|."""
-    form = schmidt(f, tol)
+    form = schmidt(as_matrix(f), tol)
     phase = form.y @ form.x.conj().T
     modulus = (form.x * form.s) @ form.x.conj().T
     phase.setflags(write=False)
@@ -294,7 +368,7 @@ def modulus_power(f, alpha: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     alpha = float(alpha)
     if not alpha > 0.0:
         raise InputError(f"modulus exponent must be positive, got {alpha!r}")
-    form = schmidt(f, tol)
+    form = schmidt(as_matrix(f), tol)
     return (form.x * form.s**alpha) @ form.x.conj().T
 
 

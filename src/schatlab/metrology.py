@@ -30,6 +30,7 @@ from .matcore import (
     InputError,
     NumericError,
     Tolerances,
+    adjoint,
     as_matrix,
     mat_from_json,
     mat_to_json,
@@ -104,21 +105,26 @@ class Sampler:
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         return z / math.sqrt(2.0)
 
-    def _haar(self, rng, n: int) -> np.ndarray:
-        q, r = np.linalg.qr(self._ginibre(rng, n))
-        d = np.diagonal(r).copy()
+    def _haar(self, z: np.ndarray) -> np.ndarray:
+        # Mezzadri's QR route, one factorization call for the whole stack
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r, axis1=-2, axis2=-1).copy()
         d[d == 0] = 1.0
-        return q * (d / np.abs(d))
+        return q * (d / np.abs(d))[..., None, :]
 
-    def _draw(self, rng) -> np.ndarray:
+    def _spectral(self, rngs) -> np.ndarray:
+        """Haar frames around a uniform spectrum, one matrix per generator."""
+        n = self.dim
+        parts = [(self._ginibre(rng, n), self._ginibre(rng, n), rng.uniform(0.0, 1.0, n))
+                 for rng in rngs]
+        zu, zv, spectrum = (np.stack(a) for a in zip(*parts))
+        u, v = np.split(self._haar(np.concatenate([zu, zv])), 2)
+        return (u * spectrum[:, None, :]) @ adjoint(v)
+
+    def _draw_one(self, rng) -> np.ndarray:
         n = self.dim
         if self.tag == "ginibre":
             return self._ginibre(rng, n)
-        if self.tag == "haar_spectral":
-            u = self._haar(rng, n)
-            v = self._haar(rng, n)
-            spectrum = rng.uniform(0.0, 1.0, n)
-            return (u * spectrum) @ v.conj().T
         if self.tag == "rank_one":
             # spread input frame, output factor a spike of dyadic random
             # width: one stream then spans the flatness range that
@@ -142,25 +148,44 @@ class Sampler:
             return z
         raise InputError(f"unknown sample tag {self.tag!r}")
 
+    def _draw(self, rngs) -> np.ndarray:
+        """One matrix from each generator, in order, as a (k, n, n) stack.
+
+        Each generator yields the same numbers as for a lone draw; only
+        the factorizations run once per stack.
+        """
+        if self.tag == "haar_spectral":
+            return self._spectral(rngs)
+        return np.stack([self._draw_one(rng) for rng in rngs])
+
     def raw(self, index: int, stream: int = STREAM_PRIMARY) -> np.ndarray:
-        return self._draw(self.generator(stream, index))
+        return self._draw([self.generator(stream, index)])[0]
 
-    def unit_sphere(self, index: int, stream: int = STREAM_PRIMARY) -> np.ndarray:
-        """Sample with Schatten p-norm 1; degenerate draws are redrawn."""
-        rng = self.generator(stream, index)
-        while True:
-            m = self._draw(rng)
-            norm = schatten_norm(m, self.p)
-            if norm >= self.min_norm:
-                return m / norm
+    def unit_sphere(self, index, stream: int = STREAM_PRIMARY) -> np.ndarray:
+        """Sample with Schatten p-norm 1; degenerate draws are redrawn.
 
-    def contraction(self, index: int, stream: int = STREAM_LEFT) -> np.ndarray:
-        """Operator-norm contraction: Haar frames around a uniform spectrum."""
-        rng = self.generator(stream, index)
-        u = self._haar(rng, self.dim)
-        v = self._haar(rng, self.dim)
-        spectrum = rng.uniform(0.0, 1.0, self.dim)
-        return (u * spectrum) @ v.conj().T
+        ``index`` is one sample index, or a sequence of them for a
+        (k, n, n) stack.  Every sample, redraws included, comes from its
+        own generator, so a stack holds exactly the lone samples.
+        """
+        rngs = [self.generator(stream, i) for i in np.atleast_1d(index)]
+        m = self._draw(rngs)
+        norm = schatten_norm(m, self.p)
+        low = np.flatnonzero(norm < self.min_norm)
+        while low.size:
+            m[low] = self._draw([rngs[j] for j in low])
+            norm[low] = schatten_norm(m[low], self.p)
+            low = low[norm[low] < self.min_norm]
+        out = m / norm[:, None, None]
+        return out if np.ndim(index) else out[0]
+
+    def contraction(self, index, stream: int = STREAM_LEFT) -> np.ndarray:
+        """Operator-norm contraction: Haar frames around a uniform spectrum.
+
+        ``index`` is one sample index, or a sequence of them for a stack.
+        """
+        out = self._spectral([self.generator(stream, i) for i in np.atleast_1d(index)])
+        return out if np.ndim(index) else out[0]
 
     def gaussian_block(self, count: int, width: int,
                        stream: int = STREAM_GAUSS, index: int = 0) -> np.ndarray:
@@ -219,7 +244,21 @@ class EstimateReport:
 
 _KIND_NOTE = "max over samples; lower bound of the true supremum"
 
-ESTIMATE_KINDS = ("Q", "L", "R", "B")
+# inputs of each estimate kind: (name, sampler method, stream)
+_KIND_INPUTS = {
+    "Q": (("f", "unit_sphere", STREAM_PRIMARY), ("g", "unit_sphere", STREAM_SECONDARY)),
+    "L": (("a", "contraction", STREAM_LEFT), ("f", "unit_sphere", STREAM_PRIMARY)),
+    "R": (("a", "contraction", STREAM_RIGHT), ("f", "unit_sphere", STREAM_PRIMARY)),
+    "B": (("a", "contraction", STREAM_LEFT), ("b", "contraction", STREAM_RIGHT),
+          ("f", "unit_sphere", STREAM_PRIMARY)),
+}
+ESTIMATE_KINDS = tuple(_KIND_INPUTS)
+
+# estimators score their stream in chunks of about this many entries per
+# input matrix: stacks amortize the per-call cost at small dimensions and
+# stay one sample at n >= 32.  Samples come from their own generators and
+# are scored exactly as alone, so no reported value depends on the chunk.
+CHUNK_ENTRIES = 2**10
 
 # replay functions for report kinds defined outside this module
 REPLAY_HANDLERS: dict = {}
@@ -240,38 +279,39 @@ def _guarantee_note(spec) -> str:
     return ""
 
 
-def _defect(spec, kind, sampler, i, tol):
-    """Draw sample i; return the defect, its denominator and the inputs."""
+def _chunk_size(dim: int) -> int:
+    return max(1, CHUNK_ENTRIES // dim**2)
+
+
+def _defect_ratios(spec, kind, inputs, p, q, tol):
+    """Q/L/R/B defect ratios of a stack of inputs, one per sample."""
     ev = lambda m: evaluate(spec, m, tol)
+    f = inputs["f"]
     if kind == "Q":
-        f = sampler.unit_sphere(i, STREAM_PRIMARY)
-        g = sampler.unit_sphere(i, STREAM_SECONDARY)
+        g = inputs["g"]
         defect = ev(f + g) - ev(f) - ev(g)
-        denom = schatten_norm(f, sampler.p) + schatten_norm(g, sampler.p)
-        inputs = {"f": mat_to_json(f), "g": mat_to_json(g)}
+        denom = schatten_norm(f, p) + schatten_norm(g, p)
     elif kind == "L":
-        a = sampler.contraction(i, STREAM_LEFT)
-        f = sampler.unit_sphere(i, STREAM_PRIMARY)
+        a = inputs["a"]
         defect = ev(a @ f) - a @ ev(f)
-        denom = schatten_norm(a, math.inf) * schatten_norm(f, sampler.p)
-        inputs = {"a": mat_to_json(a), "f": mat_to_json(f)}
+        denom = schatten_norm(a, math.inf) * schatten_norm(f, p)
     elif kind == "R":
-        a = sampler.contraction(i, STREAM_RIGHT)
-        f = sampler.unit_sphere(i, STREAM_PRIMARY)
+        a = inputs["a"]
         defect = ev(f @ a) - ev(f) @ a
-        denom = schatten_norm(a, math.inf) * schatten_norm(f, sampler.p)
-        inputs = {"a": mat_to_json(a), "f": mat_to_json(f)}
-    elif kind == "B":
-        a = sampler.contraction(i, STREAM_LEFT)
-        b = sampler.contraction(i, STREAM_RIGHT)
-        f = sampler.unit_sphere(i, STREAM_PRIMARY)
-        defect = ev(a @ f @ b) - a @ ev(f) @ b
-        denom = (schatten_norm(a, math.inf) * schatten_norm(f, sampler.p)
-                 * schatten_norm(b, math.inf))
-        inputs = {"a": mat_to_json(a), "b": mat_to_json(b), "f": mat_to_json(f)}
+        denom = schatten_norm(a, math.inf) * schatten_norm(f, p)
     else:
-        raise InputError(f"unknown estimate kind {kind!r}; known: {ESTIMATE_KINDS}")
-    return defect, denom, inputs
+        a, b = inputs["a"], inputs["b"]
+        defect = ev(a @ f @ b) - a @ ev(f) @ b
+        denom = (schatten_norm(a, math.inf) * schatten_norm(f, p)
+                 * schatten_norm(b, math.inf))
+    return schatten_norm(defect, q) / denom
+
+
+def _score_chunk(spec, kind, sampler, indices, q, tol):
+    """Draw the inputs of samples ``indices`` and score them as one stack."""
+    inputs = {name: getattr(sampler, method)(indices, stream)
+              for name, method, stream in _KIND_INPUTS[kind]}
+    return inputs, _defect_ratios(spec, kind, inputs, sampler.p, q, tol)
 
 
 def estimate_constant(spec: CentralizerSpec, kind: str, sampler: Sampler,
@@ -286,31 +326,49 @@ def estimate_constant(spec: CentralizerSpec, kind: str, sampler: Sampler,
     """
     if n_samples < 1:
         raise InputError("need at least one sample")
+    if kind not in _KIND_INPUTS:
+        raise InputError(f"unknown estimate kind {kind!r}; known: {ESTIMATE_KINDS}")
     p, q = _resolve_indices(spec, p, q)
     sampler = replace(sampler, p=p)
+    step = _chunk_size(sampler.dim)
     best = -math.inf
     witness: dict = {}
-    best_f = None
-    for i in range(n_samples):
+    best_inputs = None
+    for start in range(0, n_samples, step):
+        indices = range(start, min(start + step, n_samples))
         try:
-            defect, denom, inputs = _defect(spec, kind, sampler, i, tol)
-            ratio = schatten_norm(defect, q) / denom
+            inputs, ratios = _score_chunk(spec, kind, sampler, indices, q, tol)
         except NumericError as exc:
-            exc.diagnostics.update({"sample_index": i, "seed": sampler.seed,
+            index, exc = _failing_sample(spec, kind, sampler, indices, q, tol, exc)
+            exc.diagnostics.update({"sample_index": index, "seed": sampler.seed,
                                     "dim": sampler.dim, "tag": sampler.tag})
-            raise
-        if ratio > best:
-            best = ratio
-            witness = {"index": i, "ratio": ratio, "inputs": inputs}
-            best_f = mat_from_json(inputs["f"])
-    if best_f is not None:
-        witness["frame_ambiguous"] = frame_ambiguous(best_f, tol)
+            raise exc
+        # the first strict maximum in stream order wins; NaN never does
+        j = int(np.argmax(np.where(np.isnan(ratios), -math.inf, ratios)))
+        if ratios[j] > best:
+            best = float(ratios[j])
+            witness = {"index": indices[j], "ratio": best}
+            best_inputs = {name: m[j] for name, m in inputs.items()}
+    if best_inputs is not None:
+        witness["inputs"] = {name: mat_to_json(m) for name, m in best_inputs.items()}
+        witness["frame_ambiguous"] = frame_ambiguous(best_inputs["f"], tol)
     return EstimateReport(
         kind=kind, value=best, samples=n_samples, seed=sampler.seed,
         witness=witness, note=_KIND_NOTE + _guarantee_note(spec),
         context={"p": p, "q": q, "dim": sampler.dim, "tag": sampler.tag,
                  "spec": spec_to_doc(spec)},
     )
+
+
+def _failing_sample(spec, kind, sampler, indices, q, tol, exc):
+    """Index and error of the first sample of a failed chunk that fails
+    alone; the chunk's error, without an index, if none does."""
+    for i in indices:
+        try:
+            _score_chunk(spec, kind, sampler, range(i, i + 1), q, tol)
+        except NumericError as single:
+            return i, single
+    return None, exc
 
 
 def distance_estimate(a: CentralizerSpec, b: CentralizerSpec, sampler: Sampler,
@@ -371,27 +429,10 @@ def reevaluate_witness(report: EstimateReport,
         defect = g @ evaluate(spec, f, tol) + evaluate(candidate, g, tol) @ f
         return (schatten_norm(defect, ctx["r"])
                 / (schatten_norm(g, ctx["q2"]) * schatten_norm(f, p)))
-    if kind == "Q":
-        f, g = inputs["f"], inputs["g"]
-        defect = (evaluate(spec, f + g, tol) - evaluate(spec, f, tol)
-                  - evaluate(spec, g, tol))
-        denom = schatten_norm(f, p) + schatten_norm(g, p)
-    elif kind == "L":
-        a, f = inputs["a"], inputs["f"]
-        defect = evaluate(spec, a @ f, tol) - a @ evaluate(spec, f, tol)
-        denom = schatten_norm(a, math.inf) * schatten_norm(f, p)
-    elif kind == "R":
-        a, f = inputs["a"], inputs["f"]
-        defect = evaluate(spec, f @ a, tol) - evaluate(spec, f, tol) @ a
-        denom = schatten_norm(a, math.inf) * schatten_norm(f, p)
-    elif kind == "B":
-        a, b, f = inputs["a"], inputs["b"], inputs["f"]
-        defect = evaluate(spec, a @ f @ b, tol) - a @ evaluate(spec, f, tol) @ b
-        denom = (schatten_norm(a, math.inf) * schatten_norm(f, p)
-                 * schatten_norm(b, math.inf))
-    else:
-        raise InputError(f"cannot replay report of kind {kind!r}")
-    return schatten_norm(defect, q) / denom
+    if kind in _KIND_INPUTS:
+        stack = {name: m[None] for name, m in inputs.items()}
+        return float(_defect_ratios(spec, kind, stack, p, q, tol)[0])
+    raise InputError(f"cannot replay report of kind {kind!r}")
 
 
 def _split_index(total: float, part: float) -> float:

@@ -114,45 +114,30 @@ def kp_phi(x, phi, p: float) -> np.ndarray:
     distance of |x(n)| to the norm and the logarithm of the coordinate's
     rank.  Coordinates where x vanishes are mapped to 0 (the factor x(n)
     forces the limit value), and the zero sequence maps to itself, so the
-    map is exactly homogeneous.
+    map is exactly homogeneous.  This is the one-row ``kp_phi_rows``.
     """
-    p = validate_index(p)
-    if math.isinf(p):
-        raise InputError("kp_phi needs a finite index")
-    phi = get_phi(phi)
-    x = as_sequence(x)
-    out = np.zeros_like(x)
-    if x.size == 0:
-        return out
-    norm = lp_norm(x, p)
-    if norm == 0.0:
-        return out
-    mask = x != 0
-    logdist = np.log(norm / np.abs(x[mask]))
-    logrank = np.log(rank_sequence(x)[mask].astype(np.float64))
-    out[mask] = x[mask] * phi(logdist, logrank)
-    return out
+    return kp_phi_rows(as_sequence(x)[None, :], phi, p)[0]
 
 
 def kp_phi_rows(xs, phi, p: float) -> np.ndarray:
-    """Row-wise ``kp_phi`` for a 2-d batch of sequences."""
+    """Row-wise ``kp_phi`` over the last axis of a batch of sequences."""
     p = validate_index(p)
     if math.isinf(p):
         raise InputError("kp_phi needs a finite index")
     phi = get_phi(phi)
     xs = np.asarray(xs, dtype=np.complex128)
-    if xs.ndim != 2:
+    if xs.ndim < 2:
         raise InputError(f"expected a batch of sequences, got shape {xs.shape}")
     out = np.zeros_like(xs)
     if xs.size == 0:
         return out
     a = np.abs(xs)
-    norms = (np.sort(a, axis=1) ** p).sum(axis=1) ** (1.0 / p)
-    order = np.argsort(-a, axis=1, kind="stable")
+    norms = (np.sort(a, axis=-1) ** p).sum(axis=-1)[..., None] ** (1.0 / p)
+    order = np.argsort(-a, axis=-1, kind="stable")
     ranks = np.empty(xs.shape, dtype=np.int64)
-    np.put_along_axis(ranks, order, np.arange(1, xs.shape[1] + 1)[None, :], axis=1)
-    live = (xs != 0) & (norms[:, None] > 0.0)
-    logdist = np.log(np.where(live, norms[:, None] / np.where(live, a, 1.0), 1.0))
+    np.put_along_axis(ranks, order, np.arange(1, xs.shape[-1] + 1), axis=-1)
+    live = (xs != 0) & (norms > 0.0)
+    logdist = np.log(np.where(live, norms / np.where(live, a, 1.0), 1.0))
     logrank = np.log(ranks.astype(np.float64))
     vals = phi(logdist, logrank)
     out[live] = xs[live] * vals[live]

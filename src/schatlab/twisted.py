@@ -140,8 +140,7 @@ def _sparse_vector(rng, n: int) -> np.ndarray:
 def _draw_pair(sampler: Sampler, slot: str, index: int, stream: int):
     rng = sampler.generator(stream, index)
     if slot == "mat":
-        g = sampler._draw(rng)
-        f = sampler._draw(rng)
+        g, f = sampler._draw([rng, rng])
     elif slot == "vec":
         n = sampler.dim
         g = _sparse_vector(rng, n)

@@ -65,6 +65,57 @@ def test_validate_rejects_bad_index(tmp_path):
         parse_config(constants_config(tmp_path, p=-2.0))
 
 
+def _rejected_by_cli(tmp_path, capsys, doc, field_name):
+    with pytest.raises(ConfigError):
+        parse_config(doc)
+    path = write_config(tmp_path, doc)
+    for command in ("validate", "run"):
+        assert main([command, str(path)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "config" and err["field"] == field_name
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_rejects_unknown_tag(tmp_path, capsys):
+    _rejected_by_cli(tmp_path, capsys, constants_config(tmp_path, tag="cauchy"), "tag")
+
+
+def test_validate_rejects_unknown_schmidt_backend(tmp_path, capsys):
+    spec = {"kind": "kp_bicentralizer", "phi": "s", "p": 2.0, "backend": "qr"}
+    _rejected_by_cli(tmp_path, capsys, constants_config(tmp_path, spec=spec), "spec")
+
+
+@pytest.mark.parametrize("field_name, value", [
+    ("samples", "abc"), ("samples", True), ("dims", "6"), ("dims", [6.0, "x"]),
+])
+def test_validate_rejects_non_integers(tmp_path, capsys, field_name, value):
+    doc = constants_config(tmp_path, **{field_name: value})
+    _rejected_by_cli(tmp_path, capsys, doc, field_name)
+
+
+def test_validate_rejects_boolean_tolerance(tmp_path, capsys):
+    doc = constants_config(tmp_path, tolerances={"zero_rtol": True})
+    _rejected_by_cli(tmp_path, capsys, doc, "tolerances")
+
+
+def test_validate_rejects_non_finite_tolerance(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    text = json.dumps(constants_config(tmp_path, tolerances={"slack_atol": 1.0}))
+    path.write_text(text.replace('"slack_atol": 1.0', '"slack_atol": 1e400'),
+                    encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["field"] == "tolerances"
+
+
+def test_infinite_index_config_hashes_and_round_trips(tmp_path):
+    cfg = parse_config(constants_config(tmp_path, p="inf", q=2.0,
+                                        spec={"kind": "sum", "terms": []}))
+    assert cfg.p == math.inf
+    assert cfg.doc()["p"] == "inf"
+    assert parse_config(cfg.doc()).hash() == cfg.hash()
+
+
 def test_validate_fixed_dim_spec_mismatch(tmp_path):
     doc = constants_config(tmp_path, spec={
         "kind": "right_multiplication",

@@ -9,14 +9,20 @@ from schatlab.centralizers import (
     KPOnH,
     LiftedQuasilinear,
     LinearMap,
+    Localized,
+    Lowered,
     RightMultiplication,
+    Scaled,
+    SumMap,
     SumSpec,
     evaluate,
 )
-from schatlab.matcore import InputError, schatten_norm
+from schatlab.matcore import InputError, NumericError, schatten_norm
 from schatlab.metrology import (
+    CHUNK_ENTRIES,
     STREAM_LEFT,
     STREAM_PRIMARY,
+    STREAM_RIGHT,
     STREAM_SECONDARY,
     EstimateReport,
     Sampler,
@@ -152,6 +158,130 @@ def test_report_document_round_trip():
     again = EstimateReport.from_doc(doc)
     assert again.value == rep.value
     assert abs(reevaluate_witness(again) - again.witness["ratio"]) <= 1e-12
+
+
+# --- chunked estimation against a per-sample loop -----------------------------
+
+TAGS = ("ginibre", "haar_spectral", "rank_one", "sparse")
+KINDS = ("Q", "L", "R", "B")
+
+
+def _looped_estimate(spec, kind, sampler, n_samples, q):
+    """Oracle: the max-over-stream defect ratio, one sample at a time."""
+    best, best_index = -math.inf, None
+    for i in range(n_samples):
+        f = sampler.unit_sphere(i, STREAM_PRIMARY)
+        if kind == "Q":
+            g = sampler.unit_sphere(i, STREAM_SECONDARY)
+            defect = evaluate(spec, f + g) - evaluate(spec, f) - evaluate(spec, g)
+            denom = schatten_norm(f, sampler.p) + schatten_norm(g, sampler.p)
+        else:
+            a = sampler.contraction(i, STREAM_RIGHT if kind == "R" else STREAM_LEFT)
+            denom = schatten_norm(a, math.inf) * schatten_norm(f, sampler.p)
+            if kind == "L":
+                defect = evaluate(spec, a @ f) - a @ evaluate(spec, f)
+            elif kind == "R":
+                defect = evaluate(spec, f @ a) - evaluate(spec, f) @ a
+            else:
+                b = sampler.contraction(i, STREAM_RIGHT)
+                defect = evaluate(spec, a @ f @ b) - a @ evaluate(spec, f) @ b
+                denom = denom * schatten_norm(b, math.inf)
+        ratio = schatten_norm(defect, q) / denom
+        if ratio > best:
+            best, best_index = ratio, i
+    return best, best_index
+
+
+def _spec_of_kind(kind, n):
+    rng = np.random.default_rng(SEED)
+    kp = KPBicentralizer("s", 2.0)
+    e = np.diag([1.0] * (n - 2) + [0.0, 0.0]).astype(complex)
+    return {
+        "kp_bicentralizer": kp,
+        "lifted_quasilinear": LiftedQuasilinear(
+            SumMap((KPOnH("s"), LinearMap(complex_matrix(rng, n)))), p=2.0, q=2.0),
+        "lowered": Lowered(kp, s=2.0),
+        "localized": Localized(kp, e),
+        "right_multiplication": RightMultiplication(complex_matrix(rng, n)),
+        "scaled": Scaled(kp, 0.5 - 1.0j),
+        "sum": SumSpec((kp, RightMultiplication(complex_matrix(rng, n)))),
+    }[kind]
+
+
+SPEC_KINDS = ("kp_bicentralizer", "lifted_quasilinear", "lowered", "localized",
+              "right_multiplication", "scaled", "sum")
+
+
+@pytest.mark.parametrize("spec_kind", SPEC_KINDS)
+@pytest.mark.parametrize("tag", TAGS)
+def test_chunked_estimate_matches_per_sample_loop(spec_kind, tag):
+    n, n_samples = 6, 40  # chunks of 28, so the stream spans two of them
+    spec = _spec_of_kind(spec_kind, n)
+    sampler = Sampler(seed=SEED, dim=n, p=2.0, tag=tag)
+    exact = spec_kind == "kp_bicentralizer" and tag in ("ginibre", "haar_spectral")
+    for kind in KINDS:
+        rep = estimate_constant(spec, kind, sampler, n_samples, p=2.0, q=2.0)
+        value, index = _looped_estimate(spec, kind, sampler, n_samples, 2.0)
+        assert rep.witness["index"] == index, kind
+        if exact:
+            assert rep.value == value, kind
+        else:
+            assert rep.value == pytest.approx(value, rel=1e-12, abs=1e-12), kind
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_chunked_estimate_prefix_stable_across_chunk_edges(kind):
+    n = 8
+    k = CHUNK_ENTRIES // n**2
+    spec = KPBicentralizer("s", 1.0)
+    sampler = Sampler(seed=5, dim=n, p=1.0, tag="haar_spectral")
+    for n_samples in (k - 1, k, k + 1, 2 * k + 1):
+        rep = estimate_constant(spec, kind, sampler, n_samples)
+        assert (rep.value, rep.witness["index"]) == _looped_estimate(
+            spec, kind, sampler, n_samples, 1.0)
+
+
+@pytest.mark.parametrize("tag", ["rank_one", "sparse"])
+def test_stacked_redraws_match_looped_unit_sphere(tag):
+    # a threshold at the median norm of first draws redraws about half
+    norms = [schatten_norm(Sampler(seed=2, dim=5, p=2.0, tag=tag).raw(i), 2.0)
+             for i in range(30)]
+    sampler = Sampler(seed=2, dim=5, p=2.0, tag=tag, min_norm=float(np.median(norms)))
+    stack = sampler.unit_sphere(range(30))
+    looped = [sampler.unit_sphere(i) for i in range(30)]
+    assert all(np.array_equal(m, one) for m, one in zip(stack, looped))
+    spec = KPBicentralizer("s", 2.0)
+    for kind in KINDS:
+        rep = estimate_constant(spec, kind, sampler, 30)
+        assert (rep.value, rep.witness["index"]) == _looped_estimate(
+            spec, kind, sampler, 30, 2.0)
+
+
+def test_estimate_failure_names_the_sample(monkeypatch):
+    sampler = Sampler(seed=3, dim=4, p=2.0, tag="sparse")
+    bad = sampler.unit_sphere(37)
+    svd = np.linalg.svd
+
+    def failing_svd(a, *args, **kwargs):
+        if np.shape(a)[-2:] == bad.shape and np.all(a == bad, axis=(-2, -1)).any():
+            raise np.linalg.LinAlgError("forced failure")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    with pytest.raises(NumericError) as info:
+        estimate_constant(KPBicentralizer("s", 2.0), "L", sampler, 80)
+    diagnostics = info.value.diagnostics
+    assert diagnostics["sample_index"] == 37
+    assert (diagnostics["seed"], diagnostics["dim"], diagnostics["tag"]) == (3, 4, "sparse")
+
+
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_replay_reproduces_estimate_bitwise(kind, tag):
+    spec = KPBicentralizer("s", 2.0)
+    rep = estimate_constant(spec, kind, Sampler(seed=9, dim=5, p=2.0, tag=tag), 50)
+    doc = json.loads(json.dumps(rep.to_doc()))
+    assert reevaluate_witness(EstimateReport.from_doc(doc)) == rep.value
 
 
 # --- distance_estimate -------------------------------------------------------
