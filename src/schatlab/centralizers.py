@@ -9,9 +9,11 @@ measurement layer serialize, hash and replay every experiment.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import Callable
+import typing
+from dataclasses import MISSING, dataclass, fields
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -73,77 +75,154 @@ __all__ = [
 ]
 
 
-# --- homogeneous maps on C^n -------------------------------------------------
+# --- nodes -------------------------------------------------------------------
+
+# string fields that name a registered phi or a Schmidt backend
+PhiName = typing.NewType("PhiName", str)
+Backend = typing.NewType("Backend", str)
 
 
-class QuasilinearMap:
-    """Base tag for homogeneous vector maps."""
+class Node:
+    """A spec or vector-map node that carries its own behaviour.
+
+    A class-level ``kind`` registers a node class in its family's
+    ``kinds`` table, which decoding and ``schatlab list`` read; the first
+    docstring line is the ``list`` text.  The dataclass fields, encoded
+    by type, are the wire format.
+    """
+
+    kind: ClassVar[str]
+    kinds: ClassVar[dict]
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "kind" in vars(cls):
+            cls.kinds[cls.kind] = cls
+
+    def _children(self):
+        """Nodes held in the fields, in field order."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            yield from (v for v in (value if isinstance(value, tuple) else (value,))
+                        if isinstance(v, Node))
+
+    def signature(self) -> tuple[float | None, float | None]:
+        """Natural (input, output) indices; by default those all children share."""
+        sigs = {child.signature() for child in self._children()}
+        return sigs.pop() if len(sigs) == 1 else (None, None)
+
+    def fixed_dim(self) -> int | None:
+        """Dimension pinned by matrices inside, if any; by default the first child's."""
+        dims = (child.fixed_dim() for child in self._children())
+        return next((d for d in dims if d is not None), None)
+
+
+class QuasilinearMap(Node):
+    """Homogeneous vector maps; ``evaluate(cols, tol)`` maps every column
+    of a 2-d array or of a stack and ignores ``tol``."""
+
+    kinds: ClassVar[dict] = {}
+    noun = "quasilinear map"
+
+
+class CentralizerSpec(Node):
+    """Homogeneous matrix maps; ``evaluate(f, tol)`` maps a matrix, or
+    each matrix of a (k, m, n) stack."""
+
+    kinds: ClassVar[dict] = {}
+    noun = "spec"
+    # only lifts have an index window outside which no estimate is backed
+    within_guarantee = True
+
+
+# combinators shared by both families; their input is already checked
+
+
+class _ScaledBody:
+    def evaluate(self, x, tol):
+        return self.c * self.inner.evaluate(x, tol)
+
+
+class _SumBody:
+    def evaluate(self, x, tol):
+        out = np.zeros(x.shape, dtype=np.complex128)
+        for t in self.terms:
+            out = out + t.evaluate(x, tol)
+        return out
 
 
 @dataclass(frozen=True)
 class KPOnH(QuasilinearMap):
-    """Weighted coordinate map on C^n in the canonical basis, index 2."""
+    """Index-2 weighted coordinate map on C^n in the canonical basis."""
 
-    phi: str
+    kind = "kp_on_h"
+    phi: PhiName
+
+    def evaluate(self, cols, tol):
+        # a view, not a copy: numpy's row sums follow the memory layout, so
+        # a lone matrix and a stack must present their columns alike
+        return kp_phi_rows(cols.swapaxes(-1, -2), get_phi(self.phi), 2.0).swapaxes(-1, -2)
 
 
 @dataclass(frozen=True, eq=False)
 class LinearMap(QuasilinearMap):
+    """Fixed linear map."""
+
+    kind = "linear"
     matrix: np.ndarray
+
+    def evaluate(self, cols, tol):
+        L = as_matrix(self.matrix)
+        if L.shape[1] != cols.shape[-2]:
+            raise InputError(f"linear map of shape {L.shape} cannot act on C^{cols.shape[-2]}")
+        return L @ cols
+
+    def fixed_dim(self) -> int:
+        return int(self.matrix.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
-class ScaledMap(QuasilinearMap):
+class ScaledMap(_ScaledBody, QuasilinearMap):
+    """Scalar multiple of a vector map."""
+
+    kind = "scaled"
     inner: QuasilinearMap
     c: complex
 
 
 @dataclass(frozen=True, eq=False)
-class SumMap(QuasilinearMap):
+class SumMap(_SumBody, QuasilinearMap):
+    """Sum of vector maps."""
+
+    kind = "sum"
     terms: tuple[QuasilinearMap, ...]
 
 
 def apply_qmap(m: QuasilinearMap, y) -> np.ndarray:
+    """Apply a vector map to one vector."""
     y = as_vector(y)
     return apply_qmap_cols(m, y.reshape(-1, 1))[:, 0]
 
 
 def apply_qmap_cols(m: QuasilinearMap, cols: np.ndarray) -> np.ndarray:
     """Apply a vector map to every column of a 2-d array or of a stack."""
-    cols = np.asarray(cols, dtype=np.complex128)
-    if isinstance(m, KPOnH):
-        # a view, not a copy: numpy's row sums follow the memory layout, so
-        # a lone matrix and a stack must present their columns alike
-        return kp_phi_rows(cols.swapaxes(-1, -2), get_phi(m.phi), 2.0).swapaxes(-1, -2)
-    if isinstance(m, LinearMap):
-        L = as_matrix(m.matrix)
-        if L.shape[1] != cols.shape[-2]:
-            raise InputError(f"linear map of shape {L.shape} cannot act on C^{cols.shape[-2]}")
-        return L @ cols
-    if isinstance(m, ScaledMap):
-        return m.c * apply_qmap_cols(m.inner, cols)
-    if isinstance(m, SumMap):
-        out = np.zeros_like(cols)
-        for t in m.terms:
-            out = out + apply_qmap_cols(t, cols)
-        return out
-    raise InputError(f"unknown quasilinear map {type(m).__name__}")
-
-
-# --- centralizer specs -------------------------------------------------------
-
-
-class CentralizerSpec:
-    """Base tag for homogeneous matrix maps."""
+    return m.evaluate(np.asarray(cols, dtype=np.complex128), DEFAULT_TOL)
 
 
 @dataclass(frozen=True)
 class KPBicentralizer(CentralizerSpec):
     """Weighted singular expansion with weights phi(log(|f|_p/s_n), log n)."""
 
-    phi: str
+    kind = "kp_bicentralizer"
+    phi: PhiName
     p: float
-    backend: str = "svd"
+    backend: Backend = "svd"
+
+    def evaluate(self, f, tol):
+        return kp_bicentralizer(f, self.phi, self.p, tol, backend=self.backend)
+
+    def signature(self):
+        return self.p, self.p
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,6 +234,7 @@ class LiftedQuasilinear(CentralizerSpec):
     outside that window is permitted but ``within_guarantee`` is False.
     """
 
+    kind = "lifted_quasilinear"
     qmap: QuasilinearMap
     p: float
     q: float
@@ -162,6 +242,12 @@ class LiftedQuasilinear(CentralizerSpec):
     @property
     def within_guarantee(self) -> bool:
         return 0.0 < self.p < 2.0 and self.q > self.p
+
+    def evaluate(self, f, tol):
+        return lift_quasilinear(self.qmap, f, self.p, tol)
+
+    def signature(self):
+        return self.p, self.q
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,38 +258,75 @@ class Lowered(CentralizerSpec):
     not given) and p1 satisfies 1/p1 = 1/p2 + 1/s.
     """
 
+    kind = "lowered"
     inner: CentralizerSpec
     s: float
     p_inner: float | None = None
+
+    def evaluate(self, f, tol):
+        return lower_s(self.inner, self.s, f, p_inner=self.p_inner, tol=tol)
+
+    def signature(self):
+        p2, q2 = self.inner.signature()
+        p2 = p2 if self.p_inner is None else self.p_inner
+        if p2 is None:
+            raise InputError("lowering needs the inner map's input index")
+        q1 = None if q2 is None else combine_indices(q2, self.s)
+        return combine_indices(p2, self.s), q1
 
 
 @dataclass(frozen=True, eq=False)
 class Localized(CentralizerSpec):
     """f -> inner(f e) for a fixed finite-rank projection e."""
 
+    kind = "localized"
     inner: CentralizerSpec
     e: np.ndarray
+
+    def evaluate(self, f, tol):
+        return localize(self.inner, self.e, f, tol)
+
+    def fixed_dim(self) -> int:
+        inner = self.inner.fixed_dim()
+        return inner if inner is not None else int(self.e.shape[0])
 
 
 @dataclass(frozen=True, eq=False)
 class RightMultiplication(CentralizerSpec):
     """f -> f g, the model trivial map (a morphism of left modules)."""
 
+    kind = "right_multiplication"
     g: np.ndarray
+
+    def evaluate(self, f, tol):
+        g = as_matrix(self.g)
+        if f.shape[-1] != g.shape[0]:
+            raise InputError(f"cannot multiply {f.shape} by {g.shape}")
+        return f @ g
+
+    def fixed_dim(self) -> int:
+        return int(self.g.shape[0])
 
 
 @dataclass(frozen=True, eq=False)
-class Scaled(CentralizerSpec):
+class Scaled(_ScaledBody, CentralizerSpec):
+    """Scalar multiple of a spec."""
+
+    kind = "scaled"
     inner: CentralizerSpec
     c: complex
 
 
 @dataclass(frozen=True, eq=False)
-class SumSpec(CentralizerSpec):
+class SumSpec(_SumBody, CentralizerSpec):
+    """Sum of specs; the empty sum is the zero map."""
+
+    kind = "sum"
     terms: tuple[CentralizerSpec, ...]
 
 
 def zero_spec() -> SumSpec:
+    """The zero map, as the empty sum."""
     return SumSpec(())
 
 
@@ -217,36 +340,9 @@ def frame_ambiguous(f, tol: Tolerances = DEFAULT_TOL) -> bool:
     return bool(schmidt(as_matrix(f), tol).gap < tol.gap_rtol)
 
 
-def _lowered_indices(spec: Lowered) -> tuple[float, float | None]:
-    p2 = spec.p_inner
-    q2 = None
-    if p2 is None:
-        p2, q2 = signature(spec.inner)
-    else:
-        _, q2 = signature(spec.inner)
-    if p2 is None:
-        raise InputError("lowering needs the inner map's input index")
-    p1 = combine_indices(p2, spec.s)
-    q1 = combine_indices(q2, spec.s) if q2 is not None else None
-    return p1, q1
-
-
 def signature(spec: CentralizerSpec) -> tuple[float | None, float | None]:
     """Natural (input, output) indices of a spec, where determined."""
-    if isinstance(spec, KPBicentralizer):
-        return spec.p, spec.p
-    if isinstance(spec, LiftedQuasilinear):
-        return spec.p, spec.q
-    if isinstance(spec, Lowered):
-        return _lowered_indices(spec)
-    if isinstance(spec, (Localized, Scaled)):
-        return signature(spec.inner)
-    if isinstance(spec, RightMultiplication):
-        return None, None
-    if isinstance(spec, SumSpec):
-        sigs = {signature(t) for t in spec.terms}
-        return sigs.pop() if len(sigs) == 1 else (None, None)
-    raise InputError(f"unknown spec {type(spec).__name__}")
+    return spec.signature()
 
 
 def kp_bicentralizer(f, phi, p: float, tol: Tolerances = DEFAULT_TOL,
@@ -327,30 +423,11 @@ def localize(spec: CentralizerSpec, e, f, tol: Tolerances = DEFAULT_TOL) -> np.n
 
 
 def evaluate(spec: CentralizerSpec, f, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Evaluate a spec tree at a matrix, or at each matrix of a (k, m, n)
-    stack; every matrix of a stack gets the value it would get alone."""
-    f = as_matrices(f)
-    if isinstance(spec, KPBicentralizer):
-        return kp_bicentralizer(f, spec.phi, spec.p, tol, backend=spec.backend)
-    if isinstance(spec, LiftedQuasilinear):
-        return lift_quasilinear(spec.qmap, f, spec.p, tol)
-    if isinstance(spec, Lowered):
-        return lower_s(spec.inner, spec.s, f, p_inner=spec.p_inner, tol=tol)
-    if isinstance(spec, Localized):
-        return localize(spec.inner, spec.e, f, tol)
-    if isinstance(spec, RightMultiplication):
-        g = as_matrix(spec.g)
-        if f.shape[-1] != g.shape[0]:
-            raise InputError(f"cannot multiply {f.shape} by {g.shape}")
-        return f @ g
-    if isinstance(spec, Scaled):
-        return spec.c * evaluate(spec.inner, f, tol)
-    if isinstance(spec, SumSpec):
-        out = np.zeros(f.shape, dtype=np.complex128)
-        for t in spec.terms:
-            out = out + evaluate(t, f, tol)
-        return out
-    raise InputError(f"unknown spec {type(spec).__name__}")
+    """Evaluate a spec tree at a matrix or at each matrix of a stack.
+
+    A (k, m, n) stack gives every matrix the value it would get alone.
+    """
+    return spec.evaluate(as_matrices(f), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,6 +448,7 @@ class SpatialPart:
 
 def spatial_part(spec: CentralizerSpec, eta, y,
                  tol: Tolerances = DEFAULT_TOL) -> SpatialPart:
+    """Vector map read off spec(rank_one(eta, y)) at a fixed frame eta."""
     y = as_vector(y)
     if eta is None:
         eta = np.zeros(y.size, dtype=np.complex128)
@@ -415,106 +493,111 @@ def linear_from_rank_ones(ell: Callable[[np.ndarray], complex], n: int) -> np.nd
 
 # --- wire format --------------------------------------------------------------
 
-_QMAP_LOADERS: dict[str, Callable[[dict], QuasilinearMap]] = {}
-_SPEC_LOADERS: dict[str, Callable[[dict], CentralizerSpec]] = {}
+
+def _phi_name(name) -> str:
+    get_phi(name)
+    return name
+
+
+def _backend_name(name) -> str:
+    if name not in SCHMIDT_BACKENDS:
+        raise InputError(f"unknown schmidt backend {name!r}; known: {SCHMIDT_BACKENDS}")
+    return name
+
+
+def _complex_from_doc(doc) -> complex:
+    re, im = doc
+    return complex(re, im)
+
+
+def _same(value):
+    return value
+
+
+def _codec(tp) -> tuple[Callable, Callable]:
+    """(encode, decode) of a field of type ``tp``."""
+    if typing.get_origin(tp) is tuple:  # tuple[Node, ...]
+        encode, decode = _codec(typing.get_args(tp)[0])
+        return (lambda ts: [encode(t) for t in ts],
+                lambda docs: tuple(decode(d) for d in docs))
+    return {
+        PhiName: (_same, _phi_name),
+        Backend: (_same, _backend_name),
+        float: (_same, validate_index),
+        float | None: (_same, lambda v: v if v is None else validate_index(v)),
+        # [c.real, c.imag] keeps an int coefficient an int on the wire
+        complex: (lambda c: [c.real, c.imag], _complex_from_doc),
+        np.ndarray: (mat_to_json, mat_from_json),
+        CentralizerSpec: (spec_to_doc, spec_from_doc),
+        QuasilinearMap: (spec_to_doc, qmap_from_doc),
+    }[tp]
+
+
+@functools.cache
+def _field_codecs(cls) -> tuple:
+    """(name, encode, decode, default) for each field of a node class."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, *_codec(hints[f.name]), f.default) for f in fields(cls))
+
+
+def spec_to_doc(node: Node) -> dict:
+    """Document of a spec or vector-map tree; fields that are None are left out."""
+    doc = {"kind": node.kind}
+    for name, encode, _, _ in _field_codecs(type(node)):
+        value = getattr(node, name)
+        if value is not None:
+            doc[name] = encode(value)
+    return doc
+
+
+qmap_to_doc = spec_to_doc
+
+
+def _node_from_doc(family: type, doc) -> Node:
+    if not isinstance(doc, dict):
+        raise InputError(f"a {family.noun} document must be an object, "
+                         f"got {type(doc).__name__}")
+    kind = doc.get("kind")
+    if not isinstance(kind, str) or kind not in family.kinds:
+        raise InputError(f"unknown {family.noun} kind {kind!r}")
+    cls = family.kinds[kind]
+    if not isinstance(cls, type):
+        return cls(doc)  # a registered loader
+    codecs = _field_codecs(cls)
+    unknown = set(doc) - {"kind"} - {name for name, *_ in codecs}
+    if unknown:
+        raise InputError(f"{family.noun} kind {kind!r} has no fields {sorted(unknown)}")
+    values = {}
+    for name, _, decode, default in codecs:
+        value = doc.get(name, default)
+        if value is MISSING:
+            raise InputError(f"{family.noun} kind {kind!r} needs field {name!r}")
+        try:
+            values[name] = decode(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"bad {name!r} in {family.noun} kind {kind!r}: {exc}") from None
+    return cls(**values)
+
+
+def spec_from_doc(doc: dict) -> CentralizerSpec:
+    """Spec tree of a document; a malformed document raises InputError."""
+    return _node_from_doc(CentralizerSpec, doc)
+
+
+def qmap_from_doc(doc: dict) -> QuasilinearMap:
+    """Vector map of a document; a malformed document raises InputError."""
+    return _node_from_doc(QuasilinearMap, doc)
 
 
 def register_qmap_kind(kind: str, loader: Callable[[dict], QuasilinearMap]) -> None:
-    _QMAP_LOADERS[kind] = loader
+    QuasilinearMap.kinds[kind] = loader
 
 
 def register_spec_kind(kind: str, loader: Callable[[dict], CentralizerSpec]) -> None:
     """Extension point: user constructors become loadable by name."""
-    _SPEC_LOADERS[kind] = loader
-
-
-def qmap_to_doc(m: QuasilinearMap) -> dict:
-    if isinstance(m, KPOnH):
-        return {"kind": "kp_on_h", "phi": m.phi}
-    if isinstance(m, LinearMap):
-        return {"kind": "linear", "matrix": mat_to_json(m.matrix)}
-    if isinstance(m, ScaledMap):
-        return {"kind": "scaled", "c": [m.c.real, m.c.imag],
-                "inner": qmap_to_doc(m.inner)}
-    if isinstance(m, SumMap):
-        return {"kind": "sum", "terms": [qmap_to_doc(t) for t in m.terms]}
-    raise InputError(f"cannot serialize quasilinear map {type(m).__name__}")
-
-
-def qmap_from_doc(doc: dict) -> QuasilinearMap:
-    kind = doc.get("kind")
-    if kind == "kp_on_h":
-        get_phi(doc["phi"])
-        return KPOnH(phi=doc["phi"])
-    if kind == "linear":
-        return LinearMap(matrix=mat_from_json(doc["matrix"]))
-    if kind == "scaled":
-        re, im = doc["c"]
-        return ScaledMap(inner=qmap_from_doc(doc["inner"]), c=complex(re, im))
-    if kind == "sum":
-        return SumMap(terms=tuple(qmap_from_doc(t) for t in doc["terms"]))
-    if kind in _QMAP_LOADERS:
-        return _QMAP_LOADERS[kind](doc)
-    raise InputError(f"unknown quasilinear map kind {kind!r}")
-
-
-def spec_to_doc(spec: CentralizerSpec) -> dict:
-    if isinstance(spec, KPBicentralizer):
-        return {"kind": "kp_bicentralizer", "phi": spec.phi, "p": spec.p,
-                "backend": spec.backend}
-    if isinstance(spec, LiftedQuasilinear):
-        return {"kind": "lifted_quasilinear", "qmap": qmap_to_doc(spec.qmap),
-                "p": spec.p, "q": spec.q}
-    if isinstance(spec, Lowered):
-        doc = {"kind": "lowered", "inner": spec_to_doc(spec.inner), "s": spec.s}
-        if spec.p_inner is not None:
-            doc["p_inner"] = spec.p_inner
-        return doc
-    if isinstance(spec, Localized):
-        return {"kind": "localized", "inner": spec_to_doc(spec.inner),
-                "e": mat_to_json(spec.e)}
-    if isinstance(spec, RightMultiplication):
-        return {"kind": "right_multiplication", "g": mat_to_json(spec.g)}
-    if isinstance(spec, Scaled):
-        return {"kind": "scaled", "c": [spec.c.real, spec.c.imag],
-                "inner": spec_to_doc(spec.inner)}
-    if isinstance(spec, SumSpec):
-        return {"kind": "sum", "terms": [spec_to_doc(t) for t in spec.terms]}
-    raise InputError(f"cannot serialize spec {type(spec).__name__}")
-
-
-def spec_from_doc(doc: dict) -> CentralizerSpec:
-    kind = doc.get("kind")
-    if kind == "kp_bicentralizer":
-        get_phi(doc["phi"])
-        backend = doc.get("backend", "svd")
-        if backend not in SCHMIDT_BACKENDS:
-            raise InputError(f"unknown schmidt backend {backend!r}; known: {SCHMIDT_BACKENDS}")
-        return KPBicentralizer(phi=doc["phi"], p=validate_index(doc["p"]),
-                               backend=backend)
-    if kind == "lifted_quasilinear":
-        return LiftedQuasilinear(qmap=qmap_from_doc(doc["qmap"]),
-                                 p=validate_index(doc["p"]),
-                                 q=validate_index(doc["q"]))
-    if kind == "lowered":
-        p_inner = doc.get("p_inner")
-        return Lowered(inner=spec_from_doc(doc["inner"]),
-                       s=validate_index(doc["s"]),
-                       p_inner=None if p_inner is None else validate_index(p_inner))
-    if kind == "localized":
-        return Localized(inner=spec_from_doc(doc["inner"]),
-                         e=mat_from_json(doc["e"]))
-    if kind == "right_multiplication":
-        return RightMultiplication(g=mat_from_json(doc["g"]))
-    if kind == "scaled":
-        re, im = doc["c"]
-        return Scaled(inner=spec_from_doc(doc["inner"]), c=complex(re, im))
-    if kind == "sum":
-        return SumSpec(terms=tuple(spec_from_doc(t) for t in doc["terms"]))
-    if kind in _SPEC_LOADERS:
-        return _SPEC_LOADERS[kind](doc)
-    raise InputError(f"unknown spec kind {kind!r}")
+    CentralizerSpec.kinds[kind] = loader
 
 
 def spec_hash(spec: CentralizerSpec) -> str:
+    """Hash of a spec's canonical document."""
     return doc_hash(spec_to_doc(spec))

@@ -11,12 +11,16 @@ the default output directory.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
 from pathlib import Path
 
+import schatlab
+
 from . import __version__
+from .centralizers import CentralizerSpec, QuasilinearMap
 from .experiments import (
     EXPERIMENTS,
     ConfigError,
@@ -31,53 +35,8 @@ from .seqcore import PHI_TABLE
 
 OUTPUT_ENV = "SCHATLAB_OUT"
 
-_SPEC_KINDS = {
-    "kp_bicentralizer": "reweight the singular expansion by phi(log(norm/s_n), log n)",
-    "lifted_quasilinear": "lift a vector map through the prescribed expansion",
-    "lowered": "lower the input index through the polar parts",
-    "localized": "precompose with a finite-rank projection",
-    "right_multiplication": "f -> f g, the model trivial map",
-    "scaled": "scalar multiple of a spec",
-    "sum": "sum of specs (empty sum is the zero map)",
-}
-
-_QMAP_KINDS = {
-    "kp_on_h": "index-2 weighted coordinate map on C^n",
-    "linear": "fixed linear map",
-    "scaled": "scalar multiple of a vector map",
-    "sum": "sum of vector maps",
-}
-
-_OPERATIONS = {
-    "schatten_norm": "l^p norm of the singular values (operator norm at inf)",
-    "concavity_modulus": "best p-triangle constant 2^(1/r - 1) for r < 1",
-    "schmidt": "prescribed singular expansion with fixed frame phases",
-    "polar": "phase times modulus, phase vanishing on the kernel",
-    "modulus_power": "Hermitian PSD power of the modulus",
-    "rank_one": "matrix of h -> <h|x> y",
-    "holder_factor": "sharp factorization h = f g with multiplying norms",
-    "joint_root": "f = a h, g = b h through the joint root, a and b contractive",
-    "trace": "sum of diagonal entries",
-    "rank_sequence": "positions in the decreasing rearrangement, ties by index",
-    "lp_norm": "l^p quasinorm of a finite sequence",
-    "kp_phi": "x -> x phi(log(norm/|x|), log rank)",
-    "kp_bicentralizer": "weighted singular expansion of a matrix",
-    "lift_quasilinear": "sum_k s_k rank_one(x_k, phi(y_k))",
-    "lower_s": "spec(u |h|^(p1/p2)) |h|^(p1/s) via the polar parts of h",
-    "spatial_part": "vector map read off rank-one values at a fixed frame",
-    "trace_functional": "trace(u |f|^(1/2) spec(|f|^(1/2)))",
-    "localize": "evaluate the spec at f e for a projection e",
-    "estimate_constant": "max defect ratio (Q, L, R or B) over a seeded stream",
-    "fit_morphism": "least-squares module morphism plus worst defect ratio",
-    "distance_estimate": "max sampled gap between two specs",
-    "covariant_defect": "score a candidate index-raised companion of a spec",
-    "contravariant_defect": "score a candidate index-dual companion of a spec",
-    "gamma_summing_mc": "Monte Carlo Gaussian-average norm of an operator",
-    "growth_profile": "dimension sweep writing dim/kind/value/samples/seed rows",
-    "twisted_quasinorm": "|g - map(f)|_pY + |f|_pX on pairs",
-    "quasinorm_modulus_probe": "empirical concavity modulus of a twisted sum",
-    "splitting_distance": "per-dimension residual against module morphisms",
-}
+def _summary(obj) -> str:
+    return (inspect.getdoc(obj) or "").split("\n", 1)[0]
 
 
 def list_builtins() -> str:
@@ -86,15 +45,13 @@ def list_builtins() -> str:
     for name, phi in sorted(PHI_TABLE.items()):
         extra = f", sup {phi.sup_bound:g}" if phi.sup_bound is not None else ""
         lines.append(f"  {name:24s} Lipschitz {phi.lipschitz:g}{extra}")
-    lines.append("spec constructors:")
-    for name, text in _SPEC_KINDS.items():
-        lines.append(f"  {name:24s} {text}")
-    lines.append("vector maps:")
-    for name, text in _QMAP_KINDS.items():
-        lines.append(f"  {name:24s} {text}")
-    lines.append("operations:")
-    for name, text in _OPERATIONS.items():
-        lines.append(f"  {name:24s} {text}")
+    operations = {name: obj for name, obj in vars(schatlab).items()
+                  if inspect.isfunction(obj) and not name.startswith("_")}
+    for title, table in (("spec constructors", CentralizerSpec.kinds),
+                         ("vector maps", QuasilinearMap.kinds),
+                         ("operations", operations)):
+        lines.append(f"{title}:")
+        lines.extend(f"  {name:24s} {_summary(obj)}" for name, obj in table.items())
     lines.append("experiments:")
     for name, exp in sorted(EXPERIMENTS.items()):
         lines.append(f"  {name:24s} {exp.describe}")
@@ -115,7 +72,7 @@ def _apply_overrides(doc: dict, args) -> dict:
     if args.samples is not None:
         doc["samples"] = args.samples
     if args.dims is not None:
-        doc["dims"] = [int(d) for d in args.dims.split(",") if d]
+        doc["dims"] = [d for d in args.dims.split(",") if d]
     if args.tag is not None:
         doc["tag"] = args.tag
     return doc
@@ -162,16 +119,28 @@ def run_config(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _cmd_run(args) -> int:
+def _load_config(path, args=None) -> ExperimentConfig | None:
+    """Read and validate a configuration, ``run`` flags applied when given.
+
+    On failure the structured error is printed and None returned.
+    """
     try:
-        doc = _apply_overrides(read_json(args.config), args)
-        cfg = parse_config(doc)
-    except (ConfigError, InputError) as exc:
-        _emit_error(exc.to_doc() if isinstance(exc, ConfigError)
-                    else {"type": "config", "message": str(exc)})
-        return 2
+        doc = read_json(path)
+        if args is not None and isinstance(doc, dict):
+            doc = _apply_overrides(doc, args)
+        return parse_config(doc)
+    except ConfigError as exc:
+        _emit_error(exc.to_doc())
+    except InputError as exc:
+        _emit_error({"type": "config", "message": str(exc)})
     except (OSError, json.JSONDecodeError) as exc:
         _emit_error({"type": "config", "message": f"cannot read config: {exc}"})
+    return None
+
+
+def _cmd_run(args) -> int:
+    cfg = _load_config(args.config, args)
+    if cfg is None:
         return 2
     try:
         out = run_config(cfg)
@@ -185,14 +154,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        cfg = parse_config(read_json(args.config))
-    except (ConfigError, InputError) as exc:
-        _emit_error(exc.to_doc() if isinstance(exc, ConfigError)
-                    else {"type": "config", "message": str(exc)})
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        _emit_error({"type": "config", "message": f"cannot read config: {exc}"})
+    cfg = _load_config(args.config)
+    if cfg is None:
         return 2
     print(json.dumps({"ok": True, "config_hash": cfg.hash()}, sort_keys=True))
     return 0

@@ -18,13 +18,7 @@ import numpy as np
 
 from .centralizers import (
     CentralizerSpec,
-    Localized,
-    LiftedQuasilinear,
-    LinearMap,
-    Lowered,
-    RightMultiplication,
-    Scaled,
-    SumSpec,
+    QuasilinearMap,
     qmap_from_doc,
     spec_from_doc,
     spec_hash,
@@ -45,7 +39,7 @@ from .seqcore import get_phi, kp_phi, lp_norm
 from .twisted import quasinorm_modulus_probe, splitting_distance
 
 __all__ = ["ExperimentConfig", "ConfigError", "EXPERIMENTS", "run_experiment",
-           "spec_fixed_dim", "parse_config"]
+           "parse_config"]
 
 
 class ConfigError(ValueError):
@@ -60,38 +54,6 @@ class ConfigError(ValueError):
         if self.field_name:
             doc["field"] = self.field_name
         return doc
-
-
-def spec_fixed_dim(spec: CentralizerSpec) -> int | None:
-    """Dimension pinned by matrices inside a spec, if any."""
-    if isinstance(spec, RightMultiplication):
-        return int(spec.g.shape[0])
-    if isinstance(spec, Localized):
-        inner = spec_fixed_dim(spec.inner)
-        return inner if inner is not None else int(spec.e.shape[0])
-    if isinstance(spec, LiftedQuasilinear):
-        return _qmap_fixed_dim(spec.qmap)
-    if isinstance(spec, (Lowered, Scaled)):
-        return spec_fixed_dim(spec.inner)
-    if isinstance(spec, SumSpec):
-        for t in spec.terms:
-            d = spec_fixed_dim(t)
-            if d is not None:
-                return d
-    return None
-
-
-def _qmap_fixed_dim(m) -> int | None:
-    if isinstance(m, LinearMap):
-        return int(m.matrix.shape[1])
-    inner = getattr(m, "inner", None)
-    if inner is not None:
-        return _qmap_fixed_dim(inner)
-    for t in getattr(m, "terms", ()):
-        d = _qmap_fixed_dim(t)
-        if d is not None:
-            return d
-    return None
 
 
 _GROWTH_EXTRA_KINDS = ("residual", "kp_seq")
@@ -156,7 +118,9 @@ _KNOWN_KEYS = {
 
 def _integers(values, key: str) -> tuple[int, ...]:
     try:
-        if isinstance(values, str) or any(isinstance(v, bool) for v in values):
+        if isinstance(values, str) or any(
+                isinstance(v, bool) or (isinstance(v, float) and not v.is_integer())
+                for v in values):
             raise TypeError
         return tuple(int(v) for v in values)
     except (TypeError, ValueError):
@@ -277,16 +241,18 @@ def _resolve_doc(doc, attr: str):
     return doc
 
 
-def _load_spec(cfg: ExperimentConfig, attr: str = "spec") -> CentralizerSpec:
+def _load_spec(cfg: ExperimentConfig, attr: str = "spec",
+               decode=spec_from_doc) -> CentralizerSpec | QuasilinearMap:
+    """Decode the spec (or, by ``qmap_from_doc``, the vector map) in ``attr``."""
     doc = getattr(cfg, attr)
     if doc is None:
         raise ConfigError(f"experiment {cfg.experiment!r} needs {attr!r}",
                           field_name=attr)
     try:
-        spec = spec_from_doc(_resolve_doc(doc, attr))
+        spec = decode(_resolve_doc(doc, attr))
     except InputError as exc:
         raise ConfigError(f"bad {attr}: {exc}", field_name=attr) from None
-    fixed = spec_fixed_dim(spec)
+    fixed = spec.fixed_dim()
     if fixed is not None and any(d != fixed for d in cfg.dims):
         raise ConfigError(
             f"{attr} pins dimension {fixed} but dims are {list(cfg.dims)}",
@@ -376,23 +342,27 @@ def _run_growth(cfg: ExperimentConfig) -> dict:
     return out
 
 
-def _validate_gamma(cfg):
+def _gamma_table(cfg: ExperimentConfig) -> np.ndarray:
+    """Columns of the operator; validation builds exactly what a run uses."""
     op = cfg.operator
     if not isinstance(op, dict) or op.get("kind") not in ("identity", "matrix"):
         raise ConfigError("gamma needs operator {'kind': 'identity'|'matrix', ...}",
                           field_name="operator")
-    if op["kind"] == "identity" and int(op.get("k", 0)) < 1:
-        raise ConfigError("identity operator needs k >= 1", field_name="operator")
-    if op["kind"] == "matrix" and "value" not in op:
+    if op["kind"] == "identity":
+        (k,) = _integers([op.get("k", 0)], "operator")
+        if k < 1:
+            raise ConfigError("identity operator needs k >= 1", field_name="operator")
+        return np.eye(k, dtype=np.complex128)
+    if "value" not in op:
         raise ConfigError("matrix operator needs a value", field_name="operator")
+    try:
+        return mat_from_json(op["value"])
+    except InputError as exc:
+        raise ConfigError(f"bad matrix operator: {exc}", field_name="operator") from None
 
 
 def _run_gamma(cfg: ExperimentConfig) -> dict:
-    op = cfg.operator
-    if op["kind"] == "identity":
-        table = np.eye(int(op["k"]), dtype=np.complex128)
-    else:
-        table = mat_from_json(op["value"])
+    table = _gamma_table(cfg)
     rep = gamma_summing_mc(table, cfg.samples, cfg.seed)
     rows = [{"dim": table.shape[1], "kind": "gamma", "value": rep.value,
              "samples": rep.samples, "seed": rep.seed}]
@@ -441,22 +411,15 @@ def _validate_modulus(cfg):
     _require(cfg, "dims")
     if cfg.p is None or cfg.q is None:
         raise ConfigError("modulus needs pY in q and pX in p", field_name="p")
-    if cfg.slot == "vec":
-        if cfg.spec is None:
-            raise ConfigError("modulus needs a map document", field_name="spec")
-        try:
-            qmap_from_doc(_resolve_doc(cfg.spec, "spec"))
-        except InputError as exc:
-            raise ConfigError(f"bad vector map: {exc}", field_name="spec") from None
-    else:
-        _load_spec(cfg)
+    _modulus_map(cfg)
+
+
+def _modulus_map(cfg: ExperimentConfig):
+    return _load_spec(cfg, decode=qmap_from_doc if cfg.slot == "vec" else spec_from_doc)
 
 
 def _run_modulus(cfg: ExperimentConfig) -> dict:
-    if cfg.slot == "vec":
-        mapping = qmap_from_doc(_resolve_doc(cfg.spec, "spec"))
-    else:
-        mapping = _load_spec(cfg)
+    mapping = _modulus_map(cfg)
     rows, reports = [], []
     for d in cfg.dims:
         rep = quasinorm_modulus_probe(mapping, pY=cfg.q, pX=cfg.p, dim=d,
@@ -483,7 +446,7 @@ _register("growth",
           _validate_growth, _run_growth)
 _register("gamma",
           "Monte Carlo Gaussian-average norm of an operator given by columns",
-          _validate_gamma, _run_gamma)
+          _gamma_table, _run_gamma)
 _register("distance",
           "largest sampled gap between two specs, per dimension",
           _validate_distance, _run_distance)

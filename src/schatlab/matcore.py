@@ -145,6 +145,7 @@ def rank_one(x, y) -> np.ndarray:
 
 
 def trace(f) -> complex:
+    """Sum of the diagonal entries of a square matrix."""
     f = as_matrix(f)
     if f.shape[0] != f.shape[1]:
         raise InputError(f"trace needs a square matrix, got {f.shape}")
@@ -434,6 +435,7 @@ def joint_root(f, g, p: float, tol: Tolerances = DEFAULT_TOL):
 
 
 def mat_to_json(f) -> dict:
+    """Document of a matrix: its shape and row-major real and imaginary parts."""
     f = as_matrix(f)
     return {
         "rows": int(f.shape[0]),
@@ -444,11 +446,12 @@ def mat_to_json(f) -> dict:
 
 
 def mat_from_json(doc: dict) -> np.ndarray:
+    """Matrix of a ``mat_to_json`` document; a malformed one raises InputError."""
     try:
         rows, cols = int(doc["rows"]), int(doc["cols"])
         re = np.asarray(doc["re"], dtype=np.float64)
         im = np.asarray(doc["im"], dtype=np.float64)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed matrix document: {exc}") from exc
     if rows < 0 or cols < 0 or re.size != rows * cols or im.size != rows * cols:
         raise InputError("matrix document length disagrees with its shape")

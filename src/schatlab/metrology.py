@@ -17,7 +17,6 @@ import numpy as np
 
 from .centralizers import (
     CentralizerSpec,
-    LiftedQuasilinear,
     evaluate,
     frame_ambiguous,
     signature,
@@ -59,7 +58,6 @@ __all__ = [
     "fit_morphism",
     "TwistedTable",
     "gamma_summing_mc",
-    "growth_profile",
 ]
 
 SAMPLE_TAGS = ("ginibre", "haar_spectral", "rank_one", "sparse")
@@ -274,7 +272,7 @@ def _resolve_indices(spec, p, q):
 
 
 def _guarantee_note(spec) -> str:
-    if isinstance(spec, LiftedQuasilinear) and not spec.within_guarantee:
+    if not spec.within_guarantee:
         return "; lift evaluated outside its backed index window"
     return ""
 
@@ -542,6 +540,7 @@ class FitResult:
 
 def fit_morphism(spec: CentralizerSpec, side: str, samples, q: float,
                  p: float, tol: Tolerances = DEFAULT_TOL) -> FitResult:
+    """Least-squares module morphism of ``spec`` plus its worst defect ratio."""
     if side not in ("left", "right"):
         raise InputError(f"side must be 'left' or 'right', got {side!r}")
     mats = [as_matrix(f) for f in samples]
@@ -655,22 +654,3 @@ def gamma_summing_mc(table, n_samples: int, seed: int, target=None) -> EstimateR
     return EstimateReport(kind="gamma", value=value, samples=n_samples,
                           seed=seed, witness=witness, note=note,
                           stderr=stderr, context=context)
-
-
-def growth_profile(measure, dims, seed: int) -> list[dict]:
-    """Dimension-sweep driver producing dim/kind/value/samples/seed rows.
-
-    ``measure(dim)`` returns (kind, value, samples) triples; dims must be
-    nonempty and strictly ascending so trends read top to bottom.
-    """
-    dims = [int(d) for d in dims]
-    if not dims:
-        raise InputError("growth profile needs at least one dimension")
-    if any(b <= a for a, b in zip(dims, dims[1:])):
-        raise InputError("dimensions must be strictly ascending")
-    rows = []
-    for d in dims:
-        for kind, value, samples in measure(d):
-            rows.append({"dim": d, "kind": kind, "value": float(value),
-                         "samples": int(samples), "seed": int(seed)})
-    return rows

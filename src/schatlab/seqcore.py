@@ -63,6 +63,7 @@ def register_phi(phi: LipschitzFn, overwrite: bool = False) -> LipschitzFn:
 
 
 def get_phi(phi) -> LipschitzFn:
+    """Registered phi of a name; a LipschitzFn is returned as is."""
     if isinstance(phi, LipschitzFn):
         return phi
     try:

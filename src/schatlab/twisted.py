@@ -120,6 +120,7 @@ class TwistedTarget:
 
 
 def twisted_target(qmap, pY: float = 2.0, pX: float = 2.0) -> TwistedTarget:
+    """Twisted quasinorm of a vector map (or its document) for gamma estimates."""
     if isinstance(qmap, dict):
         qmap = qmap_from_doc(qmap)
     return TwistedTarget(qmap=qmap, pY=validate_index(pY), pX=validate_index(pX))

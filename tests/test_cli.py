@@ -87,10 +87,62 @@ def test_validate_rejects_unknown_schmidt_backend(tmp_path, capsys):
 
 @pytest.mark.parametrize("field_name, value", [
     ("samples", "abc"), ("samples", True), ("dims", "6"), ("dims", [6.0, "x"]),
+    ("samples", 2.5),
 ])
 def test_validate_rejects_non_integers(tmp_path, capsys, field_name, value):
     doc = constants_config(tmp_path, **{field_name: value})
     _rejected_by_cli(tmp_path, capsys, doc, field_name)
+
+
+_KP = {"kind": "kp_bicentralizer", "phi": "s", "p": 2.0}
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "kp_bicentralizer", "phi": "s"},
+    {"kind": "lowered", "s": 2.0},
+    {"kind": "scaled", "c": [1], "inner": _KP},
+    [_KP],
+    {**_KP, "q": 1.0},
+], ids=["missing-p", "missing-inner", "short-c", "list", "unknown-field"])
+def test_validate_rejects_malformed_spec(tmp_path, capsys, spec):
+    _rejected_by_cli(tmp_path, capsys, constants_config(tmp_path, spec=spec), "spec")
+
+
+def modulus_vec_config(tmp_path, spec):
+    return {"experiment": "modulus", "spec": spec, "slot": "vec", "dims": [4],
+            "p": 2.0, "q": 2.0, "seed": 3, "samples": 10,
+            "output": str(tmp_path / "out")}
+
+
+def test_validate_rejects_malformed_vector_map(tmp_path, capsys):
+    doc = modulus_vec_config(tmp_path, {"kind": "kp_on_h"})
+    _rejected_by_cli(tmp_path, capsys, doc, "spec")
+
+
+def test_validate_vector_map_fixed_dim_mismatch(tmp_path, capsys):
+    linear = {"kind": "linear", "matrix": {"rows": 2, "cols": 2,
+                                           "re": [1.0, 0.0, 0.0, 1.0], "im": [0.0] * 4}}
+    _rejected_by_cli(tmp_path, capsys, modulus_vec_config(tmp_path, linear), "dims")
+
+
+@pytest.mark.parametrize("doc", [[1, 2], "x"])
+def test_non_object_config_fails_structured(tmp_path, capsys, doc):
+    path = write_config(tmp_path, doc)
+    for argv in (["validate", str(path)], ["run", str(path), "--seed", "3"]):
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "config"
+
+
+@pytest.mark.parametrize("operator", [
+    {"kind": "identity", "k": "abc"},
+    {"kind": "identity", "k": 2.7},
+    {"kind": "matrix", "value": {"rows": 2, "cols": 2, "re": [1.0], "im": [0.0]}},
+], ids=["k-text", "k-fraction", "bad-matrix"])
+def test_validate_rejects_bad_gamma_operator(tmp_path, capsys, operator):
+    doc = {"experiment": "gamma", "operator": operator, "seed": 1, "samples": 10,
+           "output": str(tmp_path / "out")}
+    _rejected_by_cli(tmp_path, capsys, doc, "operator")
 
 
 def test_validate_rejects_boolean_tolerance(tmp_path, capsys):
@@ -341,6 +393,15 @@ def test_flag_overrides(tmp_path, capsys):
     rows = read_csv(override / "results.csv")
     assert rows[0]["samples"] == "10"
     assert rows[0]["seed"] == "43"
+
+
+def test_dims_flag_override(tmp_path, capsys):
+    path = write_config(tmp_path, constants_config(tmp_path))
+    assert main(["run", str(path), "--dims", "4,x"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["field"] == "dims"
+    assert not (tmp_path / "out").exists()
+    assert main(["run", str(path), "--dims", "5"]) == 0
+    assert [row["dim"] for row in read_csv(tmp_path / "out" / "results.csv")] == ["5"]
 
 
 def test_env_default_output(tmp_path, monkeypatch):

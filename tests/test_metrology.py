@@ -31,7 +31,6 @@ from schatlab.metrology import (
     estimate_constant,
     fit_morphism,
     gamma_summing_mc,
-    growth_profile,
     reevaluate_witness,
 )
 from conftest import SEED, complex_matrix
@@ -470,23 +469,10 @@ def test_gamma_deterministic():
     assert a.value == b.value and a.stderr == b.stderr
 
 
-# --- growth_profile ----------------------------------------------------------
+# --- triviality probes ------------------------------------------------------
 
 
-def test_growth_profile_rows():
-    rows = growth_profile(lambda d: [("probe", float(d), 3)], [2, 4, 8], seed=5)
-    assert [r["dim"] for r in rows] == [2, 4, 8]
-    assert all(set(r) == {"dim", "kind", "value", "samples", "seed"} for r in rows)
-
-
-def test_growth_profile_validates_dims():
-    with pytest.raises(InputError):
-        growth_profile(lambda d: [], [], seed=1)
-    with pytest.raises(InputError):
-        growth_profile(lambda d: [], [4, 2], seed=1)
-
-
-def test_growth_profile_lift_residual_grows():
+def test_splitting_lift_residual_grows():
     # heterogeneous sparse sampling exposes the residual growth of the
     # nontrivial lift; homogeneous Gaussian samples would hide it
     from schatlab.twisted import splitting_distance
