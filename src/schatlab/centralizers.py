@@ -218,6 +218,10 @@ class KPBicentralizer(CentralizerSpec):
     p: float
     backend: Backend = "svd"
 
+    def __post_init__(self):
+        if math.isinf(validate_index(self.p)):
+            raise InputError("kp_bicentralizer needs a finite index")
+
     def evaluate(self, f, tol):
         return kp_bicentralizer(f, self.phi, self.p, tol, backend=self.backend)
 

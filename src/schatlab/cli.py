@@ -86,11 +86,12 @@ def _output_dir(cfg: ExperimentConfig) -> Path:
 
 
 def run_config(cfg: ExperimentConfig) -> Path:
-    """Execute one experiment and write results.csv/report.json/manifest.json."""
-    out = _output_dir(cfg)
-    out.mkdir(parents=True, exist_ok=True)
+    """Execute one experiment, then write results.csv/report.json/manifest.json
+    into a directory made only after it returns, so a failed run leaves none."""
     config_hash = cfg.hash()
     result = run_experiment(cfg)
+    out = _output_dir(cfg)
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "results.csv", result["fieldnames"], result["rows"],
               config_hash=config_hash)
     report = {
@@ -148,6 +149,9 @@ def _cmd_run(args) -> int:
         _emit_error({"type": "numeric", "message": str(exc),
                      "diagnostics": exc.diagnostics})
         return 3
+    except InputError as exc:
+        _emit_error({"type": "input", "message": str(exc)})
+        return 2
     print(json.dumps({"ok": True, "output": str(out), "config_hash": cfg.hash()},
                      sort_keys=True))
     return 0

@@ -29,6 +29,7 @@ from .metrology import (
     ESTIMATE_KINDS,
     SAMPLE_TAGS,
     STREAM_PRIMARY,
+    EstimateReport,
     Sampler,
     distance_estimate,
     estimate_constant,
@@ -243,13 +244,15 @@ def _resolve_doc(doc, attr: str):
 
 def _load_spec(cfg: ExperimentConfig, attr: str = "spec",
                decode=spec_from_doc) -> CentralizerSpec | QuasilinearMap:
-    """Decode the spec (or, by ``qmap_from_doc``, the vector map) in ``attr``."""
+    """Decode the spec (or, by ``qmap_from_doc``, the vector map) in ``attr``
+    and check that its indices resolve, as evaluation needs."""
     doc = getattr(cfg, attr)
     if doc is None:
         raise ConfigError(f"experiment {cfg.experiment!r} needs {attr!r}",
                           field_name=attr)
     try:
         spec = decode(_resolve_doc(doc, attr))
+        spec.signature()
     except InputError as exc:
         raise ConfigError(f"bad {attr}: {exc}", field_name=attr) from None
     fixed = spec.fixed_dim()
@@ -280,20 +283,28 @@ def _validate_constants(cfg):
                           field_name="kinds")
 
 
-def _run_constants(cfg: ExperimentConfig) -> dict:
-    spec = _load_spec(cfg)
-    tol = _tol(cfg)
+def _sweep(cfg: ExperimentConfig, kinds, measure) -> dict:
+    """One row per dimension and kind; ``measure(sampler, kind)`` returns an
+    EstimateReport, which also goes into the reports, or a (value, samples) pair."""
     rows, reports = [], []
     for d in cfg.dims:
         sampler = Sampler(seed=cfg.seed, dim=d, p=cfg.p if cfg.p else 2.0,
                           tag=cfg.tag)
-        for kind in cfg.kinds:
-            rep = estimate_constant(spec, kind, sampler, cfg.samples,
-                                    p=cfg.p, q=cfg.q, tol=tol)
-            rows.append({"dim": d, "kind": kind, "value": rep.value,
-                         "samples": rep.samples, "seed": rep.seed})
-            reports.append(rep)
-    return {"fieldnames": FIELDS_STANDARD, "rows": rows, "reports": reports,
+        for kind in kinds:
+            out = measure(sampler, kind)
+            if isinstance(out, EstimateReport):
+                reports.append(out)
+                out = (out.value, out.samples)
+            rows.append({"dim": d, "kind": kind, "value": out[0],
+                         "samples": out[1], "seed": cfg.seed})
+    return {"fieldnames": FIELDS_STANDARD, "rows": rows, "reports": reports}
+
+
+def _run_constants(cfg: ExperimentConfig) -> dict:
+    spec = _load_spec(cfg)
+    tol = _tol(cfg)
+    return {**_sweep(cfg, cfg.kinds, lambda sampler, kind: estimate_constant(
+        spec, kind, sampler, cfg.samples, p=cfg.p, q=cfg.q, tol=tol)),
             "spec_hash": spec_hash(spec)}
 
 
@@ -312,31 +323,23 @@ def _validate_growth(cfg):
 def _run_growth(cfg: ExperimentConfig) -> dict:
     spec = _load_spec(cfg) if set(cfg.kinds) - {"kp_seq"} else None
     tol = _tol(cfg)
-    rows, reports = [], []
-    for d in cfg.dims:
-        sampler = Sampler(seed=cfg.seed, dim=d, p=cfg.p if cfg.p else 2.0,
-                          tag=cfg.tag)
-        for kind in cfg.kinds:
-            if kind == "kp_seq":
-                x = np.full(d, d ** (-1.0 / cfg.p), dtype=np.complex128)
-                value = lp_norm(kp_phi(x, get_phi(cfg.phi), cfg.p), cfg.p)
-                rows.append({"dim": d, "kind": kind, "value": value,
-                             "samples": 1, "seed": cfg.seed})
-            elif kind == "residual":
-                samples = [sampler.unit_sphere(i, STREAM_PRIMARY)
-                           for i in range(cfg.samples)]
-                fit = fit_morphism(spec, cfg.side, samples,
-                                   q=cfg.q if cfg.q else sampler.p,
-                                   p=sampler.p, tol=tol)
-                rows.append({"dim": d, "kind": kind, "value": fit.residual,
-                             "samples": cfg.samples, "seed": cfg.seed})
-            else:
-                rep = estimate_constant(spec, kind, sampler, cfg.samples,
-                                        p=cfg.p, q=cfg.q, tol=tol)
-                rows.append({"dim": d, "kind": kind, "value": rep.value,
-                             "samples": rep.samples, "seed": rep.seed})
-                reports.append(rep)
-    out = {"fieldnames": FIELDS_STANDARD, "rows": rows, "reports": reports}
+
+    def measure(sampler, kind):
+        if kind == "kp_seq":
+            d = sampler.dim
+            x = np.full(d, d ** (-1.0 / cfg.p), dtype=np.complex128)
+            return lp_norm(kp_phi(x, get_phi(cfg.phi), cfg.p), cfg.p), 1
+        if kind == "residual":
+            samples = [sampler.unit_sphere(i, STREAM_PRIMARY)
+                       for i in range(cfg.samples)]
+            fit = fit_morphism(spec, cfg.side, samples,
+                               q=cfg.q if cfg.q else sampler.p,
+                               p=sampler.p, tol=tol)
+            return fit.residual, cfg.samples
+        return estimate_constant(spec, kind, sampler, cfg.samples,
+                                 p=cfg.p, q=cfg.q, tol=tol)
+
+    out = _sweep(cfg, cfg.kinds, measure)
     if spec is not None:
         out["spec_hash"] = spec_hash(spec)
     return out
@@ -378,16 +381,9 @@ def _validate_distance(cfg):
 def _run_distance(cfg: ExperimentConfig) -> dict:
     a = _load_spec(cfg)
     b = _load_spec(cfg, "spec2")
-    rows, reports = [], []
-    for d in cfg.dims:
-        sampler = Sampler(seed=cfg.seed, dim=d, p=cfg.p if cfg.p else 2.0,
-                          tag=cfg.tag)
-        rep = distance_estimate(a, b, sampler, cfg.samples, p=cfg.p, q=cfg.q,
-                                tol=_tol(cfg))
-        rows.append({"dim": d, "kind": "distance", "value": rep.value,
-                     "samples": rep.samples, "seed": rep.seed})
-        reports.append(rep)
-    return {"fieldnames": FIELDS_STANDARD, "rows": rows, "reports": reports,
+    tol = _tol(cfg)
+    return {**_sweep(cfg, ("distance",), lambda sampler, _: distance_estimate(
+        a, b, sampler, cfg.samples, p=cfg.p, q=cfg.q, tol=tol)),
             "spec_hash": spec_hash(a)}
 
 
@@ -420,15 +416,10 @@ def _modulus_map(cfg: ExperimentConfig):
 
 def _run_modulus(cfg: ExperimentConfig) -> dict:
     mapping = _modulus_map(cfg)
-    rows, reports = [], []
-    for d in cfg.dims:
-        rep = quasinorm_modulus_probe(mapping, pY=cfg.q, pX=cfg.p, dim=d,
-                                      seed=cfg.seed, n_samples=cfg.samples,
-                                      slot=cfg.slot, tol=_tol(cfg))
-        rows.append({"dim": d, "kind": "modulus", "value": rep.value,
-                     "samples": rep.samples, "seed": rep.seed})
-        reports.append(rep)
-    return {"fieldnames": FIELDS_STANDARD, "rows": rows, "reports": reports}
+    tol = _tol(cfg)
+    return _sweep(cfg, ("modulus",), lambda sampler, _: quasinorm_modulus_probe(
+        mapping, pY=cfg.q, pX=cfg.p, dim=sampler.dim, seed=cfg.seed,
+        n_samples=cfg.samples, slot=cfg.slot, tol=tol))
 
 
 EXPERIMENTS: dict[str, Experiment] = {}

@@ -52,8 +52,9 @@ __all__ = [
     "distance_estimate",
     "covariant_defect",
     "contravariant_defect",
+    "max_over_stream",
     "reevaluate_witness",
-    "REPLAY_HANDLERS",
+    "REPORT_KINDS",
     "FitResult",
     "fit_morphism",
     "TwistedTable",
@@ -258,9 +259,6 @@ ESTIMATE_KINDS = tuple(_KIND_INPUTS)
 # are scored exactly as alone, so no reported value depends on the chunk.
 CHUNK_ENTRIES = 2**10
 
-# replay functions for report kinds defined outside this module
-REPLAY_HANDLERS: dict = {}
-
 
 def _resolve_indices(spec, p, q):
     sig_p, sig_q = signature(spec)
@@ -277,39 +275,141 @@ def _guarantee_note(spec) -> str:
     return ""
 
 
-def _chunk_size(dim: int) -> int:
-    return max(1, CHUNK_ENTRIES // dim**2)
+def _spec_scorer(ratio):
+    """Scorer factory of ``ratio(ev, x, ix)`` over the specs of a context.
+
+    ``ev(m)`` evaluates the context's spec and ``ev(m, key)`` the one in
+    ``context[key]``; ``ix`` maps each index name to its value.
+    """
+
+    def scorer(ctx, tol):
+        specs = {key: spec_from_doc(ctx[key])
+                 for key in ("spec", "spec_b", "candidate") if key in ctx}
+        ix = {key: validate_index(ctx[key])
+              for key in ("p", "q", "s", "p2", "r", "q2") if key in ctx}
+        return lambda x: ratio(lambda m, key="spec": evaluate(specs[key], m, tol), x, ix)
+    return scorer
 
 
-def _defect_ratios(spec, kind, inputs, p, q, tol):
-    """Q/L/R/B defect ratios of a stack of inputs, one per sample."""
-    ev = lambda m: evaluate(spec, m, tol)
-    f = inputs["f"]
-    if kind == "Q":
-        g = inputs["g"]
-        defect = ev(f + g) - ev(f) - ev(g)
-        denom = schatten_norm(f, p) + schatten_norm(g, p)
-    elif kind == "L":
-        a = inputs["a"]
-        defect = ev(a @ f) - a @ ev(f)
-        denom = schatten_norm(a, math.inf) * schatten_norm(f, p)
-    elif kind == "R":
-        a = inputs["a"]
-        defect = ev(f @ a) - ev(f) @ a
-        denom = schatten_norm(a, math.inf) * schatten_norm(f, p)
-    else:
-        a, b = inputs["a"], inputs["b"]
-        defect = ev(a @ f @ b) - a @ ev(f) @ b
-        denom = (schatten_norm(a, math.inf) * schatten_norm(f, p)
-                 * schatten_norm(b, math.inf))
-    return schatten_norm(defect, q) / denom
+def _defect_ratio(kind):
+    """Q/L/R/B defect over its denominator, as ``estimate_constant`` states."""
+
+    def ratio(ev, x, ix):
+        f, p = x["f"], ix["p"]
+        if kind == "Q":
+            g = x["g"]
+            defect = ev(f + g) - ev(f) - ev(g)
+            denom = schatten_norm(f, p) + schatten_norm(g, p)
+        elif kind == "L":
+            a = x["a"]
+            defect = ev(a @ f) - a @ ev(f)
+            denom = schatten_norm(a, math.inf) * schatten_norm(f, p)
+        elif kind == "R":
+            a = x["a"]
+            defect = ev(f @ a) - ev(f) @ a
+            denom = schatten_norm(a, math.inf) * schatten_norm(f, p)
+        else:
+            a, b = x["a"], x["b"]
+            defect = ev(a @ f @ b) - a @ ev(f) @ b
+            denom = (schatten_norm(a, math.inf) * schatten_norm(f, p)
+                     * schatten_norm(b, math.inf))
+        return schatten_norm(defect, ix["q"]) / denom
+    return ratio
 
 
-def _score_chunk(spec, kind, sampler, indices, q, tol):
-    """Draw the inputs of samples ``indices`` and score them as one stack."""
-    inputs = {name: getattr(sampler, method)(indices, stream)
-              for name, method, stream in _KIND_INPUTS[kind]}
-    return inputs, _defect_ratios(spec, kind, inputs, sampler.p, q, tol)
+def _distance_ratio(ev, x, ix):
+    f = x["f"]
+    return schatten_norm(ev(f) - ev(f, "spec_b"), ix["q"]) / schatten_norm(f, ix["p"])
+
+
+def _covariant_ratio(ev, x, ix):
+    g, f = x["g"], x["f"]
+    defect = ev(g @ f) - ev(g, "candidate") @ f
+    return schatten_norm(defect, ix["q"]) / (schatten_norm(g, ix["p2"])
+                                             * schatten_norm(f, ix["s"]))
+
+
+def _contravariant_ratio(ev, x, ix):
+    g, f = x["g"], x["f"]
+    defect = g @ ev(f) + ev(g, "candidate") @ f
+    return schatten_norm(defect, ix["r"]) / (schatten_norm(g, ix["q2"])
+                                             * schatten_norm(f, ix["p"]))
+
+
+def _mats_to_witness(x, tol):
+    return {"inputs": {name: mat_to_json(m) for name, m in x.items()}}
+
+
+def _mats_from_witness(witness):
+    return {name: mat_from_json(doc)[None] for name, doc in witness["inputs"].items()}
+
+
+def _defect_witness(x, tol):
+    return {**_mats_to_witness(x, tol), "frame_ambiguous": frame_ambiguous(x["f"], tol)}
+
+
+# report kind -> (scorer, encode, decode).  ``scorer(context, tol)`` turns a
+# report's context into its chunk scorer, inputs -> one ratio per sample;
+# ``encode(inputs, tol)`` gives the witness fields of one sample's inputs
+# and ``decode(witness)`` turns them back into a one-sample stack.
+# Measurement and replay build the scorer from the same context, so a
+# replayed witness cannot drift from its measurement.
+REPORT_KINDS: dict[str, tuple] = {
+    **{kind: (_spec_scorer(_defect_ratio(kind)), _defect_witness, _mats_from_witness)
+       for kind in _KIND_INPUTS},
+    "distance": (_spec_scorer(_distance_ratio), _mats_to_witness, _mats_from_witness),
+    "covariant": (_spec_scorer(_covariant_ratio), _mats_to_witness, _mats_from_witness),
+    "contravariant": (_spec_scorer(_contravariant_ratio), _mats_to_witness,
+                      _mats_from_witness),
+}
+
+
+def max_over_stream(kind: str, context: dict, draw, sampler: Sampler,
+                    n_samples: int, tol: Tolerances = DEFAULT_TOL,
+                    note: str = _KIND_NOTE) -> EstimateReport:
+    """Largest ratio of a report kind over the seeded stream of ``sampler``.
+
+    ``draw(indices)`` returns the inputs of those samples as stacks keyed
+    by name, and the scorer ``REPORT_KINDS[kind]`` builds from ``context``
+    rates them, ``max(1, CHUNK_ENTRIES // dim**2)`` samples per chunk.
+    The first strict maximum in stream order wins and NaN never does; a
+    chunk that fails is rescored sample by sample, so the error names the
+    failing sample.  Only the winning inputs are serialized.
+    """
+    if n_samples < 1:
+        raise InputError("need at least one sample")
+    scorer, encode, _ = REPORT_KINDS[kind]
+    score = scorer(context, tol)
+    step = max(1, CHUNK_ENTRIES // sampler.dim**2)
+    best = -math.inf
+    witness: dict = {}
+    best_inputs = None
+    for start in range(0, n_samples, step):
+        indices = range(start, min(start + step, n_samples))
+        try:
+            inputs = draw(indices)
+            ratios = score(inputs)
+        except NumericError as exc:
+            index = None
+            for i in indices:  # the first sample that fails alone names the error
+                try:
+                    score(draw(range(i, i + 1)))
+                except NumericError as single:
+                    index, exc = i, single
+                    break
+            exc.diagnostics.update({"sample_index": index, "seed": sampler.seed,
+                                    "dim": sampler.dim, "tag": sampler.tag})
+            raise exc
+        j = int(np.argmax(np.where(np.isnan(ratios), -math.inf, ratios)))
+        if ratios[j] > best:
+            best = float(ratios[j])
+            witness = {"index": indices[j], "ratio": best}
+            best_inputs = {name: m[j] for name, m in inputs.items()}
+    if best_inputs is not None:
+        witness.update(encode(best_inputs, tol))
+    return EstimateReport(kind=kind, value=best, samples=n_samples,
+                          seed=sampler.seed, witness=witness, note=note,
+                          context=context)
 
 
 def estimate_constant(spec: CentralizerSpec, kind: str, sampler: Sampler,
@@ -322,51 +422,16 @@ def estimate_constant(spec: CentralizerSpec, kind: str, sampler: Sampler,
     L/R: one-sided multiplication defect over |a| |f|_p.
     B: two-sided multiplication defect over |a| |f|_p |b|.
     """
-    if n_samples < 1:
-        raise InputError("need at least one sample")
     if kind not in _KIND_INPUTS:
         raise InputError(f"unknown estimate kind {kind!r}; known: {ESTIMATE_KINDS}")
     p, q = _resolve_indices(spec, p, q)
     sampler = replace(sampler, p=p)
-    step = _chunk_size(sampler.dim)
-    best = -math.inf
-    witness: dict = {}
-    best_inputs = None
-    for start in range(0, n_samples, step):
-        indices = range(start, min(start + step, n_samples))
-        try:
-            inputs, ratios = _score_chunk(spec, kind, sampler, indices, q, tol)
-        except NumericError as exc:
-            index, exc = _failing_sample(spec, kind, sampler, indices, q, tol, exc)
-            exc.diagnostics.update({"sample_index": index, "seed": sampler.seed,
-                                    "dim": sampler.dim, "tag": sampler.tag})
-            raise exc
-        # the first strict maximum in stream order wins; NaN never does
-        j = int(np.argmax(np.where(np.isnan(ratios), -math.inf, ratios)))
-        if ratios[j] > best:
-            best = float(ratios[j])
-            witness = {"index": indices[j], "ratio": best}
-            best_inputs = {name: m[j] for name, m in inputs.items()}
-    if best_inputs is not None:
-        witness["inputs"] = {name: mat_to_json(m) for name, m in best_inputs.items()}
-        witness["frame_ambiguous"] = frame_ambiguous(best_inputs["f"], tol)
-    return EstimateReport(
-        kind=kind, value=best, samples=n_samples, seed=sampler.seed,
-        witness=witness, note=_KIND_NOTE + _guarantee_note(spec),
-        context={"p": p, "q": q, "dim": sampler.dim, "tag": sampler.tag,
-                 "spec": spec_to_doc(spec)},
-    )
-
-
-def _failing_sample(spec, kind, sampler, indices, q, tol, exc):
-    """Index and error of the first sample of a failed chunk that fails
-    alone; the chunk's error, without an index, if none does."""
-    for i in indices:
-        try:
-            _score_chunk(spec, kind, sampler, range(i, i + 1), q, tol)
-        except NumericError as single:
-            return i, single
-    return None, exc
+    return max_over_stream(
+        kind, {"p": p, "q": q, "dim": sampler.dim, "tag": sampler.tag,
+               "spec": spec_to_doc(spec)},
+        lambda indices: {name: getattr(sampler, method)(indices, stream)
+                         for name, method, stream in _KIND_INPUTS[kind]},
+        sampler, n_samples, tol, note=_KIND_NOTE + _guarantee_note(spec))
 
 
 def distance_estimate(a: CentralizerSpec, b: CentralizerSpec, sampler: Sampler,
@@ -374,63 +439,22 @@ def distance_estimate(a: CentralizerSpec, b: CentralizerSpec, sampler: Sampler,
                       q: float | None = None,
                       tol: Tolerances = DEFAULT_TOL) -> EstimateReport:
     """Largest sampled |a(f) - b(f)|_q / |f|_p; evidence of (in)equivalence."""
-    if n_samples < 1:
-        raise InputError("need at least one sample")
     p, q = _resolve_indices(a, p, q)
     sampler = replace(sampler, p=p)
-    best = -math.inf
-    witness: dict = {}
-    for i in range(n_samples):
-        f = sampler.unit_sphere(i, STREAM_PRIMARY)
-        diff = evaluate(a, f, tol) - evaluate(b, f, tol)
-        ratio = schatten_norm(diff, q) / schatten_norm(f, p)
-        if ratio > best:
-            best = ratio
-            witness = {"index": i, "ratio": ratio, "inputs": {"f": mat_to_json(f)}}
-    return EstimateReport(
-        kind="distance", value=best, samples=n_samples, seed=sampler.seed,
-        witness=witness, note=_KIND_NOTE + _guarantee_note(a),
-        context={"p": p, "q": q, "dim": sampler.dim, "tag": sampler.tag,
-                 "spec": spec_to_doc(a), "spec_b": spec_to_doc(b)},
-    )
+    return max_over_stream(
+        "distance", {"p": p, "q": q, "dim": sampler.dim, "tag": sampler.tag,
+                     "spec": spec_to_doc(a), "spec_b": spec_to_doc(b)},
+        lambda indices: {"f": sampler.unit_sphere(indices, STREAM_PRIMARY)},
+        sampler, n_samples, tol, note=_KIND_NOTE + _guarantee_note(a))
 
 
 def reevaluate_witness(report: EstimateReport,
                        tol: Tolerances = DEFAULT_TOL) -> float:
     """Recompute the witness ratio of a report from its serialized inputs."""
-    if report.kind in REPLAY_HANDLERS:
-        return REPLAY_HANDLERS[report.kind](report, tol)
-    ctx = report.context
-    if report.kind == "gamma":
-        table = _table_from_doc(ctx["table"])
-        g = vec_from_json(report.witness["inputs_gaussian"])
-        target = _target_from_doc(ctx.get("target"))
-        return float(_gamma_norms(table, g.reshape(1, -1), target)[0])
-    p = validate_index(ctx["p"])
-    q = validate_index(ctx["q"])
-    spec = spec_from_doc(ctx["spec"])
-    inputs = {k: mat_from_json(v) for k, v in report.witness["inputs"].items()}
-    kind = report.kind
-    if kind == "distance":
-        f = inputs["f"]
-        diff = evaluate(spec, f, tol) - evaluate(spec_from_doc(ctx["spec_b"]), f, tol)
-        return schatten_norm(diff, q) / schatten_norm(f, p)
-    if kind == "covariant":
-        g, f = inputs["g"], inputs["f"]
-        candidate = spec_from_doc(ctx["candidate"])
-        defect = evaluate(spec, g @ f, tol) - evaluate(candidate, g, tol) @ f
-        return (schatten_norm(defect, q)
-                / (schatten_norm(g, ctx["p2"]) * schatten_norm(f, ctx["s"])))
-    if kind == "contravariant":
-        g, f = inputs["g"], inputs["f"]
-        candidate = spec_from_doc(ctx["candidate"])
-        defect = g @ evaluate(spec, f, tol) + evaluate(candidate, g, tol) @ f
-        return (schatten_norm(defect, ctx["r"])
-                / (schatten_norm(g, ctx["q2"]) * schatten_norm(f, p)))
-    if kind in _KIND_INPUTS:
-        stack = {name: m[None] for name, m in inputs.items()}
-        return float(_defect_ratios(spec, kind, stack, p, q, tol)[0])
-    raise InputError(f"cannot replay report of kind {kind!r}")
+    if report.kind not in REPORT_KINDS:
+        raise InputError(f"cannot replay report of kind {report.kind!r}")
+    scorer, _, decode = REPORT_KINDS[report.kind]
+    return float(scorer(report.context, tol)(decode(report.witness))[0])
 
 
 def _split_index(total: float, part: float) -> float:
@@ -444,6 +468,11 @@ def _split_index(total: float, part: float) -> float:
     return math.inf if inv == 0.0 else 1.0 / inv
 
 
+def _companion_draw(g_sampler, f_sampler):
+    return lambda indices: {"g": g_sampler.unit_sphere(indices, STREAM_PRIMARY),
+                            "f": f_sampler.unit_sphere(indices, STREAM_SECONDARY)}
+
+
 def covariant_defect(spec: CentralizerSpec, candidate: CentralizerSpec,
                      s: float, sampler: Sampler, n_samples: int,
                      p1: float | None = None, q1: float | None = None,
@@ -455,32 +484,15 @@ def covariant_defect(spec: CentralizerSpec, candidate: CentralizerSpec,
     equivalence, but no formula constructs it; this checker scores
     whatever candidate the caller supplies.
     """
-    if n_samples < 1:
-        raise InputError("need at least one sample")
     p1, q1 = _resolve_indices(spec, p1, q1)
     s = validate_index(s)
     p2 = _split_index(p1, s)
-    g_sampler = replace(sampler, p=p2)
-    f_sampler = replace(sampler, p=s)
-    best = -math.inf
-    witness: dict = {}
-    for i in range(n_samples):
-        g = g_sampler.unit_sphere(i, STREAM_PRIMARY)
-        f = f_sampler.unit_sphere(i, STREAM_SECONDARY)
-        defect = evaluate(spec, g @ f, tol) - evaluate(candidate, g, tol) @ f
-        ratio = (schatten_norm(defect, q1)
-                 / (schatten_norm(g, p2) * schatten_norm(f, s)))
-        if ratio > best:
-            best = ratio
-            witness = {"index": i, "ratio": ratio,
-                       "inputs": {"g": mat_to_json(g), "f": mat_to_json(f)}}
-    return EstimateReport(
-        kind="covariant", value=best, samples=n_samples, seed=sampler.seed,
-        witness=witness, note=_KIND_NOTE,
-        context={"p": p1, "q": q1, "s": s, "p2": p2,
-                 "dim": sampler.dim, "tag": sampler.tag,
-                 "spec": spec_to_doc(spec), "candidate": spec_to_doc(candidate)},
-    )
+    return max_over_stream(
+        "covariant", {"p": p1, "q": q1, "s": s, "p2": p2,
+                      "dim": sampler.dim, "tag": sampler.tag,
+                      "spec": spec_to_doc(spec), "candidate": spec_to_doc(candidate)},
+        _companion_draw(replace(sampler, p=p2), replace(sampler, p=s)),
+        sampler, n_samples, tol)
 
 
 def contravariant_defect(spec: CentralizerSpec, candidate: CentralizerSpec,
@@ -492,32 +504,15 @@ def contravariant_defect(spec: CentralizerSpec, candidate: CentralizerSpec,
     Measures max |g spec(f) + candidate(g) f|_r / (|g|_q2 |f|_p1) with
     1/q2 = 1/r - 1/q1; same checking role as ``covariant_defect``.
     """
-    if n_samples < 1:
-        raise InputError("need at least one sample")
     p1, q1 = _resolve_indices(spec, p1, q1)
     r = validate_index(r)
     q2 = _split_index(r, q1)
-    g_sampler = replace(sampler, p=q2)
-    f_sampler = replace(sampler, p=p1)
-    best = -math.inf
-    witness: dict = {}
-    for i in range(n_samples):
-        g = g_sampler.unit_sphere(i, STREAM_PRIMARY)
-        f = f_sampler.unit_sphere(i, STREAM_SECONDARY)
-        defect = g @ evaluate(spec, f, tol) + evaluate(candidate, g, tol) @ f
-        ratio = (schatten_norm(defect, r)
-                 / (schatten_norm(g, q2) * schatten_norm(f, p1)))
-        if ratio > best:
-            best = ratio
-            witness = {"index": i, "ratio": ratio,
-                       "inputs": {"g": mat_to_json(g), "f": mat_to_json(f)}}
-    return EstimateReport(
-        kind="contravariant", value=best, samples=n_samples, seed=sampler.seed,
-        witness=witness, note=_KIND_NOTE,
-        context={"p": p1, "q": q1, "r": r, "q2": q2,
-                 "dim": sampler.dim, "tag": sampler.tag,
-                 "spec": spec_to_doc(spec), "candidate": spec_to_doc(candidate)},
-    )
+    return max_over_stream(
+        "contravariant", {"p": p1, "q": q1, "r": r, "q2": q2,
+                          "dim": sampler.dim, "tag": sampler.tag,
+                          "spec": spec_to_doc(spec), "candidate": spec_to_doc(candidate)},
+        _companion_draw(replace(sampler, p=q2), replace(sampler, p=p1)),
+        sampler, n_samples, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -581,13 +576,6 @@ class TwistedTable:
     x_cols: np.ndarray
 
 
-def _table_from_doc(doc: dict):
-    if doc["kind"] == "matrix":
-        return as_matrix(mat_from_json(doc["value"]))
-    return TwistedTable(y_cols=mat_from_json(doc["y"]),
-                        x_cols=mat_from_json(doc["x"]))
-
-
 def _table_to_doc(table) -> dict:
     if isinstance(table, TwistedTable):
         return {"kind": "twisted", "y": mat_to_json(table.y_cols),
@@ -595,26 +583,28 @@ def _table_to_doc(table) -> dict:
     return {"kind": "matrix", "value": mat_to_json(as_matrix(table))}
 
 
-def _target_from_doc(doc):
-    if doc is None:
-        return None
+def _gamma_scorer(ctx, tol):
+    """Norms of sum_k g_k v(e_k) for each row of Gaussian coefficients."""
     from .twisted import twisted_target  # deferred: twisted imports metrology
 
-    return twisted_target(**doc)
-
-
-def _gamma_norms(table, gaussians: np.ndarray, target) -> np.ndarray:
-    """Norms of sum_k g_k v(e_k) for each row of Gaussian coefficients."""
-    if isinstance(table, TwistedTable):
+    table = ctx["table"]
+    target = twisted_target(**ctx["target"]) if "target" in ctx else None
+    if table["kind"] == "twisted":
         if target is None:
             raise InputError("a twisted table needs an explicit target quasinorm")
-        wy = gaussians @ table.y_cols.T
-        wx = gaussians @ table.x_cols.T
-        return target.rows(wy, wx)
-    w = gaussians @ as_matrix(table).T
+        y, x = mat_from_json(table["y"]), mat_from_json(table["x"])
+        return lambda g: target.rows(g @ y.T, g @ x.T)
+    m = as_matrix(mat_from_json(table["value"]))
     if target is None:
-        return np.linalg.norm(w, axis=1)
-    return target.rows(w, None)
+        return lambda g: np.linalg.norm(g @ m.T, axis=1)
+    return lambda g: target.rows(g @ m.T, None)
+
+
+REPORT_KINDS["gamma"] = (
+    _gamma_scorer,
+    lambda g, tol: {"inputs_gaussian": vec_to_json(g)},
+    lambda witness: vec_from_json(witness["inputs_gaussian"])[None],
+)
 
 
 def gamma_summing_mc(table, n_samples: int, seed: int, target=None) -> EstimateReport:
@@ -630,7 +620,11 @@ def gamma_summing_mc(table, n_samples: int, seed: int, target=None) -> EstimateR
     width = (table.x_cols if isinstance(table, TwistedTable) else as_matrix(table)).shape[1]
     sampler = Sampler(seed=seed, dim=max(1, width), p=2.0)
     gaussians = sampler.gaussian_block(n_samples, width)
-    norms = _gamma_norms(table, gaussians, target)
+    context = {"p": 2.0, "q": 2.0, "table": _table_to_doc(table)}
+    if target is not None:
+        context["target"] = target.doc()
+    scorer, encode, _ = REPORT_KINDS["gamma"]
+    norms = scorer(context, DEFAULT_TOL)(gaussians)
     squares = norms**2
     mean = float(squares.mean())
     value = math.sqrt(mean)
@@ -643,14 +637,8 @@ def gamma_summing_mc(table, n_samples: int, seed: int, target=None) -> EstimateR
     if n_samples < 100:
         note += "; WARNING: fewer than 100 samples"
     imax = int(np.argmax(norms))
-    witness = {
-        "index": imax,
-        "ratio": float(norms[imax]),
-        "inputs_gaussian": vec_to_json(gaussians[imax]),
-    }
-    context = {"p": 2.0, "q": 2.0, "table": _table_to_doc(table)}
-    if target is not None:
-        context["target"] = target.doc()
+    witness = {"index": imax, "ratio": float(norms[imax]),
+               **encode(gaussians[imax], DEFAULT_TOL)}
     return EstimateReport(kind="gamma", value=value, samples=n_samples,
                           seed=seed, witness=witness, note=note,
                           stderr=stderr, context=context)

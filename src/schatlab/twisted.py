@@ -38,12 +38,13 @@ from .matcore import (
     vec_to_json,
 )
 from .metrology import (
+    REPORT_KINDS,
     STREAM_PRIMARY,
     STREAM_SECONDARY,
     EstimateReport,
-    REPLAY_HANDLERS,
     Sampler,
     fit_morphism,
+    max_over_stream,
 )
 from .seqcore import lp_norm
 
@@ -138,41 +139,44 @@ def _sparse_vector(rng, n: int) -> np.ndarray:
     return out
 
 
-def _draw_pair(sampler: Sampler, slot: str, index: int, stream: int):
-    rng = sampler.generator(stream, index)
+# slot -> (encode, decode) of one vector of a pair
+_SLOTS = {"mat": (mat_to_json, mat_from_json), "vec": (vec_to_json, vec_from_json)}
+
+
+def _draw_pairs(sampler: Sampler, slot: str, indices, stream: int) -> np.ndarray:
+    """(g, f) of each sample, both from its generator, as a (k, 2, ...) stack."""
+    rngs = [sampler.generator(stream, i) for i in indices]
     if slot == "mat":
-        g, f = sampler._draw([rng, rng])
-    elif slot == "vec":
-        n = sampler.dim
-        g = _sparse_vector(rng, n)
-        f = _sparse_vector(rng, n)
-    else:
-        raise InputError(f"slot must be 'mat' or 'vec', got {slot!r}")
-    return TwistedVec(g=g, f=f)
+        return np.array([sampler._draw([rng, rng]) for rng in rngs])
+    return np.array([[_sparse_vector(rng, sampler.dim) for _ in "gf"] for rng in rngs])
 
 
-def _vec_doc(v: TwistedVec) -> dict:
-    if np.asarray(v.f).ndim == 2:
-        return {"g": mat_to_json(v.g), "f": mat_to_json(v.f), "slot": "mat"}
-    return {"g": vec_to_json(v.g), "f": vec_to_json(v.f), "slot": "vec"}
+def _pairs_to_witness(x, tol) -> dict:
+    slot = "mat" if x["u"].ndim == 3 else "vec"
+    encode = _SLOTS[slot][0]
+    return {"inputs": {name: {"g": encode(g), "f": encode(f), "slot": slot}
+                       for name, (g, f) in x.items()}}
 
 
-def _vec_from_doc(doc: dict) -> TwistedVec:
-    if doc["slot"] == "mat":
-        return TwistedVec(g=mat_from_json(doc["g"]), f=mat_from_json(doc["f"]))
-    return TwistedVec(g=vec_from_json(doc["g"]), f=vec_from_json(doc["f"]))
+def _pairs_from_witness(witness) -> dict:
+    return {name: np.stack([_SLOTS[doc["slot"]][1](doc[k]) for k in "gf"])[None]
+            for name, doc in witness["inputs"].items()}
 
 
-def _map_to_doc(mapping) -> dict:
-    if isinstance(mapping, CentralizerSpec):
-        return {"spec": spec_to_doc(mapping)}
-    return {"qmap": qmap_to_doc(mapping)}
+def _modulus_scorer(ctx, tol):
+    """Concavity ratios |u + v| / (|u| + |v|), one scalar quasinorm per pair."""
+    doc = ctx["map"]
+    mapping = spec_from_doc(doc["spec"]) if "spec" in doc else qmap_from_doc(doc["qmap"])
+
+    def norm(pair):
+        return twisted_quasinorm(TwistedVec(g=pair[0], f=pair[1]), mapping,
+                                 ctx["pY"], ctx["pX"], tol)
+
+    return lambda x: np.array([norm(u + v) / (norm(u) + norm(v))
+                               for u, v in zip(x["u"], x["v"])])
 
 
-def _map_from_doc(doc: dict):
-    if "spec" in doc:
-        return spec_from_doc(doc["spec"])
-    return qmap_from_doc(doc["qmap"])
+REPORT_KINDS["modulus"] = (_modulus_scorer, _pairs_to_witness, _pairs_from_witness)
 
 
 def quasinorm_modulus_probe(mapping, pY: float, pX: float, dim: int, seed: int,
@@ -186,40 +190,17 @@ def quasinorm_modulus_probe(mapping, pY: float, pX: float, dim: int, seed: int,
     """
     if n_samples < 2:
         raise InputError("the modulus probe needs at least two samples")
+    if slot not in _SLOTS:
+        raise InputError(f"slot must be 'mat' or 'vec', got {slot!r}")
     sampler = Sampler(seed=seed, dim=dim, p=2.0, tag="sparse")
-    best = -math.inf
-    witness: dict = {}
-    for i in range(n_samples):
-        u = _draw_pair(sampler, slot, i, STREAM_PRIMARY)
-        v = _draw_pair(sampler, slot, i, STREAM_SECONDARY)
-        both = TwistedVec(g=u.g + v.g, f=u.f + v.f)
-        denom = (twisted_quasinorm(u, mapping, pY, pX, tol)
-                 + twisted_quasinorm(v, mapping, pY, pX, tol))
-        ratio = twisted_quasinorm(both, mapping, pY, pX, tol) / denom
-        if ratio > best:
-            best = ratio
-            witness = {"index": i, "ratio": ratio,
-                       "inputs": {"u": _vec_doc(u), "v": _vec_doc(v)}}
-    return EstimateReport(
-        kind="modulus", value=best, samples=n_samples, seed=seed,
-        witness=witness, note="max over samples; lower bound of the true modulus",
-        context={"pY": pY, "pX": pX, "dim": dim, "slot": slot,
-                 "map": _map_to_doc(mapping)},
-    )
-
-
-def _replay_modulus(report: EstimateReport, tol: Tolerances = DEFAULT_TOL) -> float:
-    ctx = report.context
-    mapping = _map_from_doc(ctx["map"])
-    u = _vec_from_doc(report.witness["inputs"]["u"])
-    v = _vec_from_doc(report.witness["inputs"]["v"])
-    both = TwistedVec(g=u.g + v.g, f=u.f + v.f)
-    denom = (twisted_quasinorm(u, mapping, ctx["pY"], ctx["pX"], tol)
-             + twisted_quasinorm(v, mapping, ctx["pY"], ctx["pX"], tol))
-    return twisted_quasinorm(both, mapping, ctx["pY"], ctx["pX"], tol) / denom
-
-
-REPLAY_HANDLERS["modulus"] = _replay_modulus
+    doc = ({"spec": spec_to_doc(mapping)} if isinstance(mapping, CentralizerSpec)
+           else {"qmap": qmap_to_doc(mapping)})
+    return max_over_stream(
+        "modulus", {"pY": pY, "pX": pX, "dim": dim, "slot": slot, "map": doc},
+        lambda indices: {"u": _draw_pairs(sampler, slot, indices, STREAM_PRIMARY),
+                         "v": _draw_pairs(sampler, slot, indices, STREAM_SECONDARY)},
+        sampler, n_samples, tol,
+        note="max over samples; lower bound of the true modulus")
 
 
 def splitting_distance(spec_or_builder, dims, seed: int, n_samples: int,

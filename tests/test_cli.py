@@ -95,6 +95,8 @@ def test_validate_rejects_non_integers(tmp_path, capsys, field_name, value):
 
 
 _KP = {"kind": "kp_bicentralizer", "phi": "s", "p": 2.0}
+_EYE6 = {"rows": 6, "cols": 6, "re": [float(i == j) for i in range(6) for j in range(6)],
+         "im": [0.0] * 36}
 
 
 @pytest.mark.parametrize("spec", [
@@ -103,7 +105,10 @@ _KP = {"kind": "kp_bicentralizer", "phi": "s", "p": 2.0}
     {"kind": "scaled", "c": [1], "inner": _KP},
     [_KP],
     {**_KP, "q": 1.0},
-], ids=["missing-p", "missing-inner", "short-c", "list", "unknown-field"])
+    {**_KP, "p": "inf"},
+    {"kind": "lowered", "s": 2.0, "inner": {"kind": "right_multiplication", "g": _EYE6}},
+], ids=["missing-p", "missing-inner", "short-c", "list", "unknown-field", "kp-infinite-p",
+        "lowered-without-inner-index"])
 def test_validate_rejects_malformed_spec(tmp_path, capsys, spec):
     _rejected_by_cli(tmp_path, capsys, constants_config(tmp_path, spec=spec), "spec")
 
@@ -372,6 +377,22 @@ def test_run_reports_numeric_failure(tmp_path, capsys, monkeypatch):
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "numeric"
     assert err["diagnostics"]["sample_index"] == 3
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_reports_input_failure(tmp_path, capsys, monkeypatch):
+    import schatlab.cli as cli
+    from schatlab.matcore import InputError
+
+    def bad_input(cfg):
+        raise InputError("lowering needs the inner map's input index")
+
+    monkeypatch.setattr(cli, "run_experiment", bad_input)
+    path = write_config(tmp_path, constants_config(tmp_path))
+    assert main(["run", str(path)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"type": "input", "message": "lowering needs the inner map's input index"}
+    assert not (tmp_path / "out").exists()
 
 
 def test_replay_bad_index(tmp_path, capsys):

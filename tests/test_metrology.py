@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,12 +28,15 @@ from schatlab.metrology import (
     EstimateReport,
     Sampler,
     TwistedTable,
+    contravariant_defect,
+    covariant_defect,
     distance_estimate,
     estimate_constant,
     fit_morphism,
     gamma_summing_mc,
     reevaluate_witness,
 )
+from schatlab.twisted import quasinorm_modulus_probe
 from conftest import SEED, complex_matrix
 
 
@@ -165,27 +169,49 @@ TAGS = ("ginibre", "haar_spectral", "rank_one", "sparse")
 KINDS = ("Q", "L", "R", "B")
 
 
-def _looped_estimate(spec, kind, sampler, n_samples, q):
-    """Oracle: the max-over-stream defect ratio, one sample at a time."""
+def _looped_ratio(spec, kind, sampler, i, q, other=None, index=None):
+    """Ratio of sample i written out alone; ``other`` is the second spec of
+    a distance or a companion's candidate, ``index`` its s or r."""
+    p = sampler.p
+    if kind == "distance":
+        f = sampler.unit_sphere(i, STREAM_PRIMARY)
+        return schatten_norm(evaluate(spec, f) - evaluate(other, f), q) / schatten_norm(f, p)
+    if kind == "covariant":
+        p2 = 1.0 / (1.0 / p - 1.0 / index)
+        g = replace(sampler, p=p2).unit_sphere(i, STREAM_PRIMARY)
+        f = replace(sampler, p=index).unit_sphere(i, STREAM_SECONDARY)
+        defect = evaluate(spec, g @ f) - evaluate(other, g) @ f
+        return schatten_norm(defect, q) / (schatten_norm(g, p2) * schatten_norm(f, index))
+    if kind == "contravariant":
+        q2 = 1.0 / (1.0 / index - 1.0 / q)
+        g = replace(sampler, p=q2).unit_sphere(i, STREAM_PRIMARY)
+        f = sampler.unit_sphere(i, STREAM_SECONDARY)
+        defect = g @ evaluate(spec, f) + evaluate(other, g) @ f
+        return schatten_norm(defect, index) / (schatten_norm(g, q2) * schatten_norm(f, p))
+    f = sampler.unit_sphere(i, STREAM_PRIMARY)
+    if kind == "Q":
+        g = sampler.unit_sphere(i, STREAM_SECONDARY)
+        defect = evaluate(spec, f + g) - evaluate(spec, f) - evaluate(spec, g)
+        denom = schatten_norm(f, p) + schatten_norm(g, p)
+    else:
+        a = sampler.contraction(i, STREAM_RIGHT if kind == "R" else STREAM_LEFT)
+        denom = schatten_norm(a, math.inf) * schatten_norm(f, p)
+        if kind == "L":
+            defect = evaluate(spec, a @ f) - a @ evaluate(spec, f)
+        elif kind == "R":
+            defect = evaluate(spec, f @ a) - evaluate(spec, f) @ a
+        else:
+            b = sampler.contraction(i, STREAM_RIGHT)
+            defect = evaluate(spec, a @ f @ b) - a @ evaluate(spec, f) @ b
+            denom = denom * schatten_norm(b, math.inf)
+    return schatten_norm(defect, q) / denom
+
+
+def _looped_estimate(spec, kind, sampler, n_samples, q, other=None, index=None):
+    """Oracle: the max-over-stream ratio, one sample at a time."""
     best, best_index = -math.inf, None
     for i in range(n_samples):
-        f = sampler.unit_sphere(i, STREAM_PRIMARY)
-        if kind == "Q":
-            g = sampler.unit_sphere(i, STREAM_SECONDARY)
-            defect = evaluate(spec, f + g) - evaluate(spec, f) - evaluate(spec, g)
-            denom = schatten_norm(f, sampler.p) + schatten_norm(g, sampler.p)
-        else:
-            a = sampler.contraction(i, STREAM_RIGHT if kind == "R" else STREAM_LEFT)
-            denom = schatten_norm(a, math.inf) * schatten_norm(f, sampler.p)
-            if kind == "L":
-                defect = evaluate(spec, a @ f) - a @ evaluate(spec, f)
-            elif kind == "R":
-                defect = evaluate(spec, f @ a) - evaluate(spec, f) @ a
-            else:
-                b = sampler.contraction(i, STREAM_RIGHT)
-                defect = evaluate(spec, a @ f @ b) - a @ evaluate(spec, f) @ b
-                denom = denom * schatten_norm(b, math.inf)
-        ratio = schatten_norm(defect, q) / denom
+        ratio = _looped_ratio(spec, kind, sampler, i, q, other, index)
         if ratio > best:
             best, best_index = ratio, i
     return best, best_index
@@ -228,6 +254,51 @@ def test_chunked_estimate_matches_per_sample_loop(spec_kind, tag):
             assert rep.value == pytest.approx(value, rel=1e-12, abs=1e-12), kind
 
 
+# the second spec, candidate and s or r of each two-spec kind, by n
+_PAIR_KINDS = {
+    "distance": lambda n: (distance_estimate, KPBicentralizer("min_s_1", 2.0), None),
+    "covariant": lambda n: (covariant_defect, KPBicentralizer("s", 4.0), 4.0),
+    "contravariant": lambda n: (contravariant_defect, _spec_of_kind("sum", n), 1.0),
+}
+
+
+def _pair_estimate(spec, kind, sampler, n_samples):
+    """Report of a two-spec kind, and its oracle's (other, index)."""
+    estimate, other, index = _PAIR_KINDS[kind](sampler.dim)
+    if kind == "distance":
+        return estimate(spec, other, sampler, n_samples, p=2.0, q=2.0), (other, index)
+    return (estimate(spec, other, index, sampler, n_samples, p1=2.0, q1=2.0),
+            (other, index))
+
+
+@pytest.mark.parametrize("spec_kind", SPEC_KINDS)
+@pytest.mark.parametrize("tag", TAGS)
+def test_chunked_pair_estimates_match_per_sample_loop(spec_kind, tag):
+    n, n_samples = 6, 30  # chunks of 28
+    spec = _spec_of_kind(spec_kind, n)
+    sampler = Sampler(seed=SEED, dim=n, p=2.0, tag=tag)
+    for kind in _PAIR_KINDS:
+        rep, extra = _pair_estimate(spec, kind, sampler, n_samples)
+        value, i = _looped_estimate(spec, kind, sampler, n_samples, 2.0, *extra)
+        assert rep.witness["index"] == i, kind
+        if spec_kind == "kp_bicentralizer":
+            assert rep.value == value, kind
+        else:
+            assert rep.value == pytest.approx(value, rel=1e-12, abs=1e-12), kind
+
+
+@pytest.mark.parametrize("n", [4, 12])
+@pytest.mark.parametrize("tag", TAGS)
+def test_chunked_pair_estimates_bitwise_across_dims(n, tag):
+    spec = KPBicentralizer("s", 2.0)
+    sampler = Sampler(seed=SEED, dim=n, p=2.0, tag=tag)
+    n_samples = CHUNK_ENTRIES // n**2 + 3  # past the first chunk edge
+    for kind in _PAIR_KINDS:
+        rep, extra = _pair_estimate(spec, kind, sampler, n_samples)
+        assert (rep.value, rep.witness["index"]) == _looped_estimate(
+            spec, kind, sampler, n_samples, 2.0, *extra), kind
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_chunked_estimate_prefix_stable_across_chunk_edges(kind):
     n = 8
@@ -256,7 +327,11 @@ def test_stacked_redraws_match_looped_unit_sphere(tag):
             spec, kind, sampler, 30, 2.0)
 
 
-def test_estimate_failure_names_the_sample(monkeypatch):
+@pytest.mark.parametrize("estimate", [
+    lambda spec, sampler: estimate_constant(spec, "L", sampler, 80),
+    lambda spec, sampler: distance_estimate(spec, spec, sampler, 80),
+], ids=["estimate_constant", "distance_estimate"])
+def test_estimate_failure_names_the_sample(monkeypatch, estimate):
     sampler = Sampler(seed=3, dim=4, p=2.0, tag="sparse")
     bad = sampler.unit_sphere(37)
     svd = np.linalg.svd
@@ -268,7 +343,7 @@ def test_estimate_failure_names_the_sample(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
     with pytest.raises(NumericError) as info:
-        estimate_constant(KPBicentralizer("s", 2.0), "L", sampler, 80)
+        estimate(KPBicentralizer("s", 2.0), sampler)
     diagnostics = info.value.diagnostics
     assert diagnostics["sample_index"] == 37
     assert (diagnostics["seed"], diagnostics["dim"], diagnostics["tag"]) == (3, 4, "sparse")
@@ -281,6 +356,31 @@ def test_replay_reproduces_estimate_bitwise(kind, tag):
     rep = estimate_constant(spec, kind, Sampler(seed=9, dim=5, p=2.0, tag=tag), 50)
     doc = json.loads(json.dumps(rep.to_doc()))
     assert reevaluate_witness(EstimateReport.from_doc(doc)) == rep.value
+
+
+def _report_of_kind(kind, tag):
+    kp = KPBicentralizer("s", 2.0)
+    if kind == "modulus_mat":
+        return quasinorm_modulus_probe(kp, pY=2.0, pX=1.0, dim=5, seed=9, n_samples=40)
+    if kind == "modulus_vec":
+        return quasinorm_modulus_probe(KPOnH("s"), pY=2.0, pX=2.0, dim=8, seed=9,
+                                       n_samples=40, slot="vec")
+    if kind == "gamma":
+        # the canned gamma operator; for a general one the replayed one-row
+        # product may round differently from the block (test_gamma_witness_replay)
+        return gamma_summing_mc(np.eye(8, dtype=complex), 400, seed=9)
+    return _pair_estimate(kp, kind, Sampler(seed=9, dim=5, p=2.0, tag=tag), 40)[0]
+
+
+@pytest.mark.parametrize("kind, tag", [
+    *((kind, tag) for kind in _PAIR_KINDS for tag in TAGS),
+    ("modulus_mat", None), ("modulus_vec", None), ("gamma", None),
+])
+def test_replay_reproduces_every_report_kind_bitwise(kind, tag):
+    rep = _report_of_kind(kind, tag)
+    again = EstimateReport.from_doc(json.loads(json.dumps(rep.to_doc())))
+    expected = rep.witness["ratio"] if rep.kind == "gamma" else rep.value
+    assert reevaluate_witness(again) == expected
 
 
 # --- distance_estimate -------------------------------------------------------
