@@ -150,7 +150,8 @@ def _cmd_run(args) -> int:
                      "diagnostics": exc.diagnostics})
         return 3
     except InputError as exc:
-        _emit_error({"type": "input", "message": str(exc)})
+        _emit_error({"type": "input", "message": str(exc),
+                     **({"diagnostics": exc.diagnostics} if exc.diagnostics else {})})
         return 2
     print(json.dumps({"ok": True, "output": str(out), "config_hash": cfg.hash()},
                      sort_keys=True))
@@ -182,11 +183,11 @@ def _cmd_replay(args) -> int:
         _emit_error({"type": "replay", "message": str(exc)})
         return 2
     recorded = float(rep.witness["ratio"])
-    delta = abs(recomputed - recorded)
+    delta = 0.0 if recomputed == recorded else abs(recomputed - recorded)  # inf - inf is NaN
     print(json.dumps({
         "kind": rep.kind,
-        "recorded": recorded,
-        "recomputed": recomputed,
+        "recorded": jsonable_float(recorded),
+        "recomputed": jsonable_float(recomputed),
         "delta": delta,
         "ok": delta <= args.atol,
     }, sort_keys=True))

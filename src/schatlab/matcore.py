@@ -27,6 +27,7 @@ __all__ = [
     "rank_one",
     "trace",
     "singular_values",
+    "lp_rows",
     "schatten_norm",
     "concavity_modulus",
     "SchmidtForm",
@@ -45,16 +46,18 @@ __all__ = [
 ]
 
 
-class InputError(ValueError):
+class _Diagnosed(Exception):
+    def __init__(self, message: str = "", diagnostics: dict | None = None):
+        super().__init__(message)
+        self.diagnostics = diagnostics or {}
+
+
+class InputError(_Diagnosed, ValueError):
     """An argument violates a documented precondition."""
 
 
-class NumericError(RuntimeError):
+class NumericError(_Diagnosed, RuntimeError):
     """A matrix factorization failed; carries condition diagnostics."""
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
 
 
 @dataclass(frozen=True)
@@ -172,6 +175,26 @@ def singular_values(f) -> np.ndarray:
         ) from exc
 
 
+def lp_rows(a, p: float, kept=None) -> np.ndarray:
+    """l^p norm of each row of a 2-d array; sup norm for ``p = inf``.
+
+    ``kept[i]`` keeps the ``kept[i]`` largest moduli of row i; ``p`` is
+    trusted.  Each sorted row is summed contiguously in ascending order and
+    rooted by the scalar ``pow`` (numpy's array power rounds otherwise), as alone.
+    """
+    m = np.abs(a, order="C")
+    if math.isinf(p):
+        return m.max(axis=1, initial=0.0)
+    m.sort(axis=1)
+    m **= p
+    norms = np.zeros(len(m))
+    for count in {m.shape[1]} if kept is None else set(kept.tolist()) - {0}:
+        same = slice(None) if kept is None else kept == count
+        sums = m[same, m.shape[1] - count:].sum(axis=1)
+        norms[same] = [total ** (1.0 / p) for total in sums.tolist()]
+    return norms
+
+
 def schatten_norm(f, p: float, tol: Tolerances = DEFAULT_TOL):
     """Schatten p-quasinorm: the l^p norm of the singular values.
 
@@ -185,20 +208,8 @@ def schatten_norm(f, p: float, tol: Tolerances = DEFAULT_TOL):
     p = validate_index(p)
     s = singular_values(f)
     rows = s.reshape(math.prod(s.shape[:-1]), s.shape[-1])
-    norms = np.zeros(rows.shape[0])
-    if rows.shape[1]:
-        if math.isinf(p):
-            norms = rows[:, 0].copy()
-        else:
-            kept = (rows > tol.zero_rtol * rows[:, :1]).sum(axis=1)
-            # summing the powers in ascending order keeps the result
-            # independent of the row/column presentation of f; the kept
-            # values are the largest, so they end each sorted row
-            powers = np.sort(rows, axis=1) ** p
-            for count in set(kept.tolist()) - {0}:
-                same = kept == count
-                sums = powers[same, powers.shape[1] - count:].sum(axis=1)
-                norms[same] = [total ** (1.0 / p) for total in sums.tolist()]
+    kept = None if math.isinf(p) else (rows > tol.zero_rtol * rows[:, :1]).sum(axis=1)
+    norms = lp_rows(rows, p, kept)
     return norms.reshape(s.shape[:-1]) if s.ndim > 1 else float(norms[0])
 
 

@@ -31,6 +31,7 @@ from .matcore import (
     Tolerances,
     adjoint,
     as_matrix,
+    lp_rows,
     mat_from_json,
     mat_to_json,
     rank_one,
@@ -254,9 +255,9 @@ _KIND_INPUTS = {
 ESTIMATE_KINDS = tuple(_KIND_INPUTS)
 
 # estimators score their stream in chunks of about this many entries per
-# input matrix: stacks amortize the per-call cost at small dimensions and
-# stay one sample at n >= 32.  Samples come from their own generators and
-# are scored exactly as alone, so no reported value depends on the chunk.
+# input matrix or vector: stacks amortize the per-call cost at small sizes.
+# Samples come from their own generators and are scored exactly as alone,
+# so no reported value depends on the chunk.
 CHUNK_ENTRIES = 2**10
 
 
@@ -371,16 +372,17 @@ def max_over_stream(kind: str, context: dict, draw, sampler: Sampler,
 
     ``draw(indices)`` returns the inputs of those samples as stacks keyed
     by name, and the scorer ``REPORT_KINDS[kind]`` builds from ``context``
-    rates them, ``max(1, CHUNK_ENTRIES // dim**2)`` samples per chunk.
-    The first strict maximum in stream order wins and NaN never does; a
-    chunk that fails is rescored sample by sample, so the error names the
-    failing sample.  Only the winning inputs are serialized.
+    rates them, ``CHUNK_ENTRIES`` entries of one input (``dim`` per vector
+    of a "vec" slot, else ``dim**2``) per chunk.  The first strict maximum
+    wins and NaN never does; a failed chunk is rescored sample by sample,
+    so the error names the failing sample.  Only the winner is serialized.
     """
     if n_samples < 1:
         raise InputError("need at least one sample")
     scorer, encode, _ = REPORT_KINDS[kind]
     score = scorer(context, tol)
-    step = max(1, CHUNK_ENTRIES // sampler.dim**2)
+    entries = sampler.dim if context.get("slot") == "vec" else sampler.dim**2
+    step = max(1, CHUNK_ENTRIES // entries)
     best = -math.inf
     witness: dict = {}
     best_inputs = None
@@ -389,12 +391,12 @@ def max_over_stream(kind: str, context: dict, draw, sampler: Sampler,
         try:
             inputs = draw(indices)
             ratios = score(inputs)
-        except NumericError as exc:
+        except (NumericError, InputError) as exc:
             index = None
             for i in indices:  # the first sample that fails alone names the error
                 try:
                     score(draw(range(i, i + 1)))
-                except NumericError as single:
+                except (NumericError, InputError) as single:
                     index, exc = i, single
                     break
             exc.diagnostics.update({"sample_index": index, "seed": sampler.seed,
@@ -597,7 +599,7 @@ def _gamma_scorer(ctx, tol):
     m = as_matrix(mat_from_json(table["value"]))
     if target is None:
         return lambda g: np.linalg.norm(g @ m.T, axis=1)
-    return lambda g: target.rows(g @ m.T, None)
+    return lambda g: lp_rows(g @ m.T, target.pY)
 
 
 REPORT_KINDS["gamma"] = (
@@ -637,8 +639,9 @@ def gamma_summing_mc(table, n_samples: int, seed: int, target=None) -> EstimateR
     if n_samples < 100:
         note += "; WARNING: fewer than 100 samples"
     imax = int(np.argmax(norms))
-    witness = {"index": imax, "ratio": float(norms[imax]),
-               **encode(gaussians[imax], DEFAULT_TOL)}
-    return EstimateReport(kind="gamma", value=value, samples=n_samples,
-                          seed=seed, witness=witness, note=note,
-                          stderr=stderr, context=context)
+    report = EstimateReport(kind="gamma", value=value, samples=n_samples, seed=seed,
+                            witness={"index": imax, **encode(gaussians[imax], DEFAULT_TOL)},
+                            note=note, stderr=stderr, context=context)
+    # the replayed ratio: a one-row product may round unlike the block's row
+    report.witness["ratio"] = reevaluate_witness(report)
+    return report

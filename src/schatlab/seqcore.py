@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .matcore import InputError, as_vector, validate_index
+from .matcore import InputError, as_vector, lp_rows, validate_index
 
 __all__ = [
     "LipschitzFn",
@@ -94,18 +94,9 @@ def rank_sequence(x) -> np.ndarray:
 def lp_norm(x, p: float) -> float:
     """l^p quasinorm of a finite sequence; sup norm for ``p = inf``.
 
-    The powers are accumulated in ascending order, which makes the value
-    bit-identical across permutations of the input.
+    The one-row ``lp_rows``, so bit-identical across permutations of x.
     """
-    p = validate_index(p)
-    x = as_sequence(x)
-    if x.size == 0:
-        return 0.0
-    a = np.abs(x)
-    if math.isinf(p):
-        return float(a.max())
-    powers = np.sort(a) ** p
-    return float(powers.sum() ** (1.0 / p))
+    return float(lp_rows(as_sequence(x)[None, :], validate_index(p))[0])
 
 
 def kp_phi(x, phi, p: float) -> np.ndarray:
@@ -133,6 +124,7 @@ def kp_phi_rows(xs, phi, p: float) -> np.ndarray:
     if xs.size == 0:
         return out
     a = np.abs(xs)
+    # array root, not lp_rows: the scalar root would move kp_bicentralizer values
     norms = (np.sort(a, axis=-1) ** p).sum(axis=-1)[..., None] ** (1.0 / p)
     order = np.argsort(-a, axis=-1, kind="stable")
     ranks = np.empty(xs.shape, dtype=np.int64)

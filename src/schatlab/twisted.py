@@ -17,7 +17,6 @@ import numpy as np
 from .centralizers import (
     CentralizerSpec,
     QuasilinearMap,
-    apply_qmap,
     apply_qmap_cols,
     evaluate,
     qmap_from_doc,
@@ -30,6 +29,7 @@ from .matcore import (
     DEFAULT_TOL,
     InputError,
     Tolerances,
+    lp_rows,
     mat_from_json,
     mat_to_json,
     schatten_norm,
@@ -46,7 +46,6 @@ from .metrology import (
     fit_morphism,
     max_over_stream,
 )
-from .seqcore import lp_norm
 
 __all__ = [
     "TwistedVec",
@@ -72,32 +71,31 @@ class TwistedVec:
             raise InputError(f"twisted slots disagree: {g.shape} vs {f.shape}")
 
 
+def _pair_norms(g, f, mapping, pY: float, pX: float, tol: Tolerances) -> np.ndarray:
+    """Quasinorm of each pair (g[i], f[i]) of two stacks; indices taken as valid."""
+    if f.ndim == 3:
+        if not isinstance(mapping, CentralizerSpec):
+            raise InputError("matrix slots need a centralizer spec")
+        return schatten_norm(g - evaluate(mapping, f, tol), pY) + schatten_norm(f, pX)
+    if f.ndim == 2:
+        if not isinstance(mapping, QuasilinearMap):
+            raise InputError("vector slots need a quasilinear vector map")
+        # one column per vector, as a lone vector is mapped
+        d = g - apply_qmap_cols(mapping, f[..., None])[..., 0]
+        if not (np.isfinite(d).all() and np.isfinite(f).all()):
+            raise InputError("vector entries must be finite")
+        return lp_rows(d, pY) + lp_rows(f, pX)
+    raise InputError(f"twisted slots must be vectors or matrices, got ndim {f.ndim - 1}")
+
+
 def twisted_quasinorm(v: TwistedVec, mapping, pY: float, pX: float,
                       tol: Tolerances = DEFAULT_TOL) -> float:
     """Quasinorm ``|g - map(f)|_pY + |f|_pX`` of a twisted pair.
 
     Zero exactly when f = 0 and g = 0, since map(0) = 0 by homogeneity.
     """
-    pY = validate_index(pY)
-    pX = validate_index(pX)
-    g = np.asarray(v.g, dtype=np.complex128)
-    f = np.asarray(v.f, dtype=np.complex128)
-    if f.ndim == 2:
-        if not isinstance(mapping, CentralizerSpec):
-            raise InputError("matrix slots need a centralizer spec")
-        return (schatten_norm(g - evaluate(mapping, f, tol), pY)
-                + schatten_norm(f, pX))
-    if f.ndim == 1:
-        if not isinstance(mapping, QuasilinearMap):
-            raise InputError("vector slots need a quasilinear vector map")
-        return lp_norm(g - apply_qmap(mapping, f), pY) + lp_norm(f, pX)
-    raise InputError(f"twisted slots must be vectors or matrices, got ndim {f.ndim}")
-
-
-def _rows_lp(a: np.ndarray, p: float) -> np.ndarray:
-    if math.isinf(p):
-        return np.abs(a).max(axis=1, initial=0.0)
-    return (np.sort(np.abs(a), axis=1) ** p).sum(axis=1) ** (1.0 / p)
+    g, f = (np.asarray(x, dtype=np.complex128)[None] for x in (v.g, v.f))
+    return float(_pair_norms(g, f, mapping, validate_index(pY), validate_index(pX), tol)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,13 +106,8 @@ class TwistedTarget:
     pY: float
     pX: float
 
-    def rows(self, wy: np.ndarray, wx: np.ndarray | None) -> np.ndarray:
-        if wx is None:
-            return _rows_lp(np.asarray(wy, dtype=np.complex128), self.pY)
-        wy = np.asarray(wy, dtype=np.complex128)
-        wx = np.asarray(wx, dtype=np.complex128)
-        mapped = apply_qmap_cols(self.qmap, wx.T).T
-        return _rows_lp(wy - mapped, self.pY) + _rows_lp(wx, self.pX)
+    def rows(self, wy: np.ndarray, wx: np.ndarray) -> np.ndarray:
+        return _pair_norms(wy, wx, self.qmap, self.pY, self.pX, DEFAULT_TOL)
 
     def doc(self) -> dict:
         return {"qmap": qmap_to_doc(self.qmap), "pY": self.pY, "pX": self.pX}
@@ -164,16 +157,15 @@ def _pairs_from_witness(witness) -> dict:
 
 
 def _modulus_scorer(ctx, tol):
-    """Concavity ratios |u + v| / (|u| + |v|), one scalar quasinorm per pair."""
+    """Concavity ratios |u + v| / (|u| + |v|), each term one stacked call."""
     doc = ctx["map"]
     mapping = spec_from_doc(doc["spec"]) if "spec" in doc else qmap_from_doc(doc["qmap"])
+    pY, pX = validate_index(ctx["pY"]), validate_index(ctx["pX"])
 
-    def norm(pair):
-        return twisted_quasinorm(TwistedVec(g=pair[0], f=pair[1]), mapping,
-                                 ctx["pY"], ctx["pX"], tol)
+    def norms(pairs):
+        return _pair_norms(pairs[:, 0], pairs[:, 1], mapping, pY, pX, tol)
 
-    return lambda x: np.array([norm(u + v) / (norm(u) + norm(v))
-                               for u, v in zip(x["u"], x["v"])])
+    return lambda x: norms(x["u"] + x["v"]) / (norms(x["u"]) + norms(x["v"]))
 
 
 REPORT_KINDS["modulus"] = (_modulus_scorer, _pairs_to_witness, _pairs_from_witness)

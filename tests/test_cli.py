@@ -395,6 +395,46 @@ def test_run_reports_input_failure(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+def _kp_scaled_by(*factors):
+    spec = {"kind": "kp_bicentralizer", "phi": "s", "p": 2.0}
+    for c in factors:
+        spec = {"kind": "scaled", "inner": spec, "c": [c, 0]}
+    return spec
+
+
+def test_run_input_failure_names_the_sample(tmp_path, capsys):
+    # 1e308 twice overflows every nonzero value to inf
+    doc = constants_config(tmp_path, spec=_kp_scaled_by(1e308, 1e308), dims=[4],
+                           samples=20)
+    assert main(["run", str(write_config(tmp_path, doc))]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "input" and "finite" in err["message"]
+    assert err["diagnostics"] == {"sample_index": 0, "seed": 42, "dim": 4,
+                                  "tag": "ginibre"}
+    assert not (tmp_path / "out").exists()
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_replay_infinite_witness_ratio(tmp_path, capsys):
+    # the power sums of the Q defect overflow, so the ratio is inf
+    doc = constants_config(tmp_path, spec=_kp_scaled_by(1e300), dims=[4],
+                           kinds=["Q"], samples=20)
+    path = write_config(tmp_path, doc)
+    assert main(["run", str(path)]) == 0
+    capsys.readouterr()
+    report = tmp_path / "out" / "report.json"
+    assert json.loads(report.read_text())["reports"][0]["value"] == "inf"
+    assert main(["replay", str(report)]) == 0
+    out = _strict_json(capsys.readouterr().out)
+    assert out["ok"] and out["delta"] == 0.0
+    assert out["recorded"] == out["recomputed"] == "inf"
+
+
 def test_replay_bad_index(tmp_path, capsys):
     path = write_config(tmp_path, constants_config(tmp_path))
     main(["run", str(path)])

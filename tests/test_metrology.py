@@ -349,6 +349,24 @@ def test_estimate_failure_names_the_sample(monkeypatch, estimate):
     assert (diagnostics["seed"], diagnostics["dim"], diagnostics["tag"]) == (3, 4, "sparse")
 
 
+def test_estimate_input_failure_names_the_sample(monkeypatch):
+    import schatlab.metrology as metrology
+
+    sampler = Sampler(seed=3, dim=4, p=2.0, tag="sparse")
+    bad = sampler.unit_sphere(37)
+    evaluate_ = metrology.evaluate
+
+    def poisoned(spec, f, tol):  # a non-finite value for sample 37's f only
+        hit = np.all(f == bad, axis=(-2, -1))[..., None, None]
+        return np.where(hit, np.inf, evaluate_(spec, f, tol))
+
+    monkeypatch.setattr(metrology, "evaluate", poisoned)
+    with pytest.raises(InputError, match="must be finite") as info:
+        estimate_constant(KPBicentralizer("s", 2.0), "Q", sampler, 80)
+    assert info.value.diagnostics == {"sample_index": 37, "seed": 3, "dim": 4,
+                                      "tag": "sparse"}
+
+
 @pytest.mark.parametrize("tag", TAGS)
 @pytest.mark.parametrize("kind", KINDS)
 def test_replay_reproduces_estimate_bitwise(kind, tag):
@@ -365,16 +383,24 @@ def _report_of_kind(kind, tag):
     if kind == "modulus_vec":
         return quasinorm_modulus_probe(KPOnH("s"), pY=2.0, pX=2.0, dim=8, seed=9,
                                        n_samples=40, slot="vec")
-    if kind == "gamma":
-        # the canned gamma operator; for a general one the replayed one-row
-        # product may round differently from the block (test_gamma_witness_replay)
+    if kind == "gamma":  # the canned operator
         return gamma_summing_mc(np.eye(8, dtype=complex), 400, seed=9)
+    if kind == "gamma_matrix":
+        return gamma_summing_mc(complex_matrix(np.random.default_rng(0), 8)[:5], 400, seed=3)
+    if kind == "gamma_twisted":
+        from schatlab.twisted import twisted_target
+
+        rng = np.random.default_rng(0)
+        table = TwistedTable(y_cols=complex_matrix(rng, 8), x_cols=complex_matrix(rng, 8))
+        return gamma_summing_mc(table, 400, seed=3,
+                                target=twisted_target(KPOnH("s"), 2.0, 2.0))
     return _pair_estimate(kp, kind, Sampler(seed=9, dim=5, p=2.0, tag=tag), 40)[0]
 
 
 @pytest.mark.parametrize("kind, tag", [
     *((kind, tag) for kind in _PAIR_KINDS for tag in TAGS),
     ("modulus_mat", None), ("modulus_vec", None), ("gamma", None),
+    ("gamma_matrix", None), ("gamma_twisted", None),
 ])
 def test_replay_reproduces_every_report_kind_bitwise(kind, tag):
     rep = _report_of_kind(kind, tag)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schatlab.matcore import InputError
+from schatlab.matcore import InputError, lp_rows
 from schatlab.seqcore import (
     LipschitzFn,
     PHI_TABLE,
@@ -64,6 +64,39 @@ def test_lp_norm_permutation_bit_invariant(seed, p):
     x = complex_vector(rng, 12)
     perm = rng.permutation(12)
     assert lp_norm(x[perm], p) == lp_norm(x, p)
+
+
+def _lp_reference(x, p):
+    """The one-sequence l^p norm written out: ascending powers, then root."""
+    a = np.abs(x)
+    if a.size == 0:
+        return 0.0
+    if math.isinf(p):
+        return float(a.max())
+    return float((np.sort(a) ** p).sum() ** (1.0 / p))
+
+
+@pytest.mark.parametrize("p", [0.5, 0.7, 1.0, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("width", [0, 1, 7, 9, 130, 300])
+def test_lp_rows_bitwise_per_row(p, width):
+    rng = np.random.default_rng(width)
+    rows = np.vstack([complex_vector(rng, width) for _ in range(40)])
+    rows[::7, ::3] = 0.0
+    norms = lp_rows(rows, p)
+    assert [lp_norm(row, p) for row in rows] == norms.tolist()
+    assert [_lp_reference(row, p) for row in rows] == norms.tolist()
+    # column-major input: every row is still summed as a contiguous row
+    assert lp_rows(np.asfortranarray(rows), p).tolist() == norms.tolist()
+
+
+def test_lp_rows_kept_counts_largest():
+    rng = np.random.default_rng(3)
+    rows = np.vstack([complex_vector(rng, 9) for _ in range(6)])
+    kept = np.array([9, 3, 0, 1, 3, 9])
+    norms = lp_rows(rows, 0.5, kept)
+    for row, count, norm in zip(rows, kept, norms):
+        largest = np.sort(np.abs(row))[len(row) - count:]
+        assert norm == lp_norm(largest, 0.5)
 
 
 # --- kp_phi ------------------------------------------------------------------

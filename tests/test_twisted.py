@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,17 @@ from schatlab.centralizers import (
     zero_spec,
 )
 from schatlab.matcore import InputError, schatten_norm
-from schatlab.metrology import Sampler, estimate_constant, reevaluate_witness
+from schatlab.metrology import (
+    STREAM_PRIMARY,
+    STREAM_SECONDARY,
+    Sampler,
+    estimate_constant,
+    reevaluate_witness,
+)
 from schatlab.seqcore import lp_norm
 from schatlab.twisted import (
     TwistedVec,
+    _draw_pairs,
     quasinorm_modulus_probe,
     splitting_distance,
     twisted_quasinorm,
@@ -148,6 +157,58 @@ def test_modulus_probe_degenerate_index():
 def test_modulus_probe_needs_two_samples():
     with pytest.raises(InputError):
         quasinorm_modulus_probe(zero_spec(), 2.0, 2.0, dim=3, seed=1, n_samples=1)
+
+
+def _looped_modulus(mapping, pY, pX, dim, seed, n_samples, slot):
+    """Oracle: the probe's maximum, one scalar quasinorm per pair."""
+    sampler = Sampler(seed=seed, dim=dim, p=2.0, tag="sparse")
+
+    def norm(pair):
+        return twisted_quasinorm(TwistedVec(g=pair[0], f=pair[1]), mapping, pY, pX)
+
+    best, best_index = -math.inf, None
+    for i in range(n_samples):
+        u, v = (_draw_pairs(sampler, slot, [i], stream)[0]
+                for stream in (STREAM_PRIMARY, STREAM_SECONDARY))
+        ratio = norm(u + v) / (norm(u) + norm(v))
+        if ratio > best:
+            best, best_index = ratio, i
+    return best, best_index
+
+
+# (slot, map, dim, sample counts): each count crosses a chunk edge, 28
+# pairs per chunk for n = 6 matrices and 128 for n = 8 vectors
+_MODULUS_CASES = {
+    "kp_bicentralizer": ("mat", KPBicentralizer("s", 2.0), 6, (30,)),
+    "lifted_quasilinear": ("mat", LiftedQuasilinear(KPOnH("s"), p=1.0, q=1.0), 6, (30,)),
+    **{f"kp_on_h_{phi}": ("vec", KPOnH(phi), 8, (129, 257))
+       for phi in ("s", "t", "min_s_1")},
+}
+
+
+@pytest.mark.parametrize("case", _MODULUS_CASES)
+@pytest.mark.parametrize("pY, pX", [(2.0, 2.0), (1.0, 3.0), (0.5, 0.7), (math.inf, 2.0)])
+def test_stacked_modulus_matches_scalar_quasinorm_loop(case, pY, pX):
+    slot, mapping, dim, counts = _MODULUS_CASES[case]
+    for n_samples in counts:
+        rep = quasinorm_modulus_probe(mapping, pY, pX, dim=dim, seed=SEED,
+                                      n_samples=n_samples, slot=slot)
+        assert (rep.value, rep.witness["index"]) == _looped_modulus(
+            mapping, pY, pX, dim, SEED, n_samples, slot), n_samples
+
+
+@pytest.mark.parametrize("slot, mapping", [("mat", KPBicentralizer("s", 2.0)),
+                                           ("vec", KPOnH("s"))])
+def test_modulus_probe_makes_no_scalar_quasinorm_call(monkeypatch, slot, mapping):
+    import schatlab.twisted as twisted
+
+    def scalar(*args, **kwargs):
+        raise AssertionError("the probe scored a pair alone")
+
+    monkeypatch.setattr(twisted, "twisted_quasinorm", scalar)
+    rep = quasinorm_modulus_probe(mapping, 2.0, 2.0, dim=6, seed=SEED, n_samples=40,
+                                  slot=slot)
+    assert rep.value > 0.0
 
 
 # --- splitting distance ------------------------------------------------------
