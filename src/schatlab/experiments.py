@@ -128,6 +128,20 @@ def _integers(values, key: str) -> tuple[int, ...]:
         raise ConfigError(f"{key} must be integer", field_name=key) from None
 
 
+def _reject_non_finite(value, where: str, field_name: str) -> None:
+    """Refuse a NaN or infinite number anywhere inside a JSON value: the
+    configuration hash is canonical JSON, which has no such numbers."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} is {value}: configuration numbers must be finite "
+                          '(write an infinite index as "inf")', field_name=field_name)
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_non_finite(item, f"{where}.{key}", field_name)
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _reject_non_finite(item, f"{where}[{i}]", field_name)
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a JSON object")
@@ -135,6 +149,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown configuration keys: {sorted(unknown)}",
                           field_name=sorted(unknown)[0])
+    for key, value in doc.items():
+        _reject_non_finite(value, key, key)
     if "experiment" not in doc:
         raise ConfigError("missing experiment name", field_name="experiment")
     if doc["experiment"] not in EXPERIMENTS:
@@ -330,8 +346,7 @@ def _run_growth(cfg: ExperimentConfig) -> dict:
             x = np.full(d, d ** (-1.0 / cfg.p), dtype=np.complex128)
             return lp_norm(kp_phi(x, get_phi(cfg.phi), cfg.p), cfg.p), 1
         if kind == "residual":
-            samples = [sampler.unit_sphere(i, STREAM_PRIMARY)
-                       for i in range(cfg.samples)]
+            samples = sampler.unit_sphere(np.arange(cfg.samples), STREAM_PRIMARY)
             fit = fit_morphism(spec, cfg.side, samples,
                                q=cfg.q if cfg.q else sampler.p,
                                p=sampler.p, tol=tol)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .matcore import (
     NumericError,
     Tolerances,
     adjoint,
+    as_matrices,
     as_matrix,
     lp_rows,
     mat_from_json,
@@ -70,6 +72,114 @@ STREAM_LEFT = 2
 STREAM_RIGHT = 3
 STREAM_GAUSS = 4
 
+# Sample generators are numpy's PCG64 seeded by
+# SeedSequence(seed, spawn_key=(stream, index)) (NEP 19), rebuilt here from
+# that hash: the entropy words (the seed padded to the 4-word pool, then the
+# stream's and the index's 32-bit words) are hashed into the pool, and the
+# pool is hashed into PCG64's four state words.  The hash keys depend only
+# on the position of the hash step, so they are tabulated; the pool after
+# (seed, stream) is cached, and each generator mixes only its index words.
+_MASK32 = 0xFFFFFFFF
+_POOL_WORDS = 4
+
+
+def _words32(n: int) -> list[int]:
+    """Little-endian 32-bit words of a nonnegative integer (one word for 0)."""
+    if n < 0:
+        raise InputError(f"sample seed, stream and index must be nonnegative, got {n}")
+    out = [n & _MASK32]
+    n >>= 32
+    while n:
+        out.append(n & _MASK32)
+        n >>= 32
+    return out
+
+
+@lru_cache(maxsize=None)
+def _hash_keys(init: int, mult: int, start: int, count: int) -> tuple:
+    """(xor key, multiplier) of hash steps start, ..., start + count - 1."""
+    h = init * pow(mult, start, 1 << 32) & _MASK32
+    keys = []
+    for _ in range(count):
+        nxt = h * mult & _MASK32
+        keys.append((h, nxt))
+        h = nxt
+    return tuple(keys)
+
+
+def _hashmix(values, keys) -> list[int]:
+    """SeedSequence's hashmix of each value with the key of its step."""
+    out = []
+    for v, (a, b) in zip(values, keys):
+        v = (v ^ a) * b & _MASK32
+        out.append(v ^ v >> 16)
+    return out
+
+
+def _mix_into(pool: list, slots, hashed) -> None:
+    """SeedSequence's mix of each hashed value into its pool slot."""
+    for d, x in zip(slots, hashed):
+        r = (0xCA01F9DD * pool[d] - 0x4973F715 * x) & _MASK32
+        pool[d] = r ^ r >> 16
+
+
+_POOL_KEYS = (0x43B0D7E5, 0x931E8875)   # hash of the entropy into the pool
+_STATE_KEYS = _hash_keys(0x8B51F9DD, 0x58F38DED, 0, 2 * _POOL_WORDS)  # pool to state
+
+
+def _mix_words(pool: list, words, step: int) -> int:
+    """Mix each word into every pool slot from hash step ``step``; the next step."""
+    keys = _hash_keys(*_POOL_KEYS, step, _POOL_WORDS * len(words))
+    for j, w in enumerate(words):
+        _mix_into(pool, range(_POOL_WORDS),
+                  _hashmix([w] * _POOL_WORDS, keys[_POOL_WORDS * j:]))
+    return step + _POOL_WORDS * len(words)
+
+
+@lru_cache(maxsize=1024)
+def _stream_pool(seed: int, stream: int) -> tuple:
+    """SeedSequence's pool once the seed and stream words are mixed in."""
+    entropy = _words32(seed)
+    entropy += [0] * (_POOL_WORDS - len(entropy)) + _words32(stream)
+    keys = _hash_keys(*_POOL_KEYS, 0, _POOL_WORDS**2)
+    pool = _hashmix(entropy[:_POOL_WORDS], keys)
+    # every slot's hash is mixed into every other slot, in order
+    step = _POOL_WORDS
+    for src in range(_POOL_WORDS):
+        others = [d for d in range(_POOL_WORDS) if d != src]
+        _mix_into(pool, others, _hashmix([pool[src]] * len(others), keys[step:]))
+        step += len(others)
+    step = _mix_words(pool, entropy[_POOL_WORDS:], step)
+    return tuple(pool), step
+
+
+@lru_cache(maxsize=None)
+def _state_type():
+    """numpy ISeedSequence handing PCG64 ready state words.
+
+    Defined on first use, so importing schatlab does not load numpy.random.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class ReadyState(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for 4 uint64 words, once
+
+    return ReadyState
+
+
+def _pcg64_generator(seed: int, stream: int, index: int) -> np.random.Generator:
+    pool, step = _stream_pool(seed, stream)
+    pool = list(pool)
+    _mix_words(pool, _words32(index), step)
+    w = _hashmix(pool + pool, _STATE_KEYS)
+    state = np.array([w[0] | w[1] << 32, w[2] | w[3] << 32,
+                      w[4] | w[5] << 32, w[6] | w[7] << 32], dtype=np.uint64)
+    return np.random.Generator(np.random.PCG64(_state_type()(state)))
+
 
 @dataclass(frozen=True)
 class Sampler:
@@ -98,8 +208,9 @@ class Sampler:
             raise InputError(f"unknown sample tag {self.tag!r}; known: {SAMPLE_TAGS}")
 
     def generator(self, stream: int, index: int) -> np.random.Generator:
-        key = np.random.SeedSequence(int(self.seed), spawn_key=(int(stream), int(index)))
-        return np.random.default_rng(key)
+        """The generator ``np.random.default_rng(SeedSequence(seed,
+        spawn_key=(stream, index)))``, draw for draw."""
+        return _pcg64_generator(int(self.seed), int(stream), int(index))
 
     def _ginibre(self, rng, n: int) -> np.ndarray:
         z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -537,34 +648,39 @@ class FitResult:
 
 def fit_morphism(spec: CentralizerSpec, side: str, samples, q: float,
                  p: float, tol: Tolerances = DEFAULT_TOL) -> FitResult:
-    """Least-squares module morphism of ``spec`` plus its worst defect ratio."""
+    """Least-squares module morphism of ``spec`` plus its worst defect ratio.
+
+    ``samples`` is a (k, n, n) stack or a sequence of matrices.  The spec
+    is evaluated and the ratios are scored on the whole stack; the Gram
+    and cross terms are summed in sample order, as a loop over the
+    samples would sum them.
+    """
     if side not in ("left", "right"):
         raise InputError(f"side must be 'left' or 'right', got {side!r}")
-    mats = [as_matrix(f) for f in samples]
-    if not mats:
+    if len(samples) == 0:
         raise InputError("fit_morphism needs at least one sample")
+    f = as_matrices(samples)
+    if f.ndim != 3:
+        raise InputError(f"fit_morphism needs a stack of matrices, got shape {f.shape}")
     p = validate_index(p)
     q = validate_index(q)
-    values = [evaluate(spec, f, tol) for f in mats]
-    n = mats[0].shape[1] if side == "left" else mats[0].shape[0]
-    gram = np.zeros((n, n), dtype=np.complex128)
-    cross = np.zeros((n, n), dtype=np.complex128)
-    for f, y in zip(mats, values):
-        if side == "left":
-            gram += f.conj().T @ f
-            cross += f.conj().T @ y
-        else:
-            gram += f @ f.conj().T
-            cross += y @ f.conj().T
-    rank_deficient = bool(np.linalg.matrix_rank(gram) < n)
+    values = evaluate(spec, f, tol)
+    if side == "left":
+        gram_terms, cross_terms = adjoint(f) @ f, adjoint(f) @ values
+    else:
+        gram_terms, cross_terms = f @ adjoint(f), values @ adjoint(f)
+    gram = np.zeros(gram_terms.shape[1:], dtype=np.complex128)
+    cross = np.zeros(cross_terms.shape[1:], dtype=np.complex128)
+    for g, c in zip(gram_terms, cross_terms):
+        gram += g
+        cross += c
+    rank_deficient = bool(np.linalg.matrix_rank(gram) < gram.shape[0])
     pinv = np.linalg.pinv(gram)
     morph = pinv @ cross if side == "left" else cross @ pinv
-    ratios = []
-    for f, y in zip(mats, values):
-        approx = f @ morph if side == "left" else morph @ f
-        ratios.append(schatten_norm(y - approx, q) / schatten_norm(f, p))
+    approx = f @ morph if side == "left" else morph @ f
+    ratios = tuple((schatten_norm(values - approx, q) / schatten_norm(f, p)).tolist())
     return FitResult(matrix=morph, residual=max(ratios), side=side,
-                     rank_deficient=rank_deficient, ratios=tuple(ratios))
+                     rank_deficient=rank_deficient, ratios=ratios)
 
 
 @dataclass(frozen=True, eq=False)

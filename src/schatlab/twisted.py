@@ -210,11 +210,13 @@ def splitting_distance(spec_or_builder, dims, seed: int, n_samples: int,
     dims = [int(d) for d in dims]
     if not dims or any(b <= a for a, b in zip(dims, dims[1:])):
         raise InputError("dimensions must be nonempty and strictly ascending")
+    if n_samples < 1:
+        raise InputError("splitting needs at least one sample")
     rows = []
     for d in dims:
         spec = spec_or_builder(d) if callable(spec_or_builder) else spec_or_builder
         sampler = Sampler(seed=seed, dim=d, p=p, tag=tag)
-        samples = [sampler.unit_sphere(i, STREAM_PRIMARY) for i in range(n_samples)]
+        samples = sampler.unit_sphere(np.arange(n_samples), STREAM_PRIMARY)
         fit = fit_morphism(spec, side, samples, q=q, p=p, tol=tol)
         rows.append({"dim": d, "residual": float(fit.residual),
                      "seed": int(seed), "spec-hash": spec_hash(spec)})

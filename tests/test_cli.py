@@ -87,7 +87,7 @@ def test_validate_rejects_unknown_schmidt_backend(tmp_path, capsys):
 
 @pytest.mark.parametrize("field_name, value", [
     ("samples", "abc"), ("samples", True), ("dims", "6"), ("dims", [6.0, "x"]),
-    ("samples", 2.5),
+    ("samples", 2.5), ("p", math.inf), ("q", math.nan),
 ])
 def test_validate_rejects_non_integers(tmp_path, capsys, field_name, value):
     doc = constants_config(tmp_path, **{field_name: value})
@@ -107,8 +107,9 @@ _EYE6 = {"rows": 6, "cols": 6, "re": [float(i == j) for i in range(6) for j in r
     {**_KP, "q": 1.0},
     {**_KP, "p": "inf"},
     {"kind": "lowered", "s": 2.0, "inner": {"kind": "right_multiplication", "g": _EYE6}},
+    {"kind": "scaled", "inner": _KP, "c": [math.inf, 0]},
 ], ids=["missing-p", "missing-inner", "short-c", "list", "unknown-field", "kp-infinite-p",
-        "lowered-without-inner-index"])
+        "lowered-without-inner-index", "non-finite-c"])
 def test_validate_rejects_malformed_spec(tmp_path, capsys, spec):
     _rejected_by_cli(tmp_path, capsys, constants_config(tmp_path, spec=spec), "spec")
 
@@ -163,6 +164,7 @@ def test_validate_rejects_non_finite_tolerance(tmp_path, capsys):
     assert main(["validate", str(path)]) == 2
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["field"] == "tolerances"
+    assert 'write an infinite index as "inf"' in err["message"]
 
 
 def test_infinite_index_config_hashes_and_round_trips(tmp_path):

@@ -18,7 +18,7 @@ from schatlab.centralizers import (
     SumSpec,
     evaluate,
 )
-from schatlab.matcore import InputError, NumericError, schatten_norm
+from schatlab.matcore import DEFAULT_TOL, InputError, NumericError, as_matrix, schatten_norm
 from schatlab.metrology import (
     CHUNK_ENTRIES,
     STREAM_LEFT,
@@ -75,6 +75,32 @@ def test_sampler_rejects_bad_arguments():
         Sampler(seed=-1, dim=4, p=2.0)
     with pytest.raises(InputError):
         Sampler(seed=0, dim=4, p=2.0, tag="cauchy")
+
+
+_PINNED_INDICES = (*range(3000), 2**32 - 1, 2**32, 2**40)
+
+
+@pytest.mark.parametrize("seed", [0, 1, SEED, 2**32, 2**64 + 7])
+def test_generator_pinned_to_numpy_seed_sequence(seed):
+    sampler = Sampler(seed=seed, dim=2, p=2.0)
+    for stream in range(5):
+        ours, numpy_draws = [], []
+        for i in _PINNED_INDICES:
+            mine = sampler.generator(stream, i)
+            ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, i)))
+            assert mine.bit_generator.state == ref.bit_generator.state, (stream, i)
+            ours.append(mine.random(2))
+            numpy_draws.append(ref.random(2))
+        assert np.array_equal(ours, numpy_draws)
+
+
+def test_generator_rejects_negative_keys():
+    sampler = Sampler(seed=3, dim=2, p=2.0)
+    for stream, index in ((-1, 0), (0, -1), (-(2**40), 2)):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(3, spawn_key=(stream, index))
+        with pytest.raises(InputError):
+            sampler.generator(stream, index)
 
 
 def test_gaussian_block_prefix_stable():
@@ -536,6 +562,56 @@ def test_fit_rank_deficient_flag(rng):
     lone = Sampler(seed=4, dim=5, p=2.0, tag="rank_one").unit_sphere(0)
     fit = fit_morphism(spec, "left", [lone], q=2.0, p=2.0)
     assert fit.rank_deficient
+
+
+def _looped_fit(spec, side, samples, q, p, tol=DEFAULT_TOL):
+    """fit_morphism written out sample by sample: the stacked fit's oracle."""
+    mats = [as_matrix(f) for f in samples]
+    values = [evaluate(spec, f, tol) for f in mats]
+    n = mats[0].shape[1] if side == "left" else mats[0].shape[0]
+    gram = np.zeros((n, n), dtype=np.complex128)
+    cross = np.zeros((n, n), dtype=np.complex128)
+    for f, y in zip(mats, values):
+        if side == "left":
+            gram += f.conj().T @ f
+            cross += f.conj().T @ y
+        else:
+            gram += f @ f.conj().T
+            cross += y @ f.conj().T
+    rank_deficient = bool(np.linalg.matrix_rank(gram) < n)
+    pinv = np.linalg.pinv(gram)
+    morph = pinv @ cross if side == "left" else cross @ pinv
+    ratios = []
+    for f, y in zip(mats, values):
+        approx = f @ morph if side == "left" else morph @ f
+        ratios.append(schatten_norm(y - approx, q) / schatten_norm(f, p))
+    return morph, tuple(ratios), max(ratios), rank_deficient
+
+
+_FIT_SPECS = {
+    "kp_bicentralizer": lambda n: KPBicentralizer("s", 1.0),
+    "lifted_quasilinear": lambda n: LiftedQuasilinear(KPOnH("s"), p=1.0, q=1.0),
+    "right_multiplication": lambda n: RightMultiplication(
+        complex_matrix(np.random.default_rng(n), n)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FIT_SPECS))
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("tag", ["sparse", "ginibre", "rank_one"])
+@pytest.mark.parametrize("n, count", [(8, 24), (64, 12), (8, 3)],
+                         ids=["n8", "n64", "n8-3-samples"])
+def test_stacked_fit_matches_looped_oracle(kind, side, tag, n, count):
+    spec = _FIT_SPECS[kind](n)
+    sampler = Sampler(seed=5, dim=n, p=1.0, tag=tag)
+    stack = sampler.unit_sphere(np.arange(count))
+    expected = _looped_fit(spec, side, list(stack), q=1.0, p=1.0)
+    if tag == "rank_one" and count < n:  # a Gram matrix of rank at most count
+        assert expected[3]
+    for samples in (stack, list(stack)):
+        fit = fit_morphism(spec, side, samples, q=1.0, p=1.0)
+        assert np.array_equal(fit.matrix, expected[0])
+        assert (fit.ratios, fit.residual, fit.rank_deficient) == expected[1:]
 
 
 def test_fit_needs_samples(rng):
