@@ -11,6 +11,7 @@ the default output directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
 import os
@@ -85,15 +86,65 @@ def _output_dir(cfg: ExperimentConfig) -> Path:
     return Path(base) / cfg.experiment
 
 
+class OutputError(Exception):
+    """The output path cannot hold the artifacts."""
+
+    def __init__(self, message: str, path: Path):
+        super().__init__(message)
+        self.path = path
+
+
+def _check_output(out: Path) -> None:
+    """Refuse an output path that names a file or lies under one."""
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise OutputError(f"output path {str(out)!r}: {str(path)!r} "
+                                  "is not a directory", out)
+            return
+
+
+def _write_artifacts(out: Path, writers) -> None:
+    """Write every artifact to a temporary file beside its target, then move
+    them all into place.
+
+    ``writers`` maps each artifact name to a function writing it to a
+    given path.  If a write fails, the temporary files are removed, and
+    so are the directories this call made; an existing directory and
+    every file in it but the temporaries are left as they were.
+    """
+    made = [path for path in (out, *out.parents) if not path.exists()]  # deepest first
+    staged = []
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, write in writers.items():
+            staged.append((out / f".{name}.{os.getpid()}.tmp", out / name))
+            write(staged[-1][0])
+        for tmp, target in staged:
+            os.replace(tmp, target)
+    except BaseException as exc:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        for path in made:
+            with contextlib.suppress(OSError):  # left in place if not empty
+                path.rmdir()
+        if isinstance(exc, OSError):
+            raise OutputError(f"cannot write artifacts to {str(out)!r}: {exc}", out) from exc
+        raise
+
+
 def run_config(cfg: ExperimentConfig) -> Path:
-    """Execute one experiment, then write results.csv/report.json/manifest.json
-    into a directory made only after it returns, so a failed run leaves none."""
+    """Execute one experiment, then write results.csv/report.json/manifest.json.
+
+    The output path is checked before the experiment runs.  The
+    artifacts are staged and moved into place only once all three are
+    written, so a failed run or write leaves no new directory and no
+    partial artifacts.
+    """
     config_hash = cfg.hash()
-    result = run_experiment(cfg)
     out = _output_dir(cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "results.csv", result["fieldnames"], result["rows"],
-              config_hash=config_hash)
+    _check_output(out)
+    result = run_experiment(cfg)
     report = {
         "config_hash": config_hash,
         "version": __version__,
@@ -107,7 +158,6 @@ def run_config(cfg: ExperimentConfig) -> Path:
     }
     if "spec_hash" in result:
         report["spec_hash"] = result["spec_hash"]
-    write_json(out / "report.json", report)
     manifest = {
         "config_hash": config_hash,
         "spec_hash": result.get("spec_hash"),
@@ -116,7 +166,12 @@ def run_config(cfg: ExperimentConfig) -> Path:
         "artifacts": ["results.csv", "report.json"],
         "config": cfg.doc(),
     }
-    write_json(out / "manifest.json", manifest)
+    _write_artifacts(out, {
+        "results.csv": lambda path: write_csv(path, result["fieldnames"], result["rows"],
+                                              config_hash=config_hash),
+        "report.json": lambda path: write_json(path, report),
+        "manifest.json": lambda path: write_json(path, manifest),
+    })
     return out
 
 
@@ -145,6 +200,9 @@ def _cmd_run(args) -> int:
         return 2
     try:
         out = run_config(cfg)
+    except OutputError as exc:
+        _emit_error({"type": "output", "message": str(exc), "path": str(exc.path)})
+        return 2
     except NumericError as exc:
         _emit_error({"type": "numeric", "message": str(exc),
                      "diagnostics": exc.diagnostics})

@@ -119,7 +119,7 @@ _KNOWN_KEYS = {
 
 def _integers(values, key: str) -> tuple[int, ...]:
     try:
-        if isinstance(values, str) or any(
+        if not isinstance(values, (list, tuple)) or any(
                 isinstance(v, bool) or (isinstance(v, float) and not v.is_integer())
                 for v in values):
             raise TypeError
@@ -183,10 +183,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
     (samples,) = _integers([doc.get("samples", 200)], "samples")
     if samples < 1:
         raise ConfigError("samples must be at least 1", field_name="samples")
-    kinds = tuple(str(k) for k in doc.get("kinds", ()))
+    kinds = doc.get("kinds", ())
+    if not isinstance(kinds, (list, tuple)):
+        raise ConfigError("kinds must be a list", field_name="kinds")
     for k in kinds:
         if k not in ESTIMATE_KINDS + _GROWTH_EXTRA_KINDS:
             raise ConfigError(f"unknown kind {k!r}", field_name="kinds")
+    kinds = tuple(kinds)
     side = doc.get("side", "left")
     if side not in ("left", "right"):
         raise ConfigError("side must be 'left' or 'right'", field_name="side")
@@ -197,6 +200,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
     slot = doc.get("slot", "mat")
     if slot not in ("mat", "vec"):
         raise ConfigError("slot must be 'mat' or 'vec'", field_name="slot")
+    output = doc.get("output", "")
+    if not isinstance(output, str) or "\0" in output:
+        raise ConfigError("output must be a path string", field_name="output")
+    phi = doc.get("phi", "s")
+    if not isinstance(phi, str):
+        raise ConfigError("phi must be the name of a phi function", field_name="phi")
     tolerances = doc.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("tolerances must be an object", field_name="tolerances")
@@ -212,7 +221,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(
         experiment=doc["experiment"],
         seed=seed,
-        output=str(doc.get("output", "")),
+        output=output,
         dims=dims,
         spec=doc.get("spec"),
         spec2=doc.get("spec2"),
@@ -225,7 +234,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         tag=tag,
         side=side,
         slot=slot,
-        phi=str(doc.get("phi", "s")),
+        phi=phi,
         tolerances=tolerances,
     )
     EXPERIMENTS[cfg.experiment].validate(cfg)

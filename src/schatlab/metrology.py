@@ -11,6 +11,7 @@ report carries the witness sample so the value can be re-derived.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -78,9 +79,13 @@ STREAM_GAUSS = 4
 # stream's and the index's 32-bit words) are hashed into the pool, and the
 # pool is hashed into PCG64's four state words.  The hash keys depend only
 # on the position of the hash step, so they are tabulated; the pool after
-# (seed, stream) is cached, and each generator mixes only its index words.
+# (seed, stream) is cached, and the index words of a whole chunk are mixed
+# at once, in uint64 arithmetic masked to 32 bits.
 _MASK32 = 0xFFFFFFFF
 _POOL_WORDS = 4
+# the hash's constants as uint64 arrays: numpy takes them faster than ints
+_M32, _SHIFT, _MIX_L, _MIX_R = (np.array(c, dtype=np.uint64)
+                                for c in (_MASK32, 16, 0xCA01F9DD, 0x4973F715))
 
 
 def _words32(n: int) -> list[int]:
@@ -96,61 +101,65 @@ def _words32(n: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _hash_keys(init: int, mult: int, start: int, count: int) -> tuple:
-    """(xor key, multiplier) of hash steps start, ..., start + count - 1."""
+def _hash_keys(init: int, mult: int, start: int, count: int) -> np.ndarray:
+    """(xor keys, multipliers) of hash steps start, ..., start + count - 1."""
     h = init * pow(mult, start, 1 << 32) & _MASK32
     keys = []
     for _ in range(count):
         nxt = h * mult & _MASK32
         keys.append((h, nxt))
         h = nxt
-    return tuple(keys)
-
-
-def _hashmix(values, keys) -> list[int]:
-    """SeedSequence's hashmix of each value with the key of its step."""
-    out = []
-    for v, (a, b) in zip(values, keys):
-        v = (v ^ a) * b & _MASK32
-        out.append(v ^ v >> 16)
+    out = np.array(keys, dtype=np.uint64).T
+    out.flags.writeable = False
     return out
 
 
-def _mix_into(pool: list, slots, hashed) -> None:
-    """SeedSequence's mix of each hashed value into its pool slot."""
-    for d, x in zip(slots, hashed):
-        r = (0xCA01F9DD * pool[d] - 0x4973F715 * x) & _MASK32
-        pool[d] = r ^ r >> 16
+def _hashmix(values: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each value with the key of its step (last axis)."""
+    v = (values ^ keys[0]) * keys[1] & _M32
+    return v ^ v >> _SHIFT
+
+
+def _mix(pool: np.ndarray, hashed: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of hashed values into pool slots."""
+    r = (_MIX_L * pool - _MIX_R * hashed) & _M32
+    return r ^ r >> _SHIFT
 
 
 _POOL_KEYS = (0x43B0D7E5, 0x931E8875)   # hash of the entropy into the pool
 _STATE_KEYS = _hash_keys(0x8B51F9DD, 0x58F38DED, 0, 2 * _POOL_WORDS)  # pool to state
 
 
-def _mix_words(pool: list, words, step: int) -> int:
-    """Mix each word into every pool slot from hash step ``step``; the next step."""
-    keys = _hash_keys(*_POOL_KEYS, step, _POOL_WORDS * len(words))
-    for j, w in enumerate(words):
-        _mix_into(pool, range(_POOL_WORDS),
-                  _hashmix([w] * _POOL_WORDS, keys[_POOL_WORDS * j:]))
-    return step + _POOL_WORDS * len(words)
+def _mix_words(pool: np.ndarray, words: np.ndarray, step: int) -> np.ndarray:
+    """Mix each column of ``words`` (k, w) into every slot of a pool (4,) or
+    of the pools (k, 4), from hash step ``step``; the k mixed pools."""
+    keys = _hash_keys(*_POOL_KEYS, step, _POOL_WORDS * words.shape[1])
+    for j in range(words.shape[1]):
+        pool = _mix(pool, _hashmix(words[:, j, None],
+                                   keys[:, _POOL_WORDS * j:_POOL_WORDS * (j + 1)]))
+    return pool
 
 
 @lru_cache(maxsize=1024)
 def _stream_pool(seed: int, stream: int) -> tuple:
-    """SeedSequence's pool once the seed and stream words are mixed in."""
+    """SeedSequence's pool once the seed and stream words are mixed in, and
+    the next hash step."""
     entropy = _words32(seed)
     entropy += [0] * (_POOL_WORDS - len(entropy)) + _words32(stream)
+    entropy = np.array(entropy, dtype=np.uint64)
     keys = _hash_keys(*_POOL_KEYS, 0, _POOL_WORDS**2)
-    pool = _hashmix(entropy[:_POOL_WORDS], keys)
+    pool = _hashmix(entropy[:_POOL_WORDS], keys[:, :_POOL_WORDS])
     # every slot's hash is mixed into every other slot, in order
     step = _POOL_WORDS
     for src in range(_POOL_WORDS):
         others = [d for d in range(_POOL_WORDS) if d != src]
-        _mix_into(pool, others, _hashmix([pool[src]] * len(others), keys[step:]))
+        pool[others] = _mix(pool[others],
+                            _hashmix(pool[src], keys[:, step:step + len(others)]))
         step += len(others)
-    step = _mix_words(pool, entropy[_POOL_WORDS:], step)
-    return tuple(pool), step
+    rest = entropy[None, _POOL_WORDS:]
+    pool = _mix_words(pool, rest, step)[0]
+    pool.flags.writeable = False
+    return pool, step + _POOL_WORDS * rest.shape[1]
 
 
 @lru_cache(maxsize=None)
@@ -171,14 +180,30 @@ def _state_type():
     return ReadyState
 
 
-def _pcg64_generator(seed: int, stream: int, index: int) -> np.random.Generator:
+def _pcg64_generators(seed: int, stream: int, indices) -> list[np.random.Generator]:
+    """The generator of each key (seed, stream, index), one hash for them all.
+
+    Every index is split into 32-bit words and all indices are mixed by
+    the same array hash, word by word; an index's words past its last
+    nonzero one are not mixed, as SeedSequence has no such words.
+    """
+    ints = [operator.index(i) for i in indices]
+    if not ints:
+        return []
+    if min(ints) < 0:
+        raise InputError(f"sample seed, stream and index must be nonnegative, got {min(ints)}")
+    n_words = max(1, -(-max(ints).bit_length() // 32))
+    shifts = np.array([32 * j for j in range(n_words)], dtype=object)
+    words = (np.array(ints, dtype=object)[:, None] >> shifts & _MASK32).astype(np.uint64)
     pool, step = _stream_pool(seed, stream)
-    pool = list(pool)
-    _mix_words(pool, _words32(index), step)
-    w = _hashmix(pool + pool, _STATE_KEYS)
-    state = np.array([w[0] | w[1] << 32, w[2] | w[3] << 32,
-                      w[4] | w[5] << 32, w[6] | w[7] << 32], dtype=np.uint64)
-    return np.random.Generator(np.random.PCG64(_state_type()(state)))
+    pools = _mix_words(pool, words[:, :1], step)
+    for j in range(1, n_words):
+        more = words[:, j:].any(axis=1)
+        pools[more] = _mix_words(pools[more], words[more, j:j + 1], step + _POOL_WORDS * j)
+    half = _hashmix(np.concatenate([pools, pools], axis=1), _STATE_KEYS)
+    states = half[:, 0::2] | half[:, 1::2] << np.uint64(32)
+    ready = _state_type()
+    return [np.random.Generator(np.random.PCG64(ready(s))) for s in states]
 
 
 @dataclass(frozen=True)
@@ -207,14 +232,25 @@ class Sampler:
         if self.tag not in SAMPLE_TAGS:
             raise InputError(f"unknown sample tag {self.tag!r}; known: {SAMPLE_TAGS}")
 
-    def generator(self, stream: int, index: int) -> np.random.Generator:
-        """The generator ``np.random.default_rng(SeedSequence(seed,
-        spawn_key=(stream, index)))``, draw for draw."""
-        return _pcg64_generator(int(self.seed), int(stream), int(index))
+    def generators(self, stream: int, indices) -> list[np.random.Generator]:
+        """The generator of each index, ``np.random.default_rng(SeedSequence(
+        seed, spawn_key=(stream, index)))`` draw for draw, hashed together."""
+        return _pcg64_generators(int(self.seed), int(stream), indices)
 
-    def _ginibre(self, rng, n: int) -> np.ndarray:
-        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        return z / math.sqrt(2.0)
+    def generator(self, stream: int, index: int) -> np.random.Generator:
+        """The generator of one index; see ``generators``."""
+        return self.generators(stream, (index,))[0]
+
+    def _ginibre(self, rngs, count: int, n: int) -> np.ndarray:
+        """``count`` (n, n) Ginibre matrices from each generator, (k, count, n, n).
+
+        One fill per generator, each matrix's real part before its
+        imaginary part, as lone draws consume the numbers.
+        """
+        buf = np.empty((len(rngs), count, 2, n, n))
+        for rng, out in zip(rngs, buf):
+            rng.standard_normal(out=out)
+        return (buf[:, :, 0] + 1j * buf[:, :, 1]) / math.sqrt(2.0)
 
     def _haar(self, z: np.ndarray) -> np.ndarray:
         # Mezzadri's QR route, one factorization call for the whole stack
@@ -224,18 +260,18 @@ class Sampler:
         return q * (d / np.abs(d))[..., None, :]
 
     def _spectral(self, rngs) -> np.ndarray:
-        """Haar frames around a uniform spectrum, one matrix per generator."""
+        """Haar frames around a uniform spectrum, one matrix per generator:
+        the frames' Ginibre pair, then the spectrum."""
         n = self.dim
-        parts = [(self._ginibre(rng, n), self._ginibre(rng, n), rng.uniform(0.0, 1.0, n))
-                 for rng in rngs]
-        zu, zv, spectrum = (np.stack(a) for a in zip(*parts))
-        u, v = np.split(self._haar(np.concatenate([zu, zv])), 2)
+        z = self._ginibre(rngs, 2, n)
+        spectrum = np.empty((len(rngs), n))
+        for rng, out in zip(rngs, spectrum):
+            rng.random(out=out)  # uniform(0, 1) is 0 + 1 * random(), bit for bit
+        u, v = np.moveaxis(self._haar(z), 1, 0)
         return (u * spectrum[:, None, :]) @ adjoint(v)
 
     def _draw_one(self, rng) -> np.ndarray:
         n = self.dim
-        if self.tag == "ginibre":
-            return self._ginibre(rng, n)
         if self.tag == "rank_one":
             # spread input frame, output factor a spike of dyadic random
             # width: one stream then spans the flatness range that
@@ -255,16 +291,18 @@ class Sampler:
             rows = rng.permutation(n)[:k]
             cols = rng.permutation(n)[:k]
             z = np.zeros((n, n), dtype=np.complex128)
-            z[np.ix_(rows, cols)] = self._ginibre(rng, k)
+            z[np.ix_(rows, cols)] = self._ginibre([rng], 1, k)[0, 0]
             return z
         raise InputError(f"unknown sample tag {self.tag!r}")
 
     def _draw(self, rngs) -> np.ndarray:
         """One matrix from each generator, in order, as a (k, n, n) stack.
 
-        Each generator yields the same numbers as for a lone draw; only
-        the factorizations run once per stack.
+        Each generator yields the same numbers as for a lone draw; the
+        fills and the factorizations run once per stack.
         """
+        if self.tag == "ginibre":
+            return self._ginibre(rngs, 1, self.dim)[:, 0]
         if self.tag == "haar_spectral":
             return self._spectral(rngs)
         return np.stack([self._draw_one(rng) for rng in rngs])
@@ -279,7 +317,7 @@ class Sampler:
         (k, n, n) stack.  Every sample, redraws included, comes from its
         own generator, so a stack holds exactly the lone samples.
         """
-        rngs = [self.generator(stream, i) for i in np.atleast_1d(index)]
+        rngs = self.generators(stream, np.atleast_1d(index))
         m = self._draw(rngs)
         norm = schatten_norm(m, self.p)
         low = np.flatnonzero(norm < self.min_norm)
@@ -295,7 +333,7 @@ class Sampler:
 
         ``index`` is one sample index, or a sequence of them for a stack.
         """
-        out = self._spectral([self.generator(stream, i) for i in np.atleast_1d(index)])
+        out = self._spectral(self.generators(stream, np.atleast_1d(index)))
         return out if np.ndim(index) else out[0]
 
     def gaussian_block(self, count: int, width: int,
@@ -369,7 +407,7 @@ ESTIMATE_KINDS = tuple(_KIND_INPUTS)
 # input matrix or vector: stacks amortize the per-call cost at small sizes.
 # Samples come from their own generators and are scored exactly as alone,
 # so no reported value depends on the chunk.
-CHUNK_ENTRIES = 2**10
+CHUNK_ENTRIES = 2**12
 
 
 def _resolve_indices(spec, p, q):

@@ -138,7 +138,7 @@ _SLOTS = {"mat": (mat_to_json, mat_from_json), "vec": (vec_to_json, vec_from_jso
 
 def _draw_pairs(sampler: Sampler, slot: str, indices, stream: int) -> np.ndarray:
     """(g, f) of each sample, both from its generator, as a (k, 2, ...) stack."""
-    rngs = [sampler.generator(stream, i) for i in indices]
+    rngs = sampler.generators(stream, indices)
     if slot == "mat":
         return np.array([sampler._draw([rng, rng]) for rng in rngs])
     return np.array([[_sparse_vector(rng, sampler.dim) for _ in "gf"] for rng in rngs])

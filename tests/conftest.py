@@ -34,3 +34,13 @@ def haar_unitary(rng, n):
     d = np.diagonal(r).copy()
     d[d == 0] = 1.0
     return q * (d / np.abs(d))
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Estimators score chunks of 2**10 entries, so the sample counts of
+    the chunk-edge tests cross an edge without the cost of larger ones."""
+    import schatlab.metrology as metrology
+
+    monkeypatch.setattr(metrology, "CHUNK_ENTRIES", 2**10)
+    return metrology.CHUNK_ENTRIES

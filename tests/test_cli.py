@@ -1,7 +1,9 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from schatlab.cli import list_builtins, main, run_config
 from schatlab.experiments import ConfigError, parse_config
@@ -90,6 +92,15 @@ def test_validate_rejects_unknown_schmidt_backend(tmp_path, capsys):
     ("samples", 2.5), ("p", math.inf), ("q", math.nan),
 ])
 def test_validate_rejects_non_integers(tmp_path, capsys, field_name, value):
+    doc = constants_config(tmp_path, **{field_name: value})
+    _rejected_by_cli(tmp_path, capsys, doc, field_name)
+
+
+@pytest.mark.parametrize("field_name, value", [
+    ("kinds", None), ("kinds", "L"), ("output", 5), ("output", None),
+    ("output", "out\0"), ("phi", None),
+])
+def test_validate_rejects_mistyped_fields(tmp_path, capsys, field_name, value):
     doc = constants_config(tmp_path, **{field_name: value})
     _rejected_by_cli(tmp_path, capsys, doc, field_name)
 
@@ -443,6 +454,157 @@ def test_replay_bad_index(tmp_path, capsys):
     capsys.readouterr()
     assert main(["replay", str(tmp_path / "out" / "report.json"),
                  "--index", "5"]) == 2
+
+
+# --- output path and staged writes -------------------------------------------
+
+
+@pytest.mark.parametrize("where", ["file", "under-file"])
+def test_run_refuses_output_naming_a_file(tmp_path, capsys, monkeypatch, where):
+    import schatlab.cli as cli
+
+    def not_run(cfg):
+        raise AssertionError("the experiment ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_experiment", not_run)
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep me", encoding="utf-8")
+    output = blocker if where == "file" else blocker / "out"
+    path = write_config(tmp_path, constants_config(tmp_path))
+    assert main(["run", str(path), "--output", str(output)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "output" and err["path"] == str(output)
+    assert "not a directory" in err["message"]
+    assert blocker.read_text(encoding="utf-8") == "keep me"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
+
+
+def _failing_manifest_write(monkeypatch, exc):
+    import schatlab.cli as cli
+
+    write_json = cli.write_json
+
+    def failing(path, doc):
+        if "manifest" in Path(path).name:
+            raise exc
+        write_json(path, doc)
+
+    monkeypatch.setattr(cli, "write_json", failing)
+
+
+@pytest.mark.parametrize("exc", [OSError(28, "No space left on device"),
+                                 RuntimeError("interrupted")])
+def test_failed_write_leaves_no_new_directory(tmp_path, capsys, monkeypatch, exc):
+    _failing_manifest_write(monkeypatch, exc)
+    out = tmp_path / "fresh" / "out"
+    path = write_config(tmp_path, constants_config(tmp_path, output=str(out)))
+    if isinstance(exc, OSError):
+        assert main(["run", str(path)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "output" and "No space left" in err["message"]
+    else:
+        with pytest.raises(RuntimeError):
+            main(["run", str(path)])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_failed_rewrite_keeps_earlier_artifacts(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path, constants_config(tmp_path))
+    assert main(["run", str(path)]) == 0
+    out_dir = tmp_path / "out"
+    (out_dir / "notes.txt").write_text("mine", encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    _failing_manifest_write(monkeypatch, OSError(28, "No space left on device"))
+    assert main(["run", str(path), "--samples", "7"]) == 2
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
+# --- fuzzed configuration documents -----------------------------------------
+
+_KP_ON_H = {"kind": "kp_on_h", "phi": "s"}
+# a valid tiny document of each experiment, which the fuzz test then alters
+_FUZZ_TEMPLATES = {
+    "constants": {"spec": _KP, "dims": [2, 3], "p": 2.0, "q": 2.0, "kinds": ["Q", "B"]},
+    "growth": {"spec": _KP, "dims": [2, 3], "p": 2.0, "kinds": ["residual", "kp_seq", "L"]},
+    "gamma": {"operator": {"kind": "identity", "k": 2}},
+    "distance": {"spec": _KP, "spec2": {"kind": "kp_bicentralizer", "phi": "t", "p": 2.0},
+                 "dims": [2]},
+    "splitting": {"spec": _KP, "dims": [2, 3], "p": 2.0, "q": 2.0, "side": "right"},
+    "modulus": {"spec": _KP_ON_H, "slot": "vec", "dims": [3], "p": 2.0, "q": 2.0},
+}
+_DROP = object()  # the field is left out
+_INDEX = st.sampled_from([2.0, 1.0, 0.5, "inf", 4, 0, -1.0, "x", None, [2.0], _DROP])
+_FUZZ_FIELDS = {
+    "experiment": st.sampled_from([*_FUZZ_TEMPLATES, "unknown", 3, _DROP]),
+    "seed": st.sampled_from([0, 7, 2**40, -1, 1.5, "7", True, None, _DROP]),
+    "dims": st.sampled_from([[2], [3], [2, 3], [3, 2], [0], [], "2", [2.5], None, {}, _DROP]),
+    "spec": st.sampled_from([_KP, _KP_ON_H, {"kind": "scaled", "inner": _KP, "c": [2.0, 0]},
+                             {"kind": "lifted_quasilinear", "qmap": _KP_ON_H,
+                              "p": 1.0, "q": 1.0},
+                             {"kind": "unknown"}, "missing-spec.json", 5, None, _DROP]),
+    "spec2": st.sampled_from([_KP, {"kind": "unknown"}, [], None, _DROP]),
+    "operator": st.sampled_from([{"kind": "identity", "k": 0},
+                                 {"kind": "matrix", "value": {"rows": 1, "cols": 2,
+                                                              "re": [1.0, 0.0],
+                                                              "im": [0.0, 1.0]}},
+                                 {"kind": "matrix"}, {"kind": "other"}, [], None, _DROP]),
+    "p": _INDEX,
+    "q": _INDEX,
+    "s": _INDEX,
+    "kinds": st.sampled_from([["Q"], ["R", "residual"], ["kp_seq"], ["X"], [], "Q", None,
+                              [1], _DROP]),
+    "samples": st.sampled_from([1, 2, 3, 0, -1, 2.5, "3", None, _DROP]),
+    "tag": st.sampled_from(["haar_spectral", "rank_one", "sparse", "cauchy", 1, _DROP]),
+    "side": st.sampled_from(["left", "right", "up", None]),
+    "slot": st.sampled_from(["mat", "vec", "x", None]),
+    "phi": st.sampled_from(["s", "t", "unknown", 3, None]),
+    "tolerances": st.sampled_from([{}, {"rank_rel": 1e-10}, {"bogus": 1.0},
+                                   {"rank_rel": -1.0}, [], None]),
+}
+# "fresh", "nested", "file" and "under-file" name paths in the example's
+# directory; "" runs to $SCHATLAB_OUT
+_FUZZ_OUTPUTS = st.sampled_from(["fresh", "nested", "file", "under-file", "", 5, None,
+                                 "nul\0byte", _DROP])
+
+
+def _fuzzed_doc(template, changes, output):
+    doc = {"experiment": template, "seed": 3, "samples": 2, **_FUZZ_TEMPLATES[template],
+           **changes, "output": output}
+    return {key: value for key, value in doc.items() if value is not _DROP}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=st.builds(
+    _fuzzed_doc, st.sampled_from(sorted(_FUZZ_TEMPLATES)),
+    st.lists(st.sampled_from(sorted(_FUZZ_FIELDS)), max_size=3, unique=True).flatmap(
+        lambda keys: st.fixed_dictionaries({key: _FUZZ_FIELDS[key] for key in keys})),
+    _FUZZ_OUTPUTS))
+def test_fuzzed_config_runs_or_fails_structured(tmp_path_factory, monkeypatch, capsys, doc):
+    base = tmp_path_factory.mktemp("fuzz")
+    (base / "taken").write_text("keep me", encoding="utf-8")
+    outputs = {"fresh": base / "out", "nested": base / "a" / "b", "file": base / "taken",
+               "under-file": base / "taken" / "out", "": base / "env"}
+    monkeypatch.setenv("SCHATLAB_OUT", str(outputs[""]))
+    if doc.get("output") in outputs:
+        doc["output"] = str(outputs[doc["output"]])
+    path = write_config(base, doc)
+    for command in ("validate", "run"):
+        status = main([command, str(path)])
+        result = json.loads(capsys.readouterr().out.splitlines()[-1])
+        if status == 0:
+            assert result["ok"] is True
+            continue
+        assert status == 2, result
+        assert set(result) == {"error"} and isinstance(result["error"]["message"], str)
+        assert result["error"]["type"] in ("config", "input", "output")
+        if command == "validate":
+            break
+    written = sorted(p.name for p in base.rglob("*") if p.is_file())
+    if status == 0:
+        assert len(written) == 5 and (base / "taken").read_text(encoding="utf-8") == "keep me"
+    else:
+        assert written == ["cfg.json", "taken"]
 
 
 # --- flags, env, listing -----------------------------------------------------

@@ -20,7 +20,6 @@ from schatlab.centralizers import (
 )
 from schatlab.matcore import DEFAULT_TOL, InputError, NumericError, as_matrix, schatten_norm
 from schatlab.metrology import (
-    CHUNK_ENTRIES,
     STREAM_LEFT,
     STREAM_PRIMARY,
     STREAM_RIGHT,
@@ -36,8 +35,10 @@ from schatlab.metrology import (
     gamma_summing_mc,
     reevaluate_witness,
 )
+import schatlab.metrology as metrology
+from schatlab.metrology import _pcg64_generators
 from schatlab.twisted import quasinorm_modulus_probe
-from conftest import SEED, complex_matrix
+from conftest import SEED, complex_matrix, haar_unitary
 
 
 # --- Sampler -----------------------------------------------------------------
@@ -77,21 +78,25 @@ def test_sampler_rejects_bad_arguments():
         Sampler(seed=0, dim=4, p=2.0, tag="cauchy")
 
 
-_PINNED_INDICES = (*range(3000), 2**32 - 1, 2**32, 2**40)
+# one chunk mixing one-, two- and three-word indices
+_PINNED_INDICES = (2**40, *range(1500), 2**64 + 1, 2**32, *range(1500, 3000), 2**32 - 1)
 
 
 @pytest.mark.parametrize("seed", [0, 1, SEED, 2**32, 2**64 + 7])
 def test_generator_pinned_to_numpy_seed_sequence(seed):
-    sampler = Sampler(seed=seed, dim=2, p=2.0)
     for stream in range(5):
         ours, numpy_draws = [], []
-        for i in _PINNED_INDICES:
-            mine = sampler.generator(stream, i)
+        for i, mine in zip(_PINNED_INDICES, _pcg64_generators(seed, stream, _PINNED_INDICES)):
             ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, i)))
             assert mine.bit_generator.state == ref.bit_generator.state, (stream, i)
             ours.append(mine.random(2))
             numpy_draws.append(ref.random(2))
         assert np.array_equal(ours, numpy_draws)
+    # the one-index case
+    sampler = Sampler(seed=seed, dim=2, p=2.0)
+    for i in (0, 2**32, 2**64 + 1):
+        ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, i)))
+        assert sampler.generator(3, i).bit_generator.state == ref.bit_generator.state
 
 
 def test_generator_rejects_negative_keys():
@@ -101,6 +106,32 @@ def test_generator_rejects_negative_keys():
             np.random.SeedSequence(3, spawn_key=(stream, index))
         with pytest.raises(InputError):
             sampler.generator(stream, index)
+    with pytest.raises(InputError):
+        _pcg64_generators(3, 0, [0, 5, -1, 2**40])
+
+
+def _lone_draw(seed, stream, i, n, tag):
+    """A sample drawn alone from numpy's own generator of its key."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, i)))
+    if tag == "ginibre":
+        return complex_matrix(rng, n)
+    u, v = haar_unitary(rng, n), haar_unitary(rng, n)
+    return (u * rng.uniform(0.0, 1.0, n)) @ v.conj().T
+
+
+@pytest.mark.parametrize("tag", ["ginibre", "haar_spectral"])
+def test_stacked_fills_match_lone_draws(tag):
+    sampler = Sampler(seed=SEED, dim=5, p=2.0, tag=tag)
+    indices = range(37)
+    stack = sampler._draw(sampler.generators(STREAM_SECONDARY, indices))
+    contractions = sampler.contraction(indices, STREAM_RIGHT)
+    for i in indices:
+        lone = _lone_draw(SEED, STREAM_SECONDARY, i, 5, tag)
+        assert np.array_equal(stack[i], lone) and np.array_equal(
+            sampler.raw(i, STREAM_SECONDARY), lone), i
+        lone = _lone_draw(SEED, STREAM_RIGHT, i, 5, "haar_spectral")
+        assert np.array_equal(contractions[i], lone) and np.array_equal(
+            sampler.contraction(i, STREAM_RIGHT), lone), i
 
 
 def test_gaussian_block_prefix_stable():
@@ -265,7 +296,7 @@ SPEC_KINDS = ("kp_bicentralizer", "lifted_quasilinear", "lowered", "localized",
 
 @pytest.mark.parametrize("spec_kind", SPEC_KINDS)
 @pytest.mark.parametrize("tag", TAGS)
-def test_chunked_estimate_matches_per_sample_loop(spec_kind, tag):
+def test_chunked_estimate_matches_per_sample_loop(small_chunks, spec_kind, tag):
     n, n_samples = 6, 40  # chunks of 28, so the stream spans two of them
     spec = _spec_of_kind(spec_kind, n)
     sampler = Sampler(seed=SEED, dim=n, p=2.0, tag=tag)
@@ -299,7 +330,7 @@ def _pair_estimate(spec, kind, sampler, n_samples):
 
 @pytest.mark.parametrize("spec_kind", SPEC_KINDS)
 @pytest.mark.parametrize("tag", TAGS)
-def test_chunked_pair_estimates_match_per_sample_loop(spec_kind, tag):
+def test_chunked_pair_estimates_match_per_sample_loop(small_chunks, spec_kind, tag):
     n, n_samples = 6, 30  # chunks of 28
     spec = _spec_of_kind(spec_kind, n)
     sampler = Sampler(seed=SEED, dim=n, p=2.0, tag=tag)
@@ -315,10 +346,10 @@ def test_chunked_pair_estimates_match_per_sample_loop(spec_kind, tag):
 
 @pytest.mark.parametrize("n", [4, 12])
 @pytest.mark.parametrize("tag", TAGS)
-def test_chunked_pair_estimates_bitwise_across_dims(n, tag):
+def test_chunked_pair_estimates_bitwise_across_dims(small_chunks, n, tag):
     spec = KPBicentralizer("s", 2.0)
     sampler = Sampler(seed=SEED, dim=n, p=2.0, tag=tag)
-    n_samples = CHUNK_ENTRIES // n**2 + 3  # past the first chunk edge
+    n_samples = small_chunks // n**2 + 3  # past the first chunk edge
     for kind in _PAIR_KINDS:
         rep, extra = _pair_estimate(spec, kind, sampler, n_samples)
         assert (rep.value, rep.witness["index"]) == _looped_estimate(
@@ -326,15 +357,43 @@ def test_chunked_pair_estimates_bitwise_across_dims(n, tag):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_chunked_estimate_prefix_stable_across_chunk_edges(kind):
+def test_chunked_estimate_prefix_stable_across_chunk_edges(small_chunks, kind):
     n = 8
-    k = CHUNK_ENTRIES // n**2
+    k = small_chunks // n**2
     spec = KPBicentralizer("s", 1.0)
     sampler = Sampler(seed=5, dim=n, p=1.0, tag="haar_spectral")
     for n_samples in (k - 1, k, k + 1, 2 * k + 1):
         rep = estimate_constant(spec, kind, sampler, n_samples)
         assert (rep.value, rep.witness["index"]) == _looped_estimate(
             spec, kind, sampler, n_samples, 1.0)
+
+
+def _stream_report(kind, tag):
+    """Report of a kind that ``max_over_stream`` drives, at n = 12 (chunks
+    of 7 and 28 samples at 2**10 and 2**12 entries) or, for the vector
+    modulus, n = 32 (chunks of 32 and 128)."""
+    spec = KPBicentralizer("s", 2.0)
+    if kind == "modulus_mat":
+        return quasinorm_modulus_probe(spec, pY=2.0, pX=1.0, dim=12, seed=SEED, n_samples=30)
+    if kind == "modulus_vec":
+        return quasinorm_modulus_probe(KPOnH("s"), pY=2.0, pX=2.0, dim=32, seed=SEED,
+                                       n_samples=130, slot="vec")
+    sampler = Sampler(seed=SEED, dim=12, p=2.0, tag=tag)
+    if kind in KINDS:
+        return estimate_constant(spec, kind, sampler, 30)
+    return _pair_estimate(spec, kind, sampler, 30)[0]
+
+
+@pytest.mark.parametrize("kind, tag", [
+    *((kind, tag) for kind in (*KINDS, *_PAIR_KINDS) for tag in TAGS),
+    ("modulus_mat", "sparse"), ("modulus_vec", "sparse"),
+])
+def test_reports_invariant_to_chunk_size(monkeypatch, kind, tag):
+    docs = []
+    for entries in (1, 2**10, 2**12, 2**20):
+        monkeypatch.setattr(metrology, "CHUNK_ENTRIES", entries)
+        docs.append(_stream_report(kind, tag).to_doc())
+    assert all(doc == docs[0] for doc in docs[1:])
 
 
 @pytest.mark.parametrize("tag", ["rank_one", "sparse"])

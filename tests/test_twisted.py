@@ -188,7 +188,7 @@ _MODULUS_CASES = {
 
 @pytest.mark.parametrize("case", _MODULUS_CASES)
 @pytest.mark.parametrize("pY, pX", [(2.0, 2.0), (1.0, 3.0), (0.5, 0.7), (math.inf, 2.0)])
-def test_stacked_modulus_matches_scalar_quasinorm_loop(case, pY, pX):
+def test_stacked_modulus_matches_scalar_quasinorm_loop(small_chunks, case, pY, pX):
     slot, mapping, dim, counts = _MODULUS_CASES[case]
     for n_samples in counts:
         rep = quasinorm_modulus_probe(mapping, pY, pX, dim=dim, seed=SEED,
