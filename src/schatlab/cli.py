@@ -225,6 +225,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    if not args.atol >= 0.0:  # NaN compares false, and would fail every replay
+        _emit_error({"type": "replay",
+                     "message": f"--atol must be a nonnegative number, got {args.atol}"})
+        return 2
     try:
         doc = read_json(args.report)
         reports = doc.get("reports", [])
@@ -280,7 +284,7 @@ def main(argv=None) -> int:
     p_rep.add_argument("--index", type=int, default=0,
                        help="which report in the file (default 0)")
     p_rep.add_argument("--atol", type=float, default=1e-12,
-                       help="tolerance on the reproduced ratio")
+                       help="nonnegative tolerance on the reproduced ratio")
     p_rep.set_defaults(fn=_cmd_replay)
 
     args = parser.parse_args(argv)

@@ -32,7 +32,7 @@ from .metrology import (
     EstimateReport,
     Sampler,
     distance_estimate,
-    estimate_constant,
+    estimate_constants,
     fit_morphism,
     gamma_summing_mc,
 )
@@ -309,14 +309,14 @@ def _validate_constants(cfg):
 
 
 def _sweep(cfg: ExperimentConfig, kinds, measure) -> dict:
-    """One row per dimension and kind; ``measure(sampler, kind)`` returns an
-    EstimateReport, which also goes into the reports, or a (value, samples) pair."""
+    """One row per dimension and kind; ``measure(sampler, kinds)`` returns,
+    for each kind in order, an EstimateReport, which also goes into the
+    reports, or a (value, samples) pair."""
     rows, reports = [], []
     for d in cfg.dims:
         sampler = Sampler(seed=cfg.seed, dim=d, p=cfg.p if cfg.p else 2.0,
                           tag=cfg.tag)
-        for kind in kinds:
-            out = measure(sampler, kind)
+        for kind, out in zip(kinds, measure(sampler, kinds), strict=True):
             if isinstance(out, EstimateReport):
                 reports.append(out)
                 out = (out.value, out.samples)
@@ -328,8 +328,8 @@ def _sweep(cfg: ExperimentConfig, kinds, measure) -> dict:
 def _run_constants(cfg: ExperimentConfig) -> dict:
     spec = _load_spec(cfg)
     tol = _tol(cfg)
-    return {**_sweep(cfg, cfg.kinds, lambda sampler, kind: estimate_constant(
-        spec, kind, sampler, cfg.samples, p=cfg.p, q=cfg.q, tol=tol)),
+    return {**_sweep(cfg, cfg.kinds, lambda sampler, kinds: estimate_constants(
+        spec, kinds, sampler, cfg.samples, p=cfg.p, q=cfg.q, tol=tol)),
             "spec_hash": spec_hash(spec)}
 
 
@@ -349,19 +349,24 @@ def _run_growth(cfg: ExperimentConfig) -> dict:
     spec = _load_spec(cfg) if set(cfg.kinds) - {"kp_seq"} else None
     tol = _tol(cfg)
 
-    def measure(sampler, kind):
+    def measure_one(sampler, kind):
+        """The kp_seq or residual value of one dimension."""
         if kind == "kp_seq":
             d = sampler.dim
             x = np.full(d, d ** (-1.0 / cfg.p), dtype=np.complex128)
             return lp_norm(kp_phi(x, get_phi(cfg.phi), cfg.p), cfg.p), 1
-        if kind == "residual":
-            samples = sampler.unit_sphere(np.arange(cfg.samples), STREAM_PRIMARY)
-            fit = fit_morphism(spec, cfg.side, samples,
-                               q=cfg.q if cfg.q else sampler.p,
-                               p=sampler.p, tol=tol)
-            return fit.residual, cfg.samples
-        return estimate_constant(spec, kind, sampler, cfg.samples,
-                                 p=cfg.p, q=cfg.q, tol=tol)
+        samples = sampler.unit_sphere(np.arange(cfg.samples), STREAM_PRIMARY)
+        fit = fit_morphism(spec, cfg.side, samples,
+                           q=cfg.q if cfg.q else sampler.p,
+                           p=sampler.p, tol=tol)
+        return fit.residual, cfg.samples
+
+    def measure(sampler, kinds):
+        defects = [kind for kind in kinds if kind in ESTIMATE_KINDS]
+        reports = iter(estimate_constants(spec, defects, sampler, cfg.samples,
+                                          p=cfg.p, q=cfg.q, tol=tol) if defects else ())
+        return [next(reports) if kind in ESTIMATE_KINDS else measure_one(sampler, kind)
+                for kind in kinds]
 
     out = _sweep(cfg, cfg.kinds, measure)
     if spec is not None:
@@ -406,8 +411,8 @@ def _run_distance(cfg: ExperimentConfig) -> dict:
     a = _load_spec(cfg)
     b = _load_spec(cfg, "spec2")
     tol = _tol(cfg)
-    return {**_sweep(cfg, ("distance",), lambda sampler, _: distance_estimate(
-        a, b, sampler, cfg.samples, p=cfg.p, q=cfg.q, tol=tol)),
+    return {**_sweep(cfg, ("distance",), lambda sampler, _: [distance_estimate(
+        a, b, sampler, cfg.samples, p=cfg.p, q=cfg.q, tol=tol)]),
             "spec_hash": spec_hash(a)}
 
 
@@ -441,9 +446,9 @@ def _modulus_map(cfg: ExperimentConfig):
 def _run_modulus(cfg: ExperimentConfig) -> dict:
     mapping = _modulus_map(cfg)
     tol = _tol(cfg)
-    return _sweep(cfg, ("modulus",), lambda sampler, _: quasinorm_modulus_probe(
+    return _sweep(cfg, ("modulus",), lambda sampler, _: [quasinorm_modulus_probe(
         mapping, pY=cfg.q, pX=cfg.p, dim=sampler.dim, seed=cfg.seed,
-        n_samples=cfg.samples, slot=cfg.slot, tol=tol))
+        n_samples=cfg.samples, slot=cfg.slot, tol=tol)])
 
 
 EXPERIMENTS: dict[str, Experiment] = {}

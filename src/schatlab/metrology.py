@@ -6,14 +6,24 @@ prefixes are stable when the sample count grows, and partitioning the
 stream across workers cannot change the result.  Reported values are
 maxima over the stream, hence lower bounds on the true suprema; each
 report carries the witness sample so the value can be re-derived.
+
+Estimates that read the same stream share one pass over it.  Sample i of
+an input stream is the same matrix for every report kind that reads it:
+the Q/L/R/B defects of one spec all read ``unit_sphere(i, STREAM_PRIMARY)``,
+L and B the left contraction and R and B the right one.
+``estimate_constants`` scores all its kinds chunk by chunk in one
+``max_over_stream`` call, so each shared stack is drawn once per chunk and
+each shared term (the spec's value at f, |f|_p, |a|_inf) is computed once
+per chunk; every report keeps the bits it gets alone.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -53,6 +63,7 @@ __all__ = [
     "STREAM_GAUSS",
     "EstimateReport",
     "estimate_constant",
+    "estimate_constants",
     "distance_estimate",
     "covariant_defect",
     "contravariant_defect",
@@ -393,7 +404,8 @@ class EstimateReport:
 
 _KIND_NOTE = "max over samples; lower bound of the true supremum"
 
-# inputs of each estimate kind: (name, sampler method, stream)
+# inputs of each estimate kind: (name, sampler method, stream); kinds that
+# read the same (method, stream) share its stack in one pass
 _KIND_INPUTS = {
     "Q": (("f", "unit_sphere", STREAM_PRIMARY), ("g", "unit_sphere", STREAM_SECONDARY)),
     "L": (("a", "contraction", STREAM_LEFT), ("f", "unit_sphere", STREAM_PRIMARY)),
@@ -425,65 +437,109 @@ def _guarantee_note(spec) -> str:
     return ""
 
 
+class _Chunk:
+    """One chunk of a sample stream: its indices, and the input stacks and
+    terms made from them, each made once however many report kinds read it.
+
+    A term is kept only for a stack the chunk drew, never for a matrix
+    derived from one (``f + g``, ``a @ f``), which is made at every call.
+    """
+
+    def __init__(self, indices):
+        self.indices = indices
+        self._stacks = {}
+        self._terms = {}
+
+    def draw(self, key, make):
+        """The input stack ``key`` of this chunk, ``make()`` on first use."""
+        if key not in self._stacks:
+            self._stacks[key] = make()
+        return self._stacks[key]
+
+    def term(self, key, m, make):
+        """``make()``, the term ``key`` of ``m``: made once if ``m`` is a drawn stack."""
+        drawn = next((k for k, stack in self._stacks.items() if stack is m), None)
+        if drawn is None:
+            return make()
+        if (key, drawn) not in self._terms:
+            self._terms[key, drawn] = make()
+        return self._terms[key, drawn]
+
+
 def _spec_scorer(ratio):
-    """Scorer factory of ``ratio(ev, x, ix)`` over the specs of a context.
+    """Scorer factory of ``ratio(ev, norm, x, ix)`` over the specs of a context.
 
     ``ev(m)`` evaluates the context's spec and ``ev(m, key)`` the one in
-    ``context[key]``; ``ix`` maps each index name to its value.
+    ``context[key]``; ``norm(m, p)`` is the Schatten p-norm of an input;
+    ``ix`` maps each index name to its value.  Given the chunk the inputs
+    come from, both are chunk terms, keyed by what they compute (the spec
+    document and the tolerances, or the index), so every scorer of the
+    chunk reads one value.
     """
 
     def scorer(ctx, tol):
         specs = {key: spec_from_doc(ctx[key])
                  for key in ("spec", "spec_b", "candidate") if key in ctx}
+        # JSON, not doc_hash: a document may hold a non-finite number
+        docs = {key: json.dumps(ctx[key], sort_keys=True) for key in specs}
         ix = {key: validate_index(ctx[key])
               for key in ("p", "q", "s", "p2", "r", "q2") if key in ctx}
-        return lambda x: ratio(lambda m, key="spec": evaluate(specs[key], m, tol), x, ix)
+
+        def score(x, chunk=None):
+            chunk = _Chunk(()) if chunk is None else chunk
+
+            def ev(m, key="spec"):
+                return chunk.term(("evaluate", docs[key], tol), m,
+                                  lambda: evaluate(specs[key], m, tol))
+
+            def norm(m, p):
+                return chunk.term(("schatten_norm", p), m, lambda: schatten_norm(m, p))
+
+            return ratio(ev, norm, x, ix)
+        return score
     return scorer
 
 
 def _defect_ratio(kind):
     """Q/L/R/B defect over its denominator, as ``estimate_constant`` states."""
 
-    def ratio(ev, x, ix):
+    def ratio(ev, norm, x, ix):
         f, p = x["f"], ix["p"]
         if kind == "Q":
             g = x["g"]
             defect = ev(f + g) - ev(f) - ev(g)
-            denom = schatten_norm(f, p) + schatten_norm(g, p)
+            denom = norm(f, p) + norm(g, p)
         elif kind == "L":
             a = x["a"]
             defect = ev(a @ f) - a @ ev(f)
-            denom = schatten_norm(a, math.inf) * schatten_norm(f, p)
+            denom = norm(a, math.inf) * norm(f, p)
         elif kind == "R":
             a = x["a"]
             defect = ev(f @ a) - ev(f) @ a
-            denom = schatten_norm(a, math.inf) * schatten_norm(f, p)
+            denom = norm(a, math.inf) * norm(f, p)
         else:
             a, b = x["a"], x["b"]
             defect = ev(a @ f @ b) - a @ ev(f) @ b
-            denom = (schatten_norm(a, math.inf) * schatten_norm(f, p)
-                     * schatten_norm(b, math.inf))
+            denom = norm(a, math.inf) * norm(f, p) * norm(b, math.inf)
         return schatten_norm(defect, ix["q"]) / denom
     return ratio
 
 
-def _distance_ratio(ev, x, ix):
+def _distance_ratio(ev, norm, x, ix):
     f = x["f"]
-    return schatten_norm(ev(f) - ev(f, "spec_b"), ix["q"]) / schatten_norm(f, ix["p"])
+    return schatten_norm(ev(f) - ev(f, "spec_b"), ix["q"]) / norm(f, ix["p"])
 
 
-def _covariant_ratio(ev, x, ix):
+def _covariant_ratio(ev, norm, x, ix):
     g, f = x["g"], x["f"]
     defect = ev(g @ f) - ev(g, "candidate") @ f
-    return schatten_norm(defect, ix["q"]) / (schatten_norm(g, ix["p2"])
-                                             * schatten_norm(f, ix["s"]))
+    return schatten_norm(defect, ix["q"]) / (norm(g, ix["p2"]) * norm(f, ix["s"]))
 
 
-def _contravariant_ratio(ev, x, ix):
+def _contravariant_ratio(ev, norm, x, ix):
     g, f = x["g"], x["f"]
     defect = g @ ev(f) + ev(g, "candidate") @ f
-    return schatten_norm(defect, ix["r"]) / (schatten_norm(g, ix["q2"])
-                                             * schatten_norm(f, ix["p"]))
+    return schatten_norm(defect, ix["r"]) / (norm(g, ix["q2"]) * norm(f, ix["p"]))
 
 
 def _mats_to_witness(x, tol):
@@ -499,9 +555,11 @@ def _defect_witness(x, tol):
 
 
 # report kind -> (scorer, encode, decode).  ``scorer(context, tol)`` turns a
-# report's context into its chunk scorer, inputs -> one ratio per sample;
-# ``encode(inputs, tol)`` gives the witness fields of one sample's inputs
-# and ``decode(witness)`` turns them back into a one-sample stack.
+# report's context into its chunk scorer, ``score(inputs, chunk=None)`` ->
+# one ratio per sample, which may share terms of the chunk's drawn stacks
+# with the other scorers of that chunk; ``encode(inputs, tol)`` gives the
+# witness fields of one sample's inputs and ``decode(witness)`` turns them
+# back into a one-sample stack.
 # Measurement and replay build the scorer from the same context, so a
 # replayed witness cannot drift from its measurement.
 REPORT_KINDS: dict[str, tuple] = {
@@ -514,53 +572,99 @@ REPORT_KINDS: dict[str, tuple] = {
 }
 
 
-def max_over_stream(kind: str, context: dict, draw, sampler: Sampler,
-                    n_samples: int, tol: Tolerances = DEFAULT_TOL,
-                    note: str = _KIND_NOTE) -> EstimateReport:
-    """Largest ratio of a report kind over the seeded stream of ``sampler``.
+def max_over_stream(jobs, sampler: Sampler, n_samples: int,
+                    tol: Tolerances = DEFAULT_TOL,
+                    note: str = _KIND_NOTE) -> list[EstimateReport]:
+    """Largest ratio of each job over the seeded stream of ``sampler``, in one pass.
 
-    ``draw(indices)`` returns the inputs of those samples as stacks keyed
-    by name, and the scorer ``REPORT_KINDS[kind]`` builds from ``context``
-    rates them, ``CHUNK_ENTRIES`` entries of one input (``dim`` per vector
-    of a "vec" slot, else ``dim**2``) per chunk.  The first strict maximum
-    wins and NaN never does; a failed chunk is rescored sample by sample,
-    so the error names the failing sample.  Only the winner is serialized.
+    A job is ``(kind, context, draw)``: ``draw(chunk)`` returns the inputs
+    of the samples ``chunk.indices`` as stacks keyed by name, and the
+    scorer ``REPORT_KINDS[kind]`` builds from ``context`` rates them.  All
+    jobs read one ``_Chunk`` at a time, of ``CHUNK_ENTRIES`` entries of one
+    input (``dim`` per vector of a "vec" slot, else ``dim**2``), so a stack
+    or a term they share is made once per chunk.  Each job keeps its own
+    first strict maximum, and NaN never wins; only its winner is
+    serialized.  A job whose chunk fails is rescored sample by sample, so
+    its error names the failing sample; the jobs listed after it stop, and
+    the error raised is that of the first listed job that fails, as if the
+    jobs had run one after another.  One report per job, in job order.
     """
     if n_samples < 1:
         raise InputError("need at least one sample")
-    scorer, encode, _ = REPORT_KINDS[kind]
-    score = scorer(context, tol)
-    entries = sampler.dim if context.get("slot") == "vec" else sampler.dim**2
-    step = max(1, CHUNK_ENTRIES // entries)
-    best = -math.inf
-    witness: dict = {}
-    best_inputs = None
+    scores = [REPORT_KINDS[kind][0](context, tol) for kind, context, _ in jobs]
+    vec = any(context.get("slot") == "vec" for _, context, _ in jobs)
+    step = max(1, CHUNK_ENTRIES // (sampler.dim if vec else sampler.dim**2))
+    best = [-math.inf] * len(jobs)
+    witness: list[dict] = [{} for _ in jobs]
+    best_inputs: list = [None] * len(jobs)
+    error, live = None, len(jobs)  # jobs[live:] stop: one before them failed
     for start in range(0, n_samples, step):
-        indices = range(start, min(start + step, n_samples))
-        try:
-            inputs = draw(indices)
-            ratios = score(inputs)
-        except (NumericError, InputError) as exc:
-            index = None
-            for i in indices:  # the first sample that fails alone names the error
-                try:
-                    score(draw(range(i, i + 1)))
-                except (NumericError, InputError) as single:
-                    index, exc = i, single
-                    break
-            exc.diagnostics.update({"sample_index": index, "seed": sampler.seed,
-                                    "dim": sampler.dim, "tag": sampler.tag})
-            raise exc
-        j = int(np.argmax(np.where(np.isnan(ratios), -math.inf, ratios)))
-        if ratios[j] > best:
-            best = float(ratios[j])
-            witness = {"index": indices[j], "ratio": best}
-            best_inputs = {name: m[j] for name, m in inputs.items()}
-    if best_inputs is not None:
-        witness.update(encode(best_inputs, tol))
-    return EstimateReport(kind=kind, value=best, samples=n_samples,
-                          seed=sampler.seed, witness=witness, note=note,
-                          context=context)
+        if not live:
+            break
+        chunk = _Chunk(range(start, min(start + step, n_samples)))
+        for j in range(live):
+            draw, score = jobs[j][2], scores[j]
+            try:
+                inputs = draw(chunk)
+                ratios = score(inputs, chunk)
+            except (NumericError, InputError) as exc:
+                index = None
+                for i in chunk.indices:  # the first sample that fails alone names the error
+                    try:
+                        score(draw(_Chunk(range(i, i + 1))))
+                    except (NumericError, InputError) as single:
+                        index, exc = i, single
+                        break
+                exc.diagnostics.update({"sample_index": index, "seed": sampler.seed,
+                                        "dim": sampler.dim, "tag": sampler.tag})
+                error, live = exc, j
+                break
+            k = int(np.argmax(np.where(np.isnan(ratios), -math.inf, ratios)))
+            if ratios[k] > best[j]:
+                best[j] = float(ratios[k])
+                witness[j] = {"index": chunk.indices[k], "ratio": best[j]}
+                best_inputs[j] = {name: m[k] for name, m in inputs.items()}
+    if error is not None:
+        raise error
+    reports = []
+    for (kind, context, _), value, found, inputs in zip(jobs, best, witness, best_inputs):
+        if inputs is not None:
+            found.update(REPORT_KINDS[kind][1](inputs, tol))
+        reports.append(EstimateReport(kind=kind, value=value, samples=n_samples,
+                                      seed=sampler.seed, witness=found, note=note,
+                                      context=context))
+    return reports
+
+
+def estimate_constants(spec: CentralizerSpec, kinds, sampler: Sampler,
+                       n_samples: int, p: float | None = None,
+                       q: float | None = None,
+                       tol: Tolerances = DEFAULT_TOL) -> list[EstimateReport]:
+    """Defect ratios of several Q/L/R/B kinds, from one pass over the stream.
+
+    One report per listed kind, in list order, duplicates kept.  Each
+    input stream that several kinds read is drawn once per chunk, and the
+    spec's value at f, |f|_p and |a|_inf of each contraction are computed
+    once per chunk.  Every report is, bit for bit, the one
+    ``estimate_constant`` gives for its kind alone, and a failure raises
+    the error the kinds would raise one after another.
+    """
+    for kind in kinds:
+        if kind not in _KIND_INPUTS:
+            raise InputError(f"unknown estimate kind {kind!r}; known: {ESTIMATE_KINDS}")
+    p, q = _resolve_indices(spec, p, q)
+    sampler = replace(sampler, p=p)
+    context = {"p": p, "q": q, "dim": sampler.dim, "tag": sampler.tag,
+               "spec": spec_to_doc(spec)}
+
+    def draw(kind):
+        return lambda chunk: {
+            name: chunk.draw((method, stream),
+                             partial(getattr(sampler, method), chunk.indices, stream))
+            for name, method, stream in _KIND_INPUTS[kind]}
+
+    return max_over_stream([(kind, dict(context), draw(kind)) for kind in kinds],
+                           sampler, n_samples, tol, note=_KIND_NOTE + _guarantee_note(spec))
 
 
 def estimate_constant(spec: CentralizerSpec, kind: str, sampler: Sampler,
@@ -572,17 +676,9 @@ def estimate_constant(spec: CentralizerSpec, kind: str, sampler: Sampler,
     Q: additivity defect over the sum of input norms.
     L/R: one-sided multiplication defect over |a| |f|_p.
     B: two-sided multiplication defect over |a| |f|_p |b|.
+    ``estimate_constants`` measures several kinds in one pass.
     """
-    if kind not in _KIND_INPUTS:
-        raise InputError(f"unknown estimate kind {kind!r}; known: {ESTIMATE_KINDS}")
-    p, q = _resolve_indices(spec, p, q)
-    sampler = replace(sampler, p=p)
-    return max_over_stream(
-        kind, {"p": p, "q": q, "dim": sampler.dim, "tag": sampler.tag,
-               "spec": spec_to_doc(spec)},
-        lambda indices: {name: getattr(sampler, method)(indices, stream)
-                         for name, method, stream in _KIND_INPUTS[kind]},
-        sampler, n_samples, tol, note=_KIND_NOTE + _guarantee_note(spec))
+    return estimate_constants(spec, (kind,), sampler, n_samples, p, q, tol)[0]
 
 
 def distance_estimate(a: CentralizerSpec, b: CentralizerSpec, sampler: Sampler,
@@ -593,10 +689,10 @@ def distance_estimate(a: CentralizerSpec, b: CentralizerSpec, sampler: Sampler,
     p, q = _resolve_indices(a, p, q)
     sampler = replace(sampler, p=p)
     return max_over_stream(
-        "distance", {"p": p, "q": q, "dim": sampler.dim, "tag": sampler.tag,
-                     "spec": spec_to_doc(a), "spec_b": spec_to_doc(b)},
-        lambda indices: {"f": sampler.unit_sphere(indices, STREAM_PRIMARY)},
-        sampler, n_samples, tol, note=_KIND_NOTE + _guarantee_note(a))
+        [("distance", {"p": p, "q": q, "dim": sampler.dim, "tag": sampler.tag,
+                       "spec": spec_to_doc(a), "spec_b": spec_to_doc(b)},
+          lambda chunk: {"f": sampler.unit_sphere(chunk.indices, STREAM_PRIMARY)})],
+        sampler, n_samples, tol, note=_KIND_NOTE + _guarantee_note(a))[0]
 
 
 def reevaluate_witness(report: EstimateReport,
@@ -620,8 +716,8 @@ def _split_index(total: float, part: float) -> float:
 
 
 def _companion_draw(g_sampler, f_sampler):
-    return lambda indices: {"g": g_sampler.unit_sphere(indices, STREAM_PRIMARY),
-                            "f": f_sampler.unit_sphere(indices, STREAM_SECONDARY)}
+    return lambda chunk: {"g": g_sampler.unit_sphere(chunk.indices, STREAM_PRIMARY),
+                          "f": f_sampler.unit_sphere(chunk.indices, STREAM_SECONDARY)}
 
 
 def covariant_defect(spec: CentralizerSpec, candidate: CentralizerSpec,
@@ -639,11 +735,11 @@ def covariant_defect(spec: CentralizerSpec, candidate: CentralizerSpec,
     s = validate_index(s)
     p2 = _split_index(p1, s)
     return max_over_stream(
-        "covariant", {"p": p1, "q": q1, "s": s, "p2": p2,
-                      "dim": sampler.dim, "tag": sampler.tag,
-                      "spec": spec_to_doc(spec), "candidate": spec_to_doc(candidate)},
-        _companion_draw(replace(sampler, p=p2), replace(sampler, p=s)),
-        sampler, n_samples, tol)
+        [("covariant", {"p": p1, "q": q1, "s": s, "p2": p2,
+                        "dim": sampler.dim, "tag": sampler.tag,
+                        "spec": spec_to_doc(spec), "candidate": spec_to_doc(candidate)},
+          _companion_draw(replace(sampler, p=p2), replace(sampler, p=s)))],
+        sampler, n_samples, tol)[0]
 
 
 def contravariant_defect(spec: CentralizerSpec, candidate: CentralizerSpec,
@@ -659,11 +755,11 @@ def contravariant_defect(spec: CentralizerSpec, candidate: CentralizerSpec,
     r = validate_index(r)
     q2 = _split_index(r, q1)
     return max_over_stream(
-        "contravariant", {"p": p1, "q": q1, "r": r, "q2": q2,
-                          "dim": sampler.dim, "tag": sampler.tag,
-                          "spec": spec_to_doc(spec), "candidate": spec_to_doc(candidate)},
-        _companion_draw(replace(sampler, p=q2), replace(sampler, p=p1)),
-        sampler, n_samples, tol)
+        [("contravariant", {"p": p1, "q": q1, "r": r, "q2": q2,
+                            "dim": sampler.dim, "tag": sampler.tag,
+                            "spec": spec_to_doc(spec), "candidate": spec_to_doc(candidate)},
+          _companion_draw(replace(sampler, p=q2), replace(sampler, p=p1)))],
+        sampler, n_samples, tol)[0]
 
 
 @dataclass(frozen=True, eq=False)

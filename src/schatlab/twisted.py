@@ -165,7 +165,7 @@ def _modulus_scorer(ctx, tol):
     def norms(pairs):
         return _pair_norms(pairs[:, 0], pairs[:, 1], mapping, pY, pX, tol)
 
-    return lambda x: norms(x["u"] + x["v"]) / (norms(x["u"]) + norms(x["v"]))
+    return lambda x, chunk=None: norms(x["u"] + x["v"]) / (norms(x["u"]) + norms(x["v"]))
 
 
 REPORT_KINDS["modulus"] = (_modulus_scorer, _pairs_to_witness, _pairs_from_witness)
@@ -188,11 +188,11 @@ def quasinorm_modulus_probe(mapping, pY: float, pX: float, dim: int, seed: int,
     doc = ({"spec": spec_to_doc(mapping)} if isinstance(mapping, CentralizerSpec)
            else {"qmap": qmap_to_doc(mapping)})
     return max_over_stream(
-        "modulus", {"pY": pY, "pX": pX, "dim": dim, "slot": slot, "map": doc},
-        lambda indices: {"u": _draw_pairs(sampler, slot, indices, STREAM_PRIMARY),
-                         "v": _draw_pairs(sampler, slot, indices, STREAM_SECONDARY)},
+        [("modulus", {"pY": pY, "pX": pX, "dim": dim, "slot": slot, "map": doc},
+          lambda chunk: {"u": _draw_pairs(sampler, slot, chunk.indices, STREAM_PRIMARY),
+                         "v": _draw_pairs(sampler, slot, chunk.indices, STREAM_SECONDARY)})],
         sampler, n_samples, tol,
-        note="max over samples; lower bound of the true modulus")
+        note="max over samples; lower bound of the true modulus")[0]
 
 
 def splitting_distance(spec_or_builder, dims, seed: int, n_samples: int,

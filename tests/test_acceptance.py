@@ -35,6 +35,7 @@ from schatlab.metrology import (
     Sampler,
     TwistedTable,
     estimate_constant,
+    estimate_constants,
     gamma_summing_mc,
 )
 from schatlab.seqcore import kp_phi, lp_norm, rank_sequence
@@ -103,8 +104,8 @@ def test_criterion_03_joint_root_and_constant_chain():
     for (p, q) in ((0.5, 0.5), (1.0, 1.0), (2.0, 2.0)):
         spec = KPBicentralizer("s", p)
         sampler = Sampler(seed=SEED, dim=8, p=p)
-        measured_q = estimate_constant(spec, "Q", sampler, 2000, p=p, q=q).value
-        measured_l = estimate_constant(spec, "L", sampler, 2000, p=p, q=q).value
+        measured_q, measured_l = (rep.value for rep in estimate_constants(
+            spec, ["Q", "L"], sampler, 2000, p=p, q=q))
         bound = (4.0 * concavity_modulus(q) ** 2
                  * math.sqrt(concavity_modulus(p / 2.0)) * measured_l)
         ok &= measured_q <= bound + 1e-6

@@ -456,6 +456,41 @@ def test_replay_bad_index(tmp_path, capsys):
                  "--index", "5"]) == 2
 
 
+@pytest.mark.parametrize("atol", ["nan", "-1"])
+def test_replay_refuses_bad_atol(tmp_path, capsys, atol):
+    path = write_config(tmp_path, constants_config(tmp_path))
+    assert main(["run", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["replay", str(tmp_path / "out" / "report.json"), "--atol", atol]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "replay" and "--atol" in err["message"]
+
+
+def test_replay_infinite_atol_accepts(tmp_path, capsys):
+    path = write_config(tmp_path, constants_config(tmp_path))
+    assert main(["run", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["replay", str(tmp_path / "out" / "report.json"), "--atol", "inf"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] and out["delta"] == 0.0
+
+
+def test_constants_duplicated_kind_keeps_rows_and_reports(tmp_path):
+    out = run_config(parse_config(constants_config(
+        tmp_path, kinds=["Q", "L", "Q"], dims=[4, 6])))
+    rows = read_csv(out / "results.csv")
+    assert [(row["dim"], row["kind"]) for row in rows] == [
+        (str(d), k) for d in (4, 6) for k in ("Q", "L", "Q")]
+    reports = read_json(out / "report.json")["reports"]
+    assert [rep["kind"] for rep in reports] == ["Q", "L", "Q"] * 2
+    for first, again in ((0, 2), (3, 5)):
+        assert reports[first] == reports[again]
+    single = run_config(parse_config(constants_config(
+        tmp_path, kinds=["Q", "L"], dims=[4, 6], output=str(tmp_path / "single"))))
+    alone = read_json(single / "report.json")["reports"]
+    assert [reports[i] for i in (0, 1, 3, 4)] == alone
+
+
 # --- output path and staged writes -------------------------------------------
 
 

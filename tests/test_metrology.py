@@ -31,6 +31,7 @@ from schatlab.metrology import (
     covariant_defect,
     distance_estimate,
     estimate_constant,
+    estimate_constants,
     fit_morphism,
     gamma_summing_mc,
     reevaluate_witness,
@@ -434,22 +435,107 @@ def test_estimate_failure_names_the_sample(monkeypatch, estimate):
     assert (diagnostics["seed"], diagnostics["dim"], diagnostics["tag"]) == (3, 4, "sparse")
 
 
-def test_estimate_input_failure_names_the_sample(monkeypatch):
-    import schatlab.metrology as metrology
-
-    sampler = Sampler(seed=3, dim=4, p=2.0, tag="sparse")
-    bad = sampler.unit_sphere(37)
+def _poisoned_evaluate(monkeypatch, bad):
+    """Make ``evaluate`` non-finite at each matrix of ``bad``, in any stack."""
     evaluate_ = metrology.evaluate
 
-    def poisoned(spec, f, tol):  # a non-finite value for sample 37's f only
-        hit = np.all(f == bad, axis=(-2, -1))[..., None, None]
-        return np.where(hit, np.inf, evaluate_(spec, f, tol))
+    def poisoned(spec, m, tol):
+        hit = np.zeros(m.shape[:-2], dtype=bool)
+        for b in bad:
+            hit |= np.all(m == b, axis=(-2, -1))
+        return np.where(hit[..., None, None], np.inf, evaluate_(spec, m, tol))
 
     monkeypatch.setattr(metrology, "evaluate", poisoned)
+
+
+def test_estimate_input_failure_names_the_sample(monkeypatch):
+    sampler = Sampler(seed=3, dim=4, p=2.0, tag="sparse")
+    _poisoned_evaluate(monkeypatch, [sampler.unit_sphere(37)])  # sample 37's f only
     with pytest.raises(InputError, match="must be finite") as info:
         estimate_constant(KPBicentralizer("s", 2.0), "Q", sampler, 80)
     assert info.value.diagnostics == {"sample_index": 37, "seed": 3, "dim": 4,
                                       "tag": "sparse"}
+
+
+# --- one shared pass for several kinds ----------------------------------------
+
+
+@pytest.mark.parametrize("entries", ["small_chunks", 1])
+@pytest.mark.parametrize("kinds", ["QLRB", "BRLQ", "LQ", "QQ"])
+@pytest.mark.parametrize("tag", TAGS)
+def test_shared_pass_matches_kinds_alone(request, monkeypatch, entries, kinds, tag):
+    # past the first chunk edge at 2**10 entries (28 samples); at one entry
+    # every sample is a chunk of its own
+    n_samples = 30
+    if entries == "small_chunks":
+        request.getfixturevalue("small_chunks")
+    else:
+        monkeypatch.setattr(metrology, "CHUNK_ENTRIES", entries)
+        n_samples = 12
+    spec = KPBicentralizer("s", 2.0)
+    sampler = Sampler(seed=SEED, dim=6, p=2.0, tag=tag)
+    joint = estimate_constants(spec, list(kinds), sampler, n_samples)
+    assert [rep.kind for rep in joint] == list(kinds)
+    for kind, rep in zip(kinds, joint):
+        assert rep.to_doc() == estimate_constant(spec, kind, sampler, n_samples).to_doc()
+
+
+def test_shared_pass_evaluates_each_shared_term_once(monkeypatch):
+    # per chunk: Q evaluates f + g, f and g; L, R and B only their products
+    calls = []
+    evaluate_ = metrology.evaluate
+
+    def counted(spec, m, tol):
+        calls.append(m.shape[0])
+        return evaluate_(spec, m, tol)
+
+    monkeypatch.setattr(metrology, "evaluate", counted)
+    sampler = Sampler(seed=SEED, dim=8, p=2.0)
+    estimate_constants(KPBicentralizer("s", 2.0), list(KINDS), sampler, 100)
+    chunks = -(-100 // (metrology.CHUNK_ENTRIES // 8**2))
+    assert len(calls) == 6 * chunks
+    assert sum(calls) == 6 * 100
+
+
+def test_shared_pass_names_a_non_finite_spec_value():
+    # a spec document with a non-finite number still scores, and fails
+    # where its values do
+    spec = Scaled(KPBicentralizer("s", 2.0), complex(math.inf, 0.0))
+    with pytest.raises(InputError, match="must be finite") as info:
+        estimate_constants(spec, list(KINDS), Sampler(seed=1, dim=4, p=2.0), 10)
+    assert info.value.diagnostics == {"sample_index": 0, "seed": 1, "dim": 4,
+                                      "tag": "ginibre"}
+
+
+@pytest.mark.parametrize("kinds", ["QLRB", "BLQ", "LRB"])
+def test_shared_pass_failure_names_the_sample(monkeypatch, kinds):
+    # only L evaluates the left contraction times f
+    sampler = Sampler(seed=3, dim=4, p=2.0, tag="sparse")
+    a, f = sampler.contraction(37, STREAM_LEFT), sampler.unit_sphere(37)
+    _poisoned_evaluate(monkeypatch, [a @ f])
+    with pytest.raises(InputError, match="must be finite") as info:
+        estimate_constants(KPBicentralizer("s", 2.0), list(kinds), sampler, 80)
+    assert info.value.diagnostics == {"sample_index": 37, "seed": 3, "dim": 4,
+                                      "tag": "sparse"}
+
+
+@pytest.mark.parametrize("kinds, failing", [("QL", "Q"), ("LQ", "L"), ("RLBQ", "L")])
+def test_shared_pass_raises_the_first_listed_failure(monkeypatch, kinds, failing):
+    # L fails at sample 5 and Q at 60, in chunks of 8 samples: the kinds
+    # one after another would raise the failure of the first listed kind
+    monkeypatch.setattr(metrology, "CHUNK_ENTRIES", 8 * 4**2)
+    sampler = Sampler(seed=3, dim=4, p=2.0, tag="sparse")
+    f = sampler.unit_sphere(np.arange(80))
+    bad = [sampler.contraction(5, STREAM_LEFT) @ f[5],
+           f[60] + sampler.unit_sphere(60, STREAM_SECONDARY)]
+    _poisoned_evaluate(monkeypatch, bad)
+    spec = KPBicentralizer("s", 2.0)
+    with pytest.raises(InputError) as alone:
+        estimate_constant(spec, failing, sampler, 80)
+    assert alone.value.diagnostics["sample_index"] == {"L": 5, "Q": 60}[failing]
+    with pytest.raises(InputError) as info:
+        estimate_constants(spec, list(kinds), sampler, 80)
+    assert info.value.diagnostics == alone.value.diagnostics
 
 
 @pytest.mark.parametrize("tag", TAGS)
