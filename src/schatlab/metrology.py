@@ -326,17 +326,24 @@ class Sampler:
 
         ``index`` is one sample index, or a sequence of them for a
         (k, n, n) stack.  Every sample, redraws included, comes from its
-        own generator, so a stack holds exactly the lone samples.
+        own generator, so a stack holds exactly the lone samples.  The
+        stack is filled ``CHUNK_ENTRIES`` entries at a time, so beside the
+        output stack a call holds one chunk's draws.
         """
-        rngs = self.generators(stream, np.atleast_1d(index))
-        m = self._draw(rngs)
-        norm = schatten_norm(m, self.p)
-        low = np.flatnonzero(norm < self.min_norm)
-        while low.size:
-            m[low] = self._draw([rngs[j] for j in low])
-            norm[low] = schatten_norm(m[low], self.p)
-            low = low[norm[low] < self.min_norm]
-        out = m / norm[:, None, None]
+        indices = np.atleast_1d(index)
+        n = self.dim
+        out = np.empty((len(indices), n, n), dtype=np.complex128)
+        step = max(1, CHUNK_ENTRIES // n**2)
+        for start in range(0, len(indices), step):
+            rngs = self.generators(stream, indices[start:start + step])
+            m = self._draw(rngs)
+            norm = schatten_norm(m, self.p)
+            low = np.flatnonzero(norm < self.min_norm)
+            while low.size:
+                m[low] = self._draw([rngs[j] for j in low])
+                norm[low] = schatten_norm(m[low], self.p)
+                low = low[norm[low] < self.min_norm]
+            np.divide(m, norm[:, None, None], out=out[start:start + step])
         return out if np.ndim(index) else out[0]
 
     def contraction(self, index, stream: int = STREAM_LEFT) -> np.ndarray:
@@ -347,12 +354,20 @@ class Sampler:
         out = self._spectral(self.generators(stream, np.atleast_1d(index)))
         return out if np.ndim(index) else out[0]
 
+    def gaussian_rows(self, count: int, width: int, rows: int,
+                      stream: int = STREAM_GAUSS, index: int = 0):
+        """The (count, width) block of ``gaussian_block`` as successive pieces
+        of ``rows`` rows (the last one shorter), drawn in turn from its one
+        generator; their concatenation is the block, bit for bit."""
+        rng = self.generator(stream, index)
+        for start in range(0, max(count, 1), rows):
+            z = rng.standard_normal((min(rows, count - start), width, 2))
+            yield (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
+
     def gaussian_block(self, count: int, width: int,
                        stream: int = STREAM_GAUSS, index: int = 0) -> np.ndarray:
         """(count, width) standard complex normals, row-prefix stable."""
-        rng = self.generator(stream, index)
-        z = rng.standard_normal((count, width, 2))
-        return (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
+        return next(self.gaussian_rows(count, width, max(count, 1), stream, index))
 
 
 @dataclass
@@ -448,17 +463,19 @@ class _Chunk:
     def __init__(self, indices):
         self.indices = indices
         self._stacks = {}
+        self._drawn = {}  # id of each drawn stack -> its key; the chunk keeps them alive
         self._terms = {}
 
     def draw(self, key, make):
         """The input stack ``key`` of this chunk, ``make()`` on first use."""
         if key not in self._stacks:
-            self._stacks[key] = make()
+            stack = self._stacks[key] = make()
+            self._drawn.setdefault(id(stack), key)
         return self._stacks[key]
 
     def term(self, key, m, make):
         """``make()``, the term ``key`` of ``m``: made once if ``m`` is a drawn stack."""
-        drawn = next((k for k, stack in self._stacks.items() if stack is m), None)
+        drawn = self._drawn.get(id(m))
         if drawn is None:
             return make()
         if (key, drawn) not in self._terms:
@@ -784,10 +801,12 @@ def fit_morphism(spec: CentralizerSpec, side: str, samples, q: float,
                  p: float, tol: Tolerances = DEFAULT_TOL) -> FitResult:
     """Least-squares module morphism of ``spec`` plus its worst defect ratio.
 
-    ``samples`` is a (k, n, n) stack or a sequence of matrices.  The spec
-    is evaluated and the ratios are scored on the whole stack; the Gram
-    and cross terms are summed in sample order, as a loop over the
-    samples would sum them.
+    ``samples`` is a (k, n, n) stack or a sequence of matrices.  The stack
+    is walked in chunks of ``CHUNK_ENTRIES`` entries: a first pass
+    evaluates the spec and sums the Gram and cross terms in sample order,
+    as a loop over the samples would sum them; a second pass over the same
+    chunks scores the ratios.  Beside the samples and their values, a call
+    holds one chunk's terms.
     """
     if side not in ("left", "right"):
         raise InputError(f"side must be 'left' or 'right', got {side!r}")
@@ -798,21 +817,26 @@ def fit_morphism(spec: CentralizerSpec, side: str, samples, q: float,
         raise InputError(f"fit_morphism needs a stack of matrices, got shape {f.shape}")
     p = validate_index(p)
     q = validate_index(q)
-    values = evaluate(spec, f, tol)
-    if side == "left":
-        gram_terms, cross_terms = adjoint(f) @ f, adjoint(f) @ values
-    else:
-        gram_terms, cross_terms = f @ adjoint(f), values @ adjoint(f)
-    gram = np.zeros(gram_terms.shape[1:], dtype=np.complex128)
-    cross = np.zeros(cross_terms.shape[1:], dtype=np.complex128)
-    for g, c in zip(gram_terms, cross_terms):
-        gram += g
-        cross += c
+    step = max(1, CHUNK_ENTRIES // f[0].size)
+    chunks = [f[start:start + step] for start in range(0, len(f), step)]
+    values = [evaluate(spec, fc, tol) for fc in chunks]
+    gram = cross = 0.0  # 0.0 plus the first term is that term, as from np.zeros
+    for fc, y in zip(chunks, values):
+        if side == "left":
+            gram_terms, cross_terms = adjoint(fc) @ fc, adjoint(fc) @ y
+        else:
+            gram_terms, cross_terms = fc @ adjoint(fc), y @ adjoint(fc)
+        for g, c in zip(gram_terms, cross_terms):
+            gram += g
+            cross += c
     rank_deficient = bool(np.linalg.matrix_rank(gram) < gram.shape[0])
     pinv = np.linalg.pinv(gram)
     morph = pinv @ cross if side == "left" else cross @ pinv
-    approx = f @ morph if side == "left" else morph @ f
-    ratios = tuple((schatten_norm(values - approx, q) / schatten_norm(f, p)).tolist())
+    ratios = []
+    for fc, y in zip(chunks, values):
+        approx = fc @ morph if side == "left" else morph @ fc
+        ratios += (schatten_norm(y - approx, q) / schatten_norm(fc, p)).tolist()
+    ratios = tuple(ratios)
     return FitResult(matrix=morph, residual=max(ratios), side=side,
                      rank_deficient=rank_deficient, ratios=ratios)
 
@@ -866,17 +890,32 @@ def gamma_summing_mc(table, n_samples: int, seed: int, target=None) -> EstimateR
     complex Gaussians g_k.  For a plain matrix into a Euclidean target the
     exact value is the Frobenius norm, which anchors the estimator.  The
     reported standard error is for the square root (delta method).
+
+    The ``STREAM_GAUSS`` block is drawn and scored ``CHUNK_ENTRIES``
+    entries at a time, so a call holds the ``n_samples`` norms and one
+    piece of the block; the witness is the first row of largest norm, as
+    ``np.argmax`` over the whole block picks it.
     """
     if n_samples < 1:
         raise InputError("need at least one sample")
     width = (table.x_cols if isinstance(table, TwistedTable) else as_matrix(table)).shape[1]
     sampler = Sampler(seed=seed, dim=max(1, width), p=2.0)
-    gaussians = sampler.gaussian_block(n_samples, width)
     context = {"p": 2.0, "q": 2.0, "table": _table_to_doc(table)}
     if target is not None:
         context["target"] = target.doc()
     scorer, encode, _ = REPORT_KINDS["gamma"]
-    norms = scorer(context, DEFAULT_TOL)(gaussians)
+    score = scorer(context, DEFAULT_TOL)
+    norms = np.empty(n_samples)
+    imax, best_row = 0, None
+    rows = max(1, CHUNK_ENTRIES // max(1, width))
+    for start, piece in zip(range(0, n_samples, rows),
+                            sampler.gaussian_rows(n_samples, width, rows)):
+        part = norms[start:start + len(piece)]
+        part[...] = score(piece)
+        k = int(np.argmax(part))
+        # np.argmax's own rule (first maximum, NaN first) between the two bests
+        if best_row is None or np.argmax((norms[imax], part[k])) == 1:
+            imax, best_row = start + k, piece[k]
     squares = norms**2
     mean = float(squares.mean())
     value = math.sqrt(mean)
@@ -888,9 +927,8 @@ def gamma_summing_mc(table, n_samples: int, seed: int, target=None) -> EstimateR
     note = "Monte Carlo mean of squared norms; stderr by the delta method"
     if n_samples < 100:
         note += "; WARNING: fewer than 100 samples"
-    imax = int(np.argmax(norms))
     report = EstimateReport(kind="gamma", value=value, samples=n_samples, seed=seed,
-                            witness={"index": imax, **encode(gaussians[imax], DEFAULT_TOL)},
+                            witness={"index": imax, **encode(best_row, DEFAULT_TOL)},
                             note=note, stderr=stderr, context=context)
     # the replayed ratio: a one-row product may round unlike the block's row
     report.witness["ratio"] = reevaluate_witness(report)

@@ -145,6 +145,50 @@ def test_gaussian_block_prefix_stable():
     assert np.abs(big).mean() == pytest.approx(math.sqrt(math.pi) / 2.0, abs=0.01)
 
 
+@pytest.mark.parametrize("rows", [1, 7, 25, 40])
+def test_gaussian_rows_concatenate_to_the_block(rows):
+    s = Sampler(seed=4, dim=4, p=2.0)
+    pieces = list(s.gaussian_rows(25, 3, rows))
+    assert [len(piece) for piece in pieces[:-1]] == [rows] * (len(pieces) - 1)
+    assert np.array_equal(np.concatenate(pieces), s.gaussian_block(25, 3))
+
+
+@pytest.mark.parametrize("tag", ["ginibre", "haar_spectral", "rank_one", "sparse"])
+def test_chunked_unit_sphere_matches_lone_draws(monkeypatch, tag):
+    # 7 samples per fill: 30 samples cross four chunk edges, the last chunk
+    # ragged; a threshold at the median norm of first draws redraws about half
+    monkeypatch.setattr(metrology, "CHUNK_ENTRIES", 7 * 5**2)
+    first = Sampler(seed=2, dim=5, p=2.0, tag=tag).unit_sphere(range(30))
+    raw = np.array([schatten_norm(Sampler(seed=2, dim=5, p=2.0, tag=tag).raw(i), 2.0)
+                    for i in range(30)])
+    sampler = Sampler(seed=2, dim=5, p=2.0, tag=tag, min_norm=float(np.median(raw)))
+    redrawn = raw < sampler.min_norm
+    assert len({i // 7 for i in np.flatnonzero(redrawn)}) >= 3  # redraws in three chunks
+    stack = sampler.unit_sphere(np.arange(30))
+    assert stack.shape == (30, 5, 5)
+    for i in range(30):
+        assert np.array_equal(stack[i], sampler.unit_sphere(i)), i
+        assert np.array_equal(stack[i], first[i]) != redrawn[i], i
+
+
+def test_chunk_terms_are_kept_for_drawn_stacks_only():
+    chunk = metrology._Chunk(range(3))
+    f = chunk.draw("f", lambda: np.ones((3, 2, 2)))
+    g = chunk.draw("g", lambda: np.zeros((3, 2, 2)))
+    assert chunk.draw("f", lambda: None) is f
+    made = []
+
+    def make():
+        made.append(1)
+        return len(made)
+
+    assert [chunk.term("t", f, make), chunk.term("t", f, make)] == [1, 1]
+    assert chunk.term("t", g, make) == 2 and chunk.term("u", f, make) == 3
+    derived = f + g
+    assert [chunk.term("t", derived, make), chunk.term("t", derived, make)] == [4, 5]
+    assert chunk.term("t", f.copy(), make) == 6
+
+
 # --- estimate_constant -------------------------------------------------------
 
 
@@ -744,9 +788,11 @@ _FIT_SPECS = {
 @pytest.mark.parametrize("kind", sorted(_FIT_SPECS))
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("tag", ["sparse", "ginibre", "rank_one"])
-@pytest.mark.parametrize("n, count", [(8, 24), (64, 12), (8, 3)],
-                         ids=["n8", "n64", "n8-3-samples"])
+@pytest.mark.parametrize("n, count", [(8, 24), (64, 12), (8, 3), (16, 37)],
+                         ids=["n8", "n64", "n8-3-samples", "n16-37-samples"])
 def test_stacked_fit_matches_looped_oracle(kind, side, tag, n, count):
+    # chunks of CHUNK_ENTRIES entries: n = 8 fits in one, n = 64 takes one
+    # sample per chunk, and 37 samples at n = 16 end in a ragged chunk
     spec = _FIT_SPECS[kind](n)
     sampler = Sampler(seed=5, dim=n, p=1.0, tag=tag)
     stack = sampler.unit_sphere(np.arange(count))
@@ -808,6 +854,68 @@ def test_gamma_twisted_table_needs_target(rng):
                          x_cols=complex_matrix(rng, 4))
     with pytest.raises(InputError):
         gamma_summing_mc(table, 100, seed=0)
+
+
+def _gamma_operator(name):
+    rng = np.random.default_rng(0)
+    if name == "identity":
+        return np.eye(8, dtype=complex), None
+    if name == "matrix":
+        return complex_matrix(rng, 5, 8), None
+    from schatlab.twisted import twisted_target
+
+    table = TwistedTable(y_cols=complex_matrix(rng, 8), x_cols=complex_matrix(rng, 8))
+    return table, twisted_target(KPOnH("s"), 2.0, 2.0)
+
+
+@pytest.mark.parametrize("name", ["identity", "matrix", "twisted"])
+@pytest.mark.parametrize("pieces", ["one-piece", "ragged"])
+def test_streamed_gamma_matches_block(name, pieces):
+    # the whole Gaussian block scored in one call is the oracle of the
+    # piece-by-piece stream: every reported bit must agree
+    table, target = _gamma_operator(name)
+    rows = metrology.CHUNK_ENTRIES // 8
+    n_samples = rows - 100 if pieces == "one-piece" else 2 * rows + 17
+    rep = gamma_summing_mc(table, n_samples, seed=3, target=target)
+    block = Sampler(seed=3, dim=8, p=2.0).gaussian_block(n_samples, 8)
+    scorer, encode, _ = metrology.REPORT_KINDS["gamma"]
+    score = scorer(rep.context, DEFAULT_TOL)
+    squares = score(block) ** 2
+    value = math.sqrt(float(squares.mean()))
+    stderr = float(squares.std(ddof=1)) / math.sqrt(n_samples) / (2.0 * value)
+    imax = int(np.argmax(score(block)))
+    assert (rep.value, rep.stderr) == (value, stderr)
+    assert rep.witness == {"index": imax, **encode(block[imax], DEFAULT_TOL),
+                           "ratio": float(score(block[imax][None])[0])}
+
+
+def _traced_peak(run):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_gamma_memory_is_bounded():
+    # 100,000 norms are 0.8 MB; the whole block and its products would be ~38 MB
+    peak = _traced_peak(lambda: gamma_summing_mc(np.eye(8, dtype=complex), 100_000,
+                                                 seed=SEED))
+    assert peak <= 8 * 2**20
+
+
+def test_splitting_fit_memory_is_bounded():
+    # the canned lift at n = 64: the samples and their values (12.6 MB each)
+    # stay whole, the rest one chunk at a time (~98 MB if fitted whole)
+    from schatlab.twisted import splitting_distance
+
+    lift = LiftedQuasilinear(KPOnH("s"), p=1.0, q=1.0)
+    peak = _traced_peak(lambda: splitting_distance(
+        lift, [64], seed=1, n_samples=192, p=1.0, q=1.0, side="right", tag="sparse"))
+    assert peak <= 2 * 192 * 64**2 * 16 + 4 * 2**20
 
 
 def test_gamma_deterministic():
