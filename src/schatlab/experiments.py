@@ -28,12 +28,10 @@ from .matcore import DEFAULT_TOL, InputError, Tolerances, mat_from_json, validat
 from .metrology import (
     ESTIMATE_KINDS,
     SAMPLE_TAGS,
-    STREAM_PRIMARY,
     EstimateReport,
     Sampler,
     distance_estimate,
     estimate_constants,
-    fit_morphism,
     gamma_summing_mc,
 )
 from .seqcore import get_phi, kp_phi, lp_norm
@@ -73,7 +71,6 @@ class ExperimentConfig:
     operator: dict | None = None
     p: float | None = None
     q: float | None = None
-    s: float | None = None
     kinds: tuple[str, ...] = ()
     samples: int = 200
     tag: str = "ginibre"
@@ -100,7 +97,7 @@ class ExperimentConfig:
             value = getattr(self, key)
             if value is not None:
                 out[key] = value
-        for key in ("p", "q", "s"):  # an infinite index is written "inf"
+        for key in ("p", "q"):  # an infinite index is written "inf"
             value = getattr(self, key)
             if value is not None:
                 out[key] = jsonable_float(value)
@@ -112,7 +109,7 @@ class ExperimentConfig:
 
 _KNOWN_KEYS = {
     "experiment", "seed", "output", "dims", "spec", "spec2", "operator",
-    "p", "q", "s", "kinds", "samples", "tag", "side", "slot", "phi",
+    "p", "q", "kinds", "samples", "tag", "side", "slot", "phi",
     "tolerances",
 }
 
@@ -170,7 +167,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError("dimensions must be strictly ascending",
                           field_name="dims")
     indices = {}
-    for key in ("p", "q", "s"):
+    for key in ("p", "q"):
         value = doc.get(key)
         if value is not None:
             try:
@@ -228,7 +225,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         operator=doc.get("operator"),
         p=indices["p"],
         q=indices["q"],
-        s=indices["s"],
         kinds=kinds,
         samples=samples,
         tag=tag,
@@ -325,14 +321,6 @@ def _sweep(cfg: ExperimentConfig, kinds, measure) -> dict:
     return {"fieldnames": FIELDS_STANDARD, "rows": rows, "reports": reports}
 
 
-def _run_constants(cfg: ExperimentConfig) -> dict:
-    spec = _load_spec(cfg)
-    tol = _tol(cfg)
-    return {**_sweep(cfg, cfg.kinds, lambda sampler, kinds: estimate_constants(
-        spec, kinds, sampler, cfg.samples, p=cfg.p, q=cfg.q, tol=tol)),
-            "spec_hash": spec_hash(spec)}
-
-
 def _validate_growth(cfg):
     _require(cfg, "dims")
     if not cfg.kinds:
@@ -355,11 +343,10 @@ def _run_growth(cfg: ExperimentConfig) -> dict:
             d = sampler.dim
             x = np.full(d, d ** (-1.0 / cfg.p), dtype=np.complex128)
             return lp_norm(kp_phi(x, get_phi(cfg.phi), cfg.p), cfg.p), 1
-        samples = sampler.unit_sphere(np.arange(cfg.samples), STREAM_PRIMARY)
-        fit = fit_morphism(spec, cfg.side, samples,
-                           q=cfg.q if cfg.q else sampler.p,
-                           p=sampler.p, tol=tol)
-        return fit.residual, cfg.samples
+        (row,) = splitting_distance(spec, [sampler.dim], cfg.seed, cfg.samples,
+                                    p=sampler.p, q=cfg.q if cfg.q else sampler.p,
+                                    side=cfg.side, tag=cfg.tag, tol=tol)
+        return row["residual"], cfg.samples
 
     def measure(sampler, kinds):
         defects = [kind for kind in kinds if kind in ESTIMATE_KINDS]
@@ -460,7 +447,7 @@ def _register(name, describe, validate, execute):
 
 _register("constants",
           "measure defect constants (Q, L, R, B) of a spec per dimension",
-          _validate_constants, _run_constants)
+          _validate_constants, _run_growth)
 _register("growth",
           "dimension sweep of constants, fit residuals or the sequence witness",
           _validate_growth, _run_growth)

@@ -85,13 +85,12 @@ STREAM_RIGHT = 3
 STREAM_GAUSS = 4
 
 # Sample generators are numpy's PCG64 seeded by
-# SeedSequence(seed, spawn_key=(stream, index)) (NEP 19), rebuilt here from
-# that hash: the entropy words (the seed padded to the 4-word pool, then the
-# stream's and the index's 32-bit words) are hashed into the pool, and the
-# pool is hashed into PCG64's four state words.  The hash keys depend only
-# on the position of the hash step, so they are tabulated; the pool after
-# (seed, stream) is cached, and the index words of a whole chunk are mixed
-# at once, in uint64 arithmetic masked to 32 bits.
+# SeedSequence(seed, spawn_key=(stream, index)) (NEP 19).  numpy's own
+# SeedSequence(seed, spawn_key=(stream,)) supplies the pool once the seed and
+# stream words are mixed in; the index's 32-bit words and the pool-to-state
+# hash are then run here for a whole chunk at once, in uint64 arithmetic
+# masked to 32 bits.  The hash keys depend only on the position of the hash
+# step, so they are tabulated.
 _MASK32 = 0xFFFFFFFF
 _POOL_WORDS = 4
 # the hash's constants as uint64 arrays: numpy takes them faster than ints
@@ -99,16 +98,9 @@ _M32, _SHIFT, _MIX_L, _MIX_R = (np.array(c, dtype=np.uint64)
                                 for c in (_MASK32, 16, 0xCA01F9DD, 0x4973F715))
 
 
-def _words32(n: int) -> list[int]:
-    """Little-endian 32-bit words of a nonnegative integer (one word for 0)."""
-    if n < 0:
-        raise InputError(f"sample seed, stream and index must be nonnegative, got {n}")
-    out = [n & _MASK32]
-    n >>= 32
-    while n:
-        out.append(n & _MASK32)
-        n >>= 32
-    return out
+def _words(n: int) -> int:
+    """Number of 32-bit words SeedSequence splits a nonnegative integer into."""
+    return max(1, -(-n.bit_length() // 32))
 
 
 @lru_cache(maxsize=None)
@@ -154,23 +146,10 @@ def _mix_words(pool: np.ndarray, words: np.ndarray, step: int) -> np.ndarray:
 @lru_cache(maxsize=1024)
 def _stream_pool(seed: int, stream: int) -> tuple:
     """SeedSequence's pool once the seed and stream words are mixed in, and
-    the next hash step."""
-    entropy = _words32(seed)
-    entropy += [0] * (_POOL_WORDS - len(entropy)) + _words32(stream)
-    entropy = np.array(entropy, dtype=np.uint64)
-    keys = _hash_keys(*_POOL_KEYS, 0, _POOL_WORDS**2)
-    pool = _hashmix(entropy[:_POOL_WORDS], keys[:, :_POOL_WORDS])
-    # every slot's hash is mixed into every other slot, in order
-    step = _POOL_WORDS
-    for src in range(_POOL_WORDS):
-        others = [d for d in range(_POOL_WORDS) if d != src]
-        pool[others] = _mix(pool[others],
-                            _hashmix(pool[src], keys[:, step:step + len(others)]))
-        step += len(others)
-    rest = entropy[None, _POOL_WORDS:]
-    pool = _mix_words(pool, rest, step)[0]
+    the next hash step: 4 per entropy word, the seed padded to the pool."""
+    pool = np.random.SeedSequence(seed, spawn_key=(stream,)).pool.astype(np.uint64)
     pool.flags.writeable = False
-    return pool, step + _POOL_WORDS * rest.shape[1]
+    return pool, _POOL_WORDS * (max(_POOL_WORDS, _words(seed)) + _words(stream))
 
 
 @lru_cache(maxsize=None)
@@ -201,9 +180,10 @@ def _pcg64_generators(seed: int, stream: int, indices) -> list[np.random.Generat
     ints = [operator.index(i) for i in indices]
     if not ints:
         return []
-    if min(ints) < 0:
-        raise InputError(f"sample seed, stream and index must be nonnegative, got {min(ints)}")
-    n_words = max(1, -(-max(ints).bit_length() // 32))
+    if min(seed, stream, *ints) < 0:
+        raise InputError("sample seed, stream and index must be nonnegative, "
+                         f"got {min(seed, stream, *ints)}")
+    n_words = _words(max(ints))
     shifts = np.array([32 * j for j in range(n_words)], dtype=object)
     words = (np.array(ints, dtype=object)[:, None] >> shifts & _MASK32).astype(np.uint64)
     pool, step = _stream_pool(seed, stream)
@@ -215,6 +195,18 @@ def _pcg64_generators(seed: int, stream: int, indices) -> list[np.random.Generat
     states = half[:, 0::2] | half[:, 1::2] << np.uint64(32)
     ready = _state_type()
     return [np.random.Generator(np.random.PCG64(ready(s))) for s in states]
+
+
+def dyadic_supports(rng, n: int, count: int = 1) -> list[np.ndarray]:
+    """``count`` supports of one dyadic random width in range(n).
+
+    The width is ``min(2**j, n)`` for j uniform in ``range(n.bit_length())``,
+    drawn before the supports; each support is the prefix of its own random
+    permutation.  One stream then spans spiky to fully spread frames, the
+    range that separates trivial from nontrivial lifts.
+    """
+    k = min(1 << int(rng.integers(0, n.bit_length())), n)
+    return [rng.permutation(n)[:k] for _ in range(count)]
 
 
 @dataclass(frozen=True)
@@ -284,27 +276,18 @@ class Sampler:
     def _draw_one(self, rng) -> np.ndarray:
         n = self.dim
         if self.tag == "rank_one":
-            # spread input frame, output factor a spike of dyadic random
-            # width: one stream then spans the flatness range that
-            # separates trivial from nontrivial lifts
+            # spread input frame, output factor a spike of dyadic random width
             x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            j = int(rng.integers(0, n.bit_length()))
-            k = min(1 << j, n)
+            (support,) = dyadic_supports(rng, n)
+            k = len(support)
             y = np.zeros(n, dtype=np.complex128)
-            support = rng.permutation(n)[:k]
             y[support] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
             return rank_one(x, y)
-        if self.tag == "sparse":
-            # dyadic random support size, so one stream mixes spiky and
-            # spread singular frames
-            j = int(rng.integers(0, n.bit_length()))
-            k = min(1 << j, n)
-            rows = rng.permutation(n)[:k]
-            cols = rng.permutation(n)[:k]
-            z = np.zeros((n, n), dtype=np.complex128)
-            z[np.ix_(rows, cols)] = self._ginibre([rng], 1, k)[0, 0]
-            return z
-        raise InputError(f"unknown sample tag {self.tag!r}")
+        # "sparse": a ginibre block on dyadic random rows and columns
+        rows, cols = dyadic_supports(rng, n, 2)
+        z = np.zeros((n, n), dtype=np.complex128)
+        z[np.ix_(rows, cols)] = self._ginibre([rng], 1, len(rows))[0, 0]
+        return z
 
     def _draw(self, rngs) -> np.ndarray:
         """One matrix from each generator, in order, as a (k, n, n) stack.

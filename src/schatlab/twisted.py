@@ -43,6 +43,7 @@ from .metrology import (
     STREAM_SECONDARY,
     EstimateReport,
     Sampler,
+    dyadic_supports,
     fit_morphism,
     max_over_stream,
 )
@@ -121,13 +122,11 @@ def twisted_target(qmap, pY: float = 2.0, pX: float = 2.0) -> TwistedTarget:
 
 
 def _sparse_vector(rng, n: int) -> np.ndarray:
-    # dyadic random support, so sampled pairs range from disjoint spikes
-    # (the concavity extremizers) to fully spread vectors
-    j = int(rng.integers(0, n.bit_length()))
-    k = min(1 << j, n)
+    """Complex normals on a dyadic random support, so sampled pairs range
+    from disjoint spikes (the concavity extremizers) to spread vectors."""
+    (support,) = dyadic_supports(rng, n)
+    z = rng.standard_normal((len(support), 2))
     out = np.zeros(n, dtype=np.complex128)
-    support = rng.permutation(n)[:k]
-    z = rng.standard_normal((k, 2))
     out[support] = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
     return out
 
@@ -138,10 +137,10 @@ _SLOTS = {"mat": (mat_to_json, mat_from_json), "vec": (vec_to_json, vec_from_jso
 
 def _draw_pairs(sampler: Sampler, slot: str, indices, stream: int) -> np.ndarray:
     """(g, f) of each sample, both from its generator, as a (k, 2, ...) stack."""
-    rngs = sampler.generators(stream, indices)
-    if slot == "mat":
-        return np.array([sampler._draw([rng, rng]) for rng in rngs])
-    return np.array([[_sparse_vector(rng, sampler.dim) for _ in "gf"] for rng in rngs])
+    rngs = [rng for rng in sampler.generators(stream, indices) for _ in "gf"]
+    pairs = (sampler._draw(rngs) if slot == "mat"
+             else np.array([_sparse_vector(rng, sampler.dim) for rng in rngs]))
+    return pairs.reshape(-1, 2, *pairs.shape[1:])
 
 
 def _pairs_to_witness(x, tol) -> dict:

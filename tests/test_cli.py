@@ -78,6 +78,11 @@ def _rejected_by_cli(tmp_path, capsys, doc, field_name):
     assert not (tmp_path / "out").exists()
 
 
+def test_validate_rejects_index_s(tmp_path, capsys):
+    # no experiment reads a third index, so the configuration has none
+    _rejected_by_cli(tmp_path, capsys, constants_config(tmp_path, s=2.0), "s")
+
+
 def test_validate_rejects_unknown_tag(tmp_path, capsys):
     _rejected_by_cli(tmp_path, capsys, constants_config(tmp_path, tag="cauchy"), "tag")
 

@@ -38,7 +38,7 @@ from schatlab.metrology import (
 )
 import schatlab.metrology as metrology
 from schatlab.metrology import _pcg64_generators
-from schatlab.twisted import quasinorm_modulus_probe
+from schatlab.twisted import _draw_pairs, quasinorm_modulus_probe
 from conftest import SEED, complex_matrix, haar_unitary
 
 
@@ -83,9 +83,11 @@ def test_sampler_rejects_bad_arguments():
 _PINNED_INDICES = (2**40, *range(1500), 2**64 + 1, 2**32, *range(1500, 3000), 2**32 - 1)
 
 
-@pytest.mark.parametrize("seed", [0, 1, SEED, 2**32, 2**64 + 7])
+# 2**130 + 7 has more 32-bit words than SeedSequence's 4-word pool, and the
+# stream 2**33 two words, so both branches of the pool's hash step count show
+@pytest.mark.parametrize("seed", [0, 1, SEED, 2**32, 2**64 + 7, 2**130 + 7])
 def test_generator_pinned_to_numpy_seed_sequence(seed):
-    for stream in range(5):
+    for stream in (*range(5), 2**33):
         ours, numpy_draws = [], []
         for i, mine in zip(_PINNED_INDICES, _pcg64_generators(seed, stream, _PINNED_INDICES)):
             ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, i)))
@@ -118,6 +120,52 @@ def _lone_draw(seed, stream, i, n, tag):
         return complex_matrix(rng, n)
     u, v = haar_unitary(rng, n), haar_unitary(rng, n)
     return (u * rng.uniform(0.0, 1.0, n)) @ v.conj().T
+
+
+def _lone_dyadic_draw(rng, n, what):
+    """Oracle: a ``rank_one`` or ``sparse`` matrix, or the modulus probe's
+    sparse vector, drawn alone, each step spelled out in draw order."""
+    if what == "rank_one":
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    k = min(1 << int(rng.integers(0, n.bit_length())), n)
+    if what == "rank_one":
+        support = rng.permutation(n)[:k]
+        y = np.zeros(n, dtype=np.complex128)
+        y[support] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        return np.outer(y, x.conj())
+    if what == "sparse":
+        rows, cols = rng.permutation(n)[:k], rng.permutation(n)[:k]
+        z = np.zeros((n, n), dtype=np.complex128)
+        z[np.ix_(rows, cols)] = complex_matrix(rng, k)
+        return z
+    support = rng.permutation(n)[:k]
+    z = rng.standard_normal((k, 2))
+    out = np.zeros(n, dtype=np.complex128)
+    out[support] = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 5, 8])
+def test_dyadic_support_draws_match_lone_oracle(n):
+    indices = range(40)
+
+    def rng_of(stream, i):
+        return np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=(stream, i)))
+
+    for tag in ("rank_one", "sparse"):
+        sampler = Sampler(seed=SEED, dim=n, p=2.0, tag=tag)
+        stack = sampler._draw(sampler.generators(STREAM_SECONDARY, indices))
+        for i in indices:
+            lone = _lone_dyadic_draw(rng_of(STREAM_SECONDARY, i), n, tag)
+            assert np.array_equal(stack[i], lone), (tag, i)
+    sampler = Sampler(seed=SEED, dim=n, p=2.0, tag="sparse")
+    for slot, what in (("mat", "sparse"), ("vec", "vector")):
+        pairs = _draw_pairs(sampler, slot, indices, STREAM_PRIMARY)
+        assert pairs.shape[:2] == (len(indices), 2)
+        for i in indices:
+            rng = rng_of(STREAM_PRIMARY, i)
+            g, f = (_lone_dyadic_draw(rng, n, what) for _ in "gf")
+            assert np.array_equal(pairs[i, 0], g) and np.array_equal(pairs[i, 1], f), (slot, i)
 
 
 @pytest.mark.parametrize("tag", ["ginibre", "haar_spectral"])
