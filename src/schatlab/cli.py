@@ -240,6 +240,12 @@ def _cmd_replay(args) -> int:
                          "message": f"index {args.index} out of range"})
             return 2
         rep = EstimateReport.from_doc(reports[args.index])
+        # a max report's value is its witness's ratio; gamma's is a mean
+        if rep.kind != "gamma" and float(rep.witness["ratio"]) != rep.value:
+            _emit_error({"type": "replay",
+                         "message": f"witness ratio {rep.witness['ratio']!r} differs "
+                                    f"from the report value {rep.value!r}"})
+            return 2
         recomputed = reevaluate_witness(rep)
     except (OSError, json.JSONDecodeError, KeyError, InputError) as exc:
         _emit_error({"type": "replay", "message": str(exc)})

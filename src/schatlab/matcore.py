@@ -203,7 +203,9 @@ def schatten_norm(f, p: float, tol: Tolerances = DEFAULT_TOL):
     zeros; for p < 1 this keeps factorization noise from being amplified
     (the true rank is what the quasinorm of a finite-rank operator sees).
     A (k, m, n) stack gives an array of k norms, each equal to the norm
-    of its matrix alone.
+    of its matrix alone.  This is the SVD definition at every index; the
+    estimators' p = 2 rule, the l^2 norm of the entries, is tested
+    against it.
     """
     p = validate_index(p)
     s = singular_values(f)

@@ -197,6 +197,22 @@ def _pcg64_generators(seed: int, stream: int, indices) -> list[np.random.Generat
     return [np.random.Generator(np.random.PCG64(ready(s))) for s in states]
 
 
+def _norm(m, p: float):
+    """Schatten p-norm of a matrix or of each matrix of a stack, as the
+    estimators take it.
+
+    At p = 2 it is the Hilbert-Schmidt norm, tr(f* f)^(1/2): the l^2 norm
+    of the entries, with no factorization, on the inputs ``schatten_norm``
+    takes.  Every other index goes to ``schatten_norm``, the SVD definition.
+    """
+    if p != 2.0:
+        return schatten_norm(m, p)
+    m = as_matrices(m)
+    lead = m.shape[:-2]
+    norms = lp_rows(m.reshape(math.prod(lead), m.shape[-2] * m.shape[-1]), 2.0)
+    return norms.reshape(lead) if lead else float(norms[0])
+
+
 def dyadic_supports(rng, n: int, count: int = 1) -> list[np.ndarray]:
     """``count`` supports of one dyadic random width in range(n).
 
@@ -307,6 +323,9 @@ class Sampler:
     def unit_sphere(self, index, stream: int = STREAM_PRIMARY) -> np.ndarray:
         """Sample with Schatten p-norm 1; degenerate draws are redrawn.
 
+        The norm is the estimators' one: at p = 2 the l^2 norm of the
+        entries, no SVD.
+
         ``index`` is one sample index, or a sequence of them for a
         (k, n, n) stack.  Every sample, redraws included, comes from its
         own generator, so a stack holds exactly the lone samples.  The
@@ -320,11 +339,11 @@ class Sampler:
         for start in range(0, len(indices), step):
             rngs = self.generators(stream, indices[start:start + step])
             m = self._draw(rngs)
-            norm = schatten_norm(m, self.p)
+            norm = _norm(m, self.p)
             low = np.flatnonzero(norm < self.min_norm)
             while low.size:
                 m[low] = self._draw([rngs[j] for j in low])
-                norm[low] = schatten_norm(m[low], self.p)
+                norm[low] = _norm(m[low], self.p)
                 low = low[norm[low] < self.min_norm]
             np.divide(m, norm[:, None, None], out=out[start:start + step])
         return out if np.ndim(index) else out[0]
@@ -470,11 +489,11 @@ def _spec_scorer(ratio):
     """Scorer factory of ``ratio(ev, norm, x, ix)`` over the specs of a context.
 
     ``ev(m)`` evaluates the context's spec and ``ev(m, key)`` the one in
-    ``context[key]``; ``norm(m, p)`` is the Schatten p-norm of an input;
-    ``ix`` maps each index name to its value.  Given the chunk the inputs
-    come from, both are chunk terms, keyed by what they compute (the spec
-    document and the tolerances, or the index), so every scorer of the
-    chunk reads one value.
+    ``context[key]``; ``norm(m, p)`` is ``_norm``, the Schatten p-norm,
+    of an input; ``ix`` maps each index name to its value.  Given the
+    chunk the inputs come from, both are chunk terms, keyed by what they
+    compute (the spec document and the tolerances, or the index), so every
+    scorer of the chunk reads one value.
     """
 
     def scorer(ctx, tol):
@@ -493,7 +512,7 @@ def _spec_scorer(ratio):
                                   lambda: evaluate(specs[key], m, tol))
 
             def norm(m, p):
-                return chunk.term(("schatten_norm", p), m, lambda: schatten_norm(m, p))
+                return chunk.term(("norm", p), m, lambda: _norm(m, p))
 
             return ratio(ev, norm, x, ix)
         return score
@@ -521,25 +540,25 @@ def _defect_ratio(kind):
             a, b = x["a"], x["b"]
             defect = ev(a @ f @ b) - a @ ev(f) @ b
             denom = norm(a, math.inf) * norm(f, p) * norm(b, math.inf)
-        return schatten_norm(defect, ix["q"]) / denom
+        return _norm(defect, ix["q"]) / denom
     return ratio
 
 
 def _distance_ratio(ev, norm, x, ix):
     f = x["f"]
-    return schatten_norm(ev(f) - ev(f, "spec_b"), ix["q"]) / norm(f, ix["p"])
+    return _norm(ev(f) - ev(f, "spec_b"), ix["q"]) / norm(f, ix["p"])
 
 
 def _covariant_ratio(ev, norm, x, ix):
     g, f = x["g"], x["f"]
     defect = ev(g @ f) - ev(g, "candidate") @ f
-    return schatten_norm(defect, ix["q"]) / (norm(g, ix["p2"]) * norm(f, ix["s"]))
+    return _norm(defect, ix["q"]) / (norm(g, ix["p2"]) * norm(f, ix["s"]))
 
 
 def _contravariant_ratio(ev, norm, x, ix):
     g, f = x["g"], x["f"]
     defect = g @ ev(f) + ev(g, "candidate") @ f
-    return schatten_norm(defect, ix["r"]) / (norm(g, ix["q2"]) * norm(f, ix["p"]))
+    return _norm(defect, ix["r"]) / (norm(g, ix["q2"]) * norm(f, ix["p"]))
 
 
 def _mats_to_witness(x, tol):
@@ -818,7 +837,7 @@ def fit_morphism(spec: CentralizerSpec, side: str, samples, q: float,
     ratios = []
     for fc, y in zip(chunks, values):
         approx = fc @ morph if side == "left" else morph @ fc
-        ratios += (schatten_norm(y - approx, q) / schatten_norm(fc, p)).tolist()
+        ratios += (_norm(y - approx, q) / _norm(fc, p)).tolist()
     ratios = tuple(ratios)
     return FitResult(matrix=morph, residual=max(ratios), side=side,
                      rank_deficient=rank_deficient, ratios=ratios)

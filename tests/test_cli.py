@@ -480,6 +480,33 @@ def test_replay_infinite_atol_accepts(tmp_path, capsys):
     assert out["ok"] and out["delta"] == 0.0
 
 
+def test_replay_refuses_value_unlike_its_witness(tmp_path, capsys):
+    path = write_config(tmp_path, constants_config(tmp_path))
+    assert main(["run", str(path)]) == 0
+    capsys.readouterr()
+    report = tmp_path / "out" / "report.json"
+    doc = read_json(report)
+    rep = doc["reports"][0]
+    assert rep["value"] == rep["witness"]["ratio"]
+    rep["value"] = math.nextafter(rep["value"], math.inf)  # one ulp off
+    report.write_text(json.dumps(doc))
+    assert main(["replay", str(report), "--atol", "inf"]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "replay" and "witness ratio" in err["message"]
+
+
+def test_replay_accepts_gamma_mean_unlike_its_witness(tmp_path, capsys):
+    doc = {"experiment": "gamma", "operator": {"kind": "identity", "k": 4},
+           "seed": 5, "samples": 200, "output": str(tmp_path / "gamma")}
+    assert main(["run", str(write_config(tmp_path, doc))]) == 0
+    capsys.readouterr()
+    report = tmp_path / "gamma" / "report.json"
+    rep = read_json(report)["reports"][0]
+    assert rep["value"] != rep["witness"]["ratio"]  # a mean, not a max
+    assert main(["replay", str(report), "--atol", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+
+
 def test_constants_duplicated_kind_keeps_rows_and_reports(tmp_path):
     out = run_config(parse_config(constants_config(
         tmp_path, kinds=["Q", "L", "Q"], dims=[4, 6])))

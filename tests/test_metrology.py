@@ -18,7 +18,8 @@ from schatlab.centralizers import (
     SumSpec,
     evaluate,
 )
-from schatlab.matcore import DEFAULT_TOL, InputError, NumericError, as_matrix, schatten_norm
+from schatlab.matcore import (DEFAULT_TOL, InputError, NumericError, as_matrix, rank_one,
+                              schatten_norm)
 from schatlab.metrology import (
     STREAM_LEFT,
     STREAM_PRIMARY,
@@ -37,7 +38,7 @@ from schatlab.metrology import (
     reevaluate_witness,
 )
 import schatlab.metrology as metrology
-from schatlab.metrology import _pcg64_generators
+from schatlab.metrology import _norm, _pcg64_generators
 from schatlab.twisted import _draw_pairs, quasinorm_modulus_probe
 from conftest import SEED, complex_matrix, haar_unitary
 
@@ -237,6 +238,70 @@ def test_chunk_terms_are_kept_for_drawn_stacks_only():
     assert chunk.term("t", f.copy(), make) == 6
 
 
+# --- the estimators' norm rule ------------------------------------------------
+
+
+def _norm_cases():
+    rng = np.random.default_rng(SEED)
+    low_rank = complex_matrix(rng, 6, 2) @ complex_matrix(rng, 2, 6)
+    one = rank_one(complex_matrix(rng, 1, 5)[0], complex_matrix(rng, 1, 5)[0])
+    return {
+        "square": complex_matrix(rng, 6),
+        "wide": complex_matrix(rng, 3, 7),
+        "tall": complex_matrix(rng, 7, 3),
+        "stack": np.stack([complex_matrix(rng, 5, 3) for _ in range(4)]),
+        "zero": np.zeros((5, 5), dtype=complex),
+        "rank_deficient": low_rank,
+        "rank_one": one,
+        "huge": 1e150 * complex_matrix(rng, 4),
+        "tiny": 1e-150 * complex_matrix(rng, 4),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_norm_cases()))
+def test_hilbert_schmidt_norm_matches_svd_oracle(case):
+    m = _norm_cases()[case]
+    got, want = _norm(m, 2.0), schatten_norm(m, 2.0)
+    assert np.shape(got) == np.shape(want)
+    assert np.all(np.abs(np.subtract(got, want)) <= 1e-12 * np.abs(want))
+
+
+def test_hilbert_schmidt_norm_edges_match_svd_oracle():
+    # both routes square their inputs: 1e200 overflows, 1e-200 underflows
+    for scale, edge in ((1e200, math.inf), (1e-200, 0.0)):
+        m = scale * np.ones((3, 3), dtype=complex)
+        with np.errstate(over="ignore"):
+            assert _norm(m, 2.0) == schatten_norm(m, 2.0) == edge
+    empty = _norm(np.zeros((0, 4, 4), dtype=complex), 2.0)
+    assert empty.shape == (0,)
+    assert _norm(np.zeros((2, 0, 0), dtype=complex), 2.0).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, math.inf])
+def test_norm_rule_is_schatten_norm_off_two(p):
+    for case, m in _norm_cases().items():
+        assert np.array_equal(_norm(m, p), schatten_norm(m, p)), case
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_shared_pass_takes_no_svd_for_s2_norms(monkeypatch, n):
+    # per chunk at p = 2: one SVD per spec evaluation (f + g, f, g, a f,
+    # f a, a f b) and per operator norm (|a|_inf, |b|_inf), none for an S^2
+    # norm; then one frame check per report
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    step = metrology.CHUNK_ENTRIES // n**2
+    estimate_constants(KPBicentralizer("s", 2.0), list(KINDS),
+                       Sampler(seed=SEED, dim=n, p=2.0, tag="ginibre"), step + 1)
+    assert len(calls) == 8 * 2 + len(KINDS)
+
+
 # --- estimate_constant -------------------------------------------------------
 
 
@@ -325,27 +390,27 @@ def _looped_ratio(spec, kind, sampler, i, q, other=None, index=None):
     p = sampler.p
     if kind == "distance":
         f = sampler.unit_sphere(i, STREAM_PRIMARY)
-        return schatten_norm(evaluate(spec, f) - evaluate(other, f), q) / schatten_norm(f, p)
+        return _norm(evaluate(spec, f) - evaluate(other, f), q) / _norm(f, p)
     if kind == "covariant":
         p2 = 1.0 / (1.0 / p - 1.0 / index)
         g = replace(sampler, p=p2).unit_sphere(i, STREAM_PRIMARY)
         f = replace(sampler, p=index).unit_sphere(i, STREAM_SECONDARY)
         defect = evaluate(spec, g @ f) - evaluate(other, g) @ f
-        return schatten_norm(defect, q) / (schatten_norm(g, p2) * schatten_norm(f, index))
+        return _norm(defect, q) / (_norm(g, p2) * _norm(f, index))
     if kind == "contravariant":
         q2 = 1.0 / (1.0 / index - 1.0 / q)
         g = replace(sampler, p=q2).unit_sphere(i, STREAM_PRIMARY)
         f = sampler.unit_sphere(i, STREAM_SECONDARY)
         defect = g @ evaluate(spec, f) + evaluate(other, g) @ f
-        return schatten_norm(defect, index) / (schatten_norm(g, q2) * schatten_norm(f, p))
+        return _norm(defect, index) / (_norm(g, q2) * _norm(f, p))
     f = sampler.unit_sphere(i, STREAM_PRIMARY)
     if kind == "Q":
         g = sampler.unit_sphere(i, STREAM_SECONDARY)
         defect = evaluate(spec, f + g) - evaluate(spec, f) - evaluate(spec, g)
-        denom = schatten_norm(f, p) + schatten_norm(g, p)
+        denom = _norm(f, p) + _norm(g, p)
     else:
         a = sampler.contraction(i, STREAM_RIGHT if kind == "R" else STREAM_LEFT)
-        denom = schatten_norm(a, math.inf) * schatten_norm(f, p)
+        denom = _norm(a, math.inf) * _norm(f, p)
         if kind == "L":
             defect = evaluate(spec, a @ f) - a @ evaluate(spec, f)
         elif kind == "R":
@@ -353,8 +418,8 @@ def _looped_ratio(spec, kind, sampler, i, q, other=None, index=None):
         else:
             b = sampler.contraction(i, STREAM_RIGHT)
             defect = evaluate(spec, a @ f @ b) - a @ evaluate(spec, f) @ b
-            denom = denom * schatten_norm(b, math.inf)
-    return schatten_norm(defect, q) / denom
+            denom = denom * _norm(b, math.inf)
+    return _norm(defect, q) / denom
 
 
 def _looped_estimate(spec, kind, sampler, n_samples, q, other=None, index=None):
@@ -821,7 +886,7 @@ def _looped_fit(spec, side, samples, q, p, tol=DEFAULT_TOL):
     ratios = []
     for f, y in zip(mats, values):
         approx = f @ morph if side == "left" else morph @ f
-        ratios.append(schatten_norm(y - approx, q) / schatten_norm(f, p))
+        ratios.append(_norm(y - approx, q) / _norm(f, p))
     return morph, tuple(ratios), max(ratios), rank_deficient
 
 
