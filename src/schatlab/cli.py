@@ -231,21 +231,10 @@ def _cmd_replay(args) -> int:
         return 2
     try:
         doc = read_json(args.report)
-        reports = doc.get("reports", [])
-        if not reports:
-            _emit_error({"type": "replay", "message": "report has no witnesses"})
-            return 2
+        reports = doc.get("reports", []) if isinstance(doc, dict) else []
         if not 0 <= args.index < len(reports):
-            _emit_error({"type": "replay",
-                         "message": f"index {args.index} out of range"})
-            return 2
+            raise InputError(f"index {args.index} out of range of {len(reports)} reports")
         rep = EstimateReport.from_doc(reports[args.index])
-        # a max report's value is its witness's ratio; gamma's is a mean
-        if rep.kind != "gamma" and float(rep.witness["ratio"]) != rep.value:
-            _emit_error({"type": "replay",
-                         "message": f"witness ratio {rep.witness['ratio']!r} differs "
-                                    f"from the report value {rep.value!r}"})
-            return 2
         recomputed = reevaluate_witness(rep)
     except (OSError, json.JSONDecodeError, KeyError, InputError) as exc:
         _emit_error({"type": "replay", "message": str(exc)})

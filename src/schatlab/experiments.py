@@ -438,31 +438,20 @@ def _run_modulus(cfg: ExperimentConfig) -> dict:
         n_samples=cfg.samples, slot=cfg.slot, tol=tol)])
 
 
-EXPERIMENTS: dict[str, Experiment] = {}
-
-
-def _register(name, describe, validate, execute):
-    EXPERIMENTS[name] = Experiment(name, describe, validate, execute)
-
-
-_register("constants",
-          "measure defect constants (Q, L, R, B) of a spec per dimension",
-          _validate_constants, _run_growth)
-_register("growth",
-          "dimension sweep of constants, fit residuals or the sequence witness",
-          _validate_growth, _run_growth)
-_register("gamma",
-          "Monte Carlo Gaussian-average norm of an operator given by columns",
-          _gamma_table, _run_gamma)
-_register("distance",
-          "largest sampled gap between two specs, per dimension",
-          _validate_distance, _run_distance)
-_register("splitting",
-          "distance to module morphisms per dimension (triviality probe)",
-          _validate_splitting, _run_splitting)
-_register("modulus",
-          "empirical concavity modulus of a twisted quasinorm",
-          _validate_modulus, _run_modulus)
+EXPERIMENTS: dict[str, Experiment] = {exp.name: exp for exp in (
+    Experiment("constants", "measure defect constants (Q, L, R, B) of a spec per dimension",
+               _validate_constants, _run_growth),
+    Experiment("growth", "dimension sweep of constants, fit residuals or the sequence witness",
+               _validate_growth, _run_growth),
+    Experiment("gamma", "Monte Carlo Gaussian-average norm of an operator given by columns",
+               _gamma_table, _run_gamma),
+    Experiment("distance", "largest sampled gap between two specs, per dimension",
+               _validate_distance, _run_distance),
+    Experiment("splitting", "distance to module morphisms per dimension (triviality probe)",
+               _validate_splitting, _run_splitting),
+    Experiment("modulus", "empirical concavity modulus of a twisted quasinorm",
+               _validate_modulus, _run_modulus),
+)}
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:

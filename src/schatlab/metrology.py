@@ -5,7 +5,7 @@ from a generator keyed by (seed, stream, i), so runs are bit-reproducible,
 prefixes are stable when the sample count grows, and partitioning the
 stream across workers cannot change the result.  Reported values are
 maxima over the stream, hence lower bounds on the true suprema; each
-report carries the witness sample so the value can be re-derived.
+report names the witness sample so the value can be re-derived.
 
 Estimates that read the same stream share one pass over it.  Sample i of
 an input stream is the same matrix for every report kind that reads it:
@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
@@ -378,8 +378,8 @@ class EstimateReport:
 
     ``value`` is the largest defect ratio seen along the stream (a lower
     bound on the true supremum, never an upper bound).  ``witness`` holds
-    the serialized inputs of the maximizing sample together with enough
-    context to re-derive the ratio.
+    the maximizing sample's ``index`` and ``ratio``, and the seed and
+    ``context`` re-draw it; modulus and gamma witnesses also hold its inputs.
     """
 
     kind: str
@@ -421,16 +421,22 @@ class EstimateReport:
 
 _KIND_NOTE = "max over samples; lower bound of the true supremum"
 
-# inputs of each estimate kind: (name, sampler method, stream); kinds that
-# read the same (method, stream) share its stack in one pass
+# inputs of each sampler-drawn report kind: (name, sampler method, stream,
+# context key of the index, which a contraction ignores); kinds that read
+# the same input share its stack in one pass
 _KIND_INPUTS = {
-    "Q": (("f", "unit_sphere", STREAM_PRIMARY), ("g", "unit_sphere", STREAM_SECONDARY)),
-    "L": (("a", "contraction", STREAM_LEFT), ("f", "unit_sphere", STREAM_PRIMARY)),
-    "R": (("a", "contraction", STREAM_RIGHT), ("f", "unit_sphere", STREAM_PRIMARY)),
-    "B": (("a", "contraction", STREAM_LEFT), ("b", "contraction", STREAM_RIGHT),
-          ("f", "unit_sphere", STREAM_PRIMARY)),
+    "Q": (("f", "unit_sphere", STREAM_PRIMARY, "p"), ("g", "unit_sphere", STREAM_SECONDARY, "p")),
+    "L": (("a", "contraction", STREAM_LEFT, "p"), ("f", "unit_sphere", STREAM_PRIMARY, "p")),
+    "R": (("a", "contraction", STREAM_RIGHT, "p"), ("f", "unit_sphere", STREAM_PRIMARY, "p")),
+    "B": (("a", "contraction", STREAM_LEFT, "p"), ("b", "contraction", STREAM_RIGHT, "p"),
+          ("f", "unit_sphere", STREAM_PRIMARY, "p")),
+    "distance": (("f", "unit_sphere", STREAM_PRIMARY, "p"),),
+    "covariant": (("g", "unit_sphere", STREAM_PRIMARY, "p2"),
+                  ("f", "unit_sphere", STREAM_SECONDARY, "s")),
+    "contravariant": (("g", "unit_sphere", STREAM_PRIMARY, "q2"),
+                      ("f", "unit_sphere", STREAM_SECONDARY, "p")),
 }
-ESTIMATE_KINDS = tuple(_KIND_INPUTS)
+ESTIMATE_KINDS = ("Q", "L", "R", "B")
 
 # estimators score their stream in chunks of about this many entries per
 # input matrix or vector: stacks amortize the per-call cost at small sizes.
@@ -561,33 +567,54 @@ def _contravariant_ratio(ev, norm, x, ix):
     return _norm(defect, ix["r"]) / (norm(g, ix["q2"]) * norm(f, ix["p"]))
 
 
-def _mats_to_witness(x, tol):
-    return {"inputs": {name: mat_to_json(m) for name, m in x.items()}}
+def _recipe(kind: str, context: dict, seed: int):
+    """``draw(chunk)`` of a sampler-drawn kind from a report's seed and context
+    alone: the inputs of the samples ``chunk.indices``, as stacks keyed by
+    name.  Measurement and replay both draw through it."""
+    samplers = {ix: Sampler(seed=seed, dim=context["dim"], p=context[ix], tag=context["tag"],
+                            min_norm=context.get("min_norm", Sampler.min_norm))
+                for *_, ix in _KIND_INPUTS[kind]}
+    # keyed by what draws it, a stack is shared by the jobs of a pass
+    return lambda chunk: {
+        name: chunk.draw((method, stream, samplers[ix]),
+                         partial(getattr(samplers[ix], method), chunk.indices, stream))
+        for name, method, stream, ix in _KIND_INPUTS[kind]}
 
 
-def _mats_from_witness(witness):
-    return {name: mat_from_json(doc)[None] for name, doc in witness["inputs"].items()}
+def _redraw(report: EstimateReport) -> dict:
+    """The witness sample of a sampler-drawn report, re-drawn as one-sample
+    stacks.  Inputs a witness still stores, as reports written before
+    witnesses kept their index alone do, must be that sample bit for bit."""
+    i = report.witness["index"]
+    if not (isinstance(i, int) and 0 <= i < report.samples):
+        raise InputError(f"witness index {i!r} is not a sample of the report's stream")
+    x = _recipe(report.kind, report.context, report.seed)(_Chunk(range(i, i + 1)))
+    stored = report.witness.get("inputs")
+    # float reprs round-trip, so equal JSON is equal bits, signed zeros included
+    if stored is not None and json.dumps(stored, sort_keys=True) != json.dumps(
+            {name: mat_to_json(m[0]) for name, m in x.items()}, sort_keys=True):
+        raise InputError(f"witness inputs are not sample {i} of the report's stream")
+    return x
 
 
 def _defect_witness(x, tol):
-    return {**_mats_to_witness(x, tol), "frame_ambiguous": frame_ambiguous(x["f"], tol)}
+    return {"frame_ambiguous": frame_ambiguous(x["f"], tol)}
 
 
 # report kind -> (scorer, encode, decode).  ``scorer(context, tol)`` turns a
 # report's context into its chunk scorer, ``score(inputs, chunk=None)`` ->
 # one ratio per sample, which may share terms of the chunk's drawn stacks
 # with the other scorers of that chunk; ``encode(inputs, tol)`` gives the
-# witness fields of one sample's inputs and ``decode(witness)`` turns them
-# back into a one-sample stack.
+# witness fields of one sample's inputs and ``decode(report)`` gives its
+# witness's inputs as a one-sample stack: ``_redraw`` draws them again.
 # Measurement and replay build the scorer from the same context, so a
 # replayed witness cannot drift from its measurement.
 REPORT_KINDS: dict[str, tuple] = {
-    **{kind: (_spec_scorer(_defect_ratio(kind)), _defect_witness, _mats_from_witness)
-       for kind in _KIND_INPUTS},
-    "distance": (_spec_scorer(_distance_ratio), _mats_to_witness, _mats_from_witness),
-    "covariant": (_spec_scorer(_covariant_ratio), _mats_to_witness, _mats_from_witness),
-    "contravariant": (_spec_scorer(_contravariant_ratio), _mats_to_witness,
-                      _mats_from_witness),
+    **{kind: (_spec_scorer(_defect_ratio(kind)), _defect_witness, _redraw)
+       for kind in ESTIMATE_KINDS},
+    **{kind: (_spec_scorer(ratio), lambda x, tol: {}, _redraw)
+       for kind, ratio in (("distance", _distance_ratio), ("covariant", _covariant_ratio),
+                           ("contravariant", _contravariant_ratio))},
 }
 
 
@@ -602,11 +629,11 @@ def max_over_stream(jobs, sampler: Sampler, n_samples: int,
     jobs read one ``_Chunk`` at a time, of ``CHUNK_ENTRIES`` entries of one
     input (``dim`` per vector of a "vec" slot, else ``dim**2``), so a stack
     or a term they share is made once per chunk.  Each job keeps its own
-    first strict maximum, and NaN never wins; only its winner is
-    serialized.  A job whose chunk fails is rescored sample by sample, so
-    its error names the failing sample; the jobs listed after it stop, and
-    the error raised is that of the first listed job that fails, as if the
-    jobs had run one after another.  One report per job, in job order.
+    first strict maximum, and NaN never wins; only its winner is encoded.
+    A job whose chunk fails is rescored sample by sample, so its error
+    names the failing sample; the jobs listed after it stop, and the error
+    raised is that of the first listed job that fails, as if the jobs had
+    run one after another.  One report per job, in job order.
     """
     if n_samples < 1:
         raise InputError("need at least one sample")
@@ -655,6 +682,16 @@ def max_over_stream(jobs, sampler: Sampler, n_samples: int,
     return reports
 
 
+def _sampled(kinds, context: dict, sampler: Sampler, n_samples: int,
+             tol: Tolerances, note: str = _KIND_NOTE) -> list[EstimateReport]:
+    """``max_over_stream`` of sampler-drawn kinds, each job drawn by its
+    kind's recipe from ``context`` and the sampler's stream."""
+    context = {**context, "dim": sampler.dim, "tag": sampler.tag,
+               "min_norm": sampler.min_norm}
+    return max_over_stream([(kind, dict(context), _recipe(kind, context, sampler.seed))
+                            for kind in kinds], sampler, n_samples, tol, note)
+
+
 def estimate_constants(spec: CentralizerSpec, kinds, sampler: Sampler,
                        n_samples: int, p: float | None = None,
                        q: float | None = None,
@@ -669,21 +706,11 @@ def estimate_constants(spec: CentralizerSpec, kinds, sampler: Sampler,
     the error the kinds would raise one after another.
     """
     for kind in kinds:
-        if kind not in _KIND_INPUTS:
+        if kind not in ESTIMATE_KINDS:
             raise InputError(f"unknown estimate kind {kind!r}; known: {ESTIMATE_KINDS}")
     p, q = _resolve_indices(spec, p, q)
-    sampler = replace(sampler, p=p)
-    context = {"p": p, "q": q, "dim": sampler.dim, "tag": sampler.tag,
-               "spec": spec_to_doc(spec)}
-
-    def draw(kind):
-        return lambda chunk: {
-            name: chunk.draw((method, stream),
-                             partial(getattr(sampler, method), chunk.indices, stream))
-            for name, method, stream in _KIND_INPUTS[kind]}
-
-    return max_over_stream([(kind, dict(context), draw(kind)) for kind in kinds],
-                           sampler, n_samples, tol, note=_KIND_NOTE + _guarantee_note(spec))
+    return _sampled(kinds, {"p": p, "q": q, "spec": spec_to_doc(spec)}, sampler,
+                    n_samples, tol, _KIND_NOTE + _guarantee_note(spec))
 
 
 def estimate_constant(spec: CentralizerSpec, kind: str, sampler: Sampler,
@@ -706,21 +733,25 @@ def distance_estimate(a: CentralizerSpec, b: CentralizerSpec, sampler: Sampler,
                       tol: Tolerances = DEFAULT_TOL) -> EstimateReport:
     """Largest sampled |a(f) - b(f)|_q / |f|_p; evidence of (in)equivalence."""
     p, q = _resolve_indices(a, p, q)
-    sampler = replace(sampler, p=p)
-    return max_over_stream(
-        [("distance", {"p": p, "q": q, "dim": sampler.dim, "tag": sampler.tag,
-                       "spec": spec_to_doc(a), "spec_b": spec_to_doc(b)},
-          lambda chunk: {"f": sampler.unit_sphere(chunk.indices, STREAM_PRIMARY)})],
-        sampler, n_samples, tol, note=_KIND_NOTE + _guarantee_note(a))[0]
+    return _sampled(("distance",), {"p": p, "q": q, "spec": spec_to_doc(a),
+                                    "spec_b": spec_to_doc(b)},
+                    sampler, n_samples, tol, _KIND_NOTE + _guarantee_note(a))[0]
 
 
 def reevaluate_witness(report: EstimateReport,
                        tol: Tolerances = DEFAULT_TOL) -> float:
-    """Recompute the witness ratio of a report from its serialized inputs."""
+    """Recompute the witness ratio of a report: sampler-drawn kinds re-draw
+    sample ``witness.index``, modulus and gamma rescore their serialized
+    inputs.  A witness ratio unlike the value is refused, but for gamma's
+    (its value is a mean)."""
     if report.kind not in REPORT_KINDS:
         raise InputError(f"cannot replay report of kind {report.kind!r}")
+    ratio = report.witness.get("ratio")
+    if report.kind != "gamma" and ratio != report.value:
+        raise InputError(f"witness ratio {ratio!r} differs from the report value "
+                         f"{report.value!r}")
     scorer, _, decode = REPORT_KINDS[report.kind]
-    return float(scorer(report.context, tol)(decode(report.witness))[0])
+    return float(scorer(report.context, tol)(decode(report))[0])
 
 
 def _split_index(total: float, part: float) -> float:
@@ -732,11 +763,6 @@ def _split_index(total: float, part: float) -> float:
     if inv < 0.0:
         raise InputError(f"index split 1/{total} - 1/{part} is negative")
     return math.inf if inv == 0.0 else 1.0 / inv
-
-
-def _companion_draw(g_sampler, f_sampler):
-    return lambda chunk: {"g": g_sampler.unit_sphere(chunk.indices, STREAM_PRIMARY),
-                          "f": f_sampler.unit_sphere(chunk.indices, STREAM_SECONDARY)}
 
 
 def covariant_defect(spec: CentralizerSpec, candidate: CentralizerSpec,
@@ -753,12 +779,10 @@ def covariant_defect(spec: CentralizerSpec, candidate: CentralizerSpec,
     p1, q1 = _resolve_indices(spec, p1, q1)
     s = validate_index(s)
     p2 = _split_index(p1, s)
-    return max_over_stream(
-        [("covariant", {"p": p1, "q": q1, "s": s, "p2": p2,
-                        "dim": sampler.dim, "tag": sampler.tag,
-                        "spec": spec_to_doc(spec), "candidate": spec_to_doc(candidate)},
-          _companion_draw(replace(sampler, p=p2), replace(sampler, p=s)))],
-        sampler, n_samples, tol)[0]
+    return _sampled(("covariant",), {"p": p1, "q": q1, "s": s, "p2": p2,
+                                     "spec": spec_to_doc(spec),
+                                     "candidate": spec_to_doc(candidate)},
+                    sampler, n_samples, tol)[0]
 
 
 def contravariant_defect(spec: CentralizerSpec, candidate: CentralizerSpec,
@@ -773,12 +797,10 @@ def contravariant_defect(spec: CentralizerSpec, candidate: CentralizerSpec,
     p1, q1 = _resolve_indices(spec, p1, q1)
     r = validate_index(r)
     q2 = _split_index(r, q1)
-    return max_over_stream(
-        [("contravariant", {"p": p1, "q": q1, "r": r, "q2": q2,
-                            "dim": sampler.dim, "tag": sampler.tag,
-                            "spec": spec_to_doc(spec), "candidate": spec_to_doc(candidate)},
-          _companion_draw(replace(sampler, p=q2), replace(sampler, p=p1)))],
-        sampler, n_samples, tol)[0]
+    return _sampled(("contravariant",), {"p": p1, "q": q1, "r": r, "q2": q2,
+                                         "spec": spec_to_doc(spec),
+                                         "candidate": spec_to_doc(candidate)},
+                    sampler, n_samples, tol)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -881,7 +903,7 @@ def _gamma_scorer(ctx, tol):
 REPORT_KINDS["gamma"] = (
     _gamma_scorer,
     lambda g, tol: {"inputs_gaussian": vec_to_json(g)},
-    lambda witness: vec_from_json(witness["inputs_gaussian"])[None],
+    lambda report: vec_from_json(report.witness["inputs_gaussian"])[None],
 )
 
 

@@ -150,9 +150,9 @@ def _pairs_to_witness(x, tol) -> dict:
                        for name, (g, f) in x.items()}}
 
 
-def _pairs_from_witness(witness) -> dict:
+def _pairs_from_witness(report) -> dict:
     return {name: np.stack([_SLOTS[doc["slot"]][1](doc[k]) for k in "gf"])[None]
-            for name, doc in witness["inputs"].items()}
+            for name, doc in report.witness["inputs"].items()}
 
 
 def _modulus_scorer(ctx, tol):

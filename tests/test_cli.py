@@ -8,6 +8,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from schatlab.cli import list_builtins, main, run_config
 from schatlab.experiments import ConfigError, parse_config
 from schatlab.ioutil import read_csv, read_json
+from schatlab.matcore import mat_to_json
+from schatlab.metrology import STREAM_LEFT, STREAM_PRIMARY, STREAM_RIGHT, STREAM_SECONDARY, Sampler
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -461,6 +463,15 @@ def test_replay_bad_index(tmp_path, capsys):
                  "--index", "5"]) == 2
 
 
+@pytest.mark.parametrize("text", ["[]", "{}", '{"reports": []}', "3"])
+def test_replay_refuses_a_file_without_reports(tmp_path, capsys, text):
+    report = tmp_path / "report.json"
+    report.write_text(text)
+    assert main(["replay", str(report)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "replay" and "out of range of 0 reports" in err["message"]
+
+
 @pytest.mark.parametrize("atol", ["nan", "-1"])
 def test_replay_refuses_bad_atol(tmp_path, capsys, atol):
     path = write_config(tmp_path, constants_config(tmp_path))
@@ -493,6 +504,55 @@ def test_replay_refuses_value_unlike_its_witness(tmp_path, capsys):
     assert main(["replay", str(report), "--atol", "inf"]) == 2
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "replay" and "witness ratio" in err["message"]
+
+
+def test_replay_index_only_witnesses(tmp_path, capsys):
+    doc = constants_config(tmp_path, kinds=["Q", "L", "R", "B"])
+    assert main(["run", str(write_config(tmp_path, doc))]) == 0
+    capsys.readouterr()
+    report = tmp_path / "out" / "report.json"
+    for rep in read_json(report)["reports"]:
+        assert "inputs" not in rep["witness"] and rep["context"]["min_norm"] == 1e-8
+    for i in range(4):
+        assert main(["replay", str(report), "--index", str(i), "--atol", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"]
+
+
+def _with_stored_inputs(doc):
+    """A report as written before witnesses kept their index alone: each
+    witness carries its sample's inputs, and the context no min_norm."""
+    for rep in doc["reports"]:
+        ctx, i = rep["context"], rep["witness"]["index"]
+        del ctx["min_norm"]
+        sampler = Sampler(seed=rep["seed"], dim=ctx["dim"], p=ctx["p"], tag=ctx["tag"])
+        inputs = {"f": sampler.unit_sphere(i, STREAM_PRIMARY),
+                  "Q": {"g": sampler.unit_sphere(i, STREAM_SECONDARY)},
+                  "L": {"a": sampler.contraction(i, STREAM_LEFT)},
+                  "R": {"a": sampler.contraction(i, STREAM_RIGHT)},
+                  "B": {"a": sampler.contraction(i, STREAM_LEFT),
+                        "b": sampler.contraction(i, STREAM_RIGHT)}}
+        stored = {"f": inputs["f"], **inputs[rep["kind"]]}
+        rep["witness"]["inputs"] = {name: mat_to_json(m) for name, m in stored.items()}
+    return doc
+
+
+def test_replay_checks_stored_witness_inputs(tmp_path, capsys):
+    doc = constants_config(tmp_path, kinds=["Q", "L", "R", "B"], tag="rank_one")
+    assert main(["run", str(write_config(tmp_path, doc))]) == 0
+    capsys.readouterr()
+    report = tmp_path / "out" / "report.json"
+    old = _with_stored_inputs(read_json(report))
+    report.write_text(json.dumps(old))
+    for i in range(4):
+        assert main(["replay", str(report), "--index", str(i), "--atol", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"]
+    for i, rep in enumerate(old["reports"]):
+        entry = rep["witness"]["inputs"]["f"]["re"]
+        entry[5] = math.nextafter(entry[5], -math.inf)  # one ulp off
+        report.write_text(json.dumps(old))
+        assert main(["replay", str(report), "--index", str(i), "--atol", "inf"]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "replay" and "not sample" in err["message"]
 
 
 def test_replay_accepts_gamma_mean_unlike_its_witness(tmp_path, capsys):

@@ -18,8 +18,8 @@ from schatlab.centralizers import (
     SumSpec,
     evaluate,
 )
-from schatlab.matcore import (DEFAULT_TOL, InputError, NumericError, as_matrix, rank_one,
-                              schatten_norm)
+from schatlab.matcore import (DEFAULT_TOL, InputError, NumericError, as_matrix, mat_to_json,
+                              rank_one, schatten_norm)
 from schatlab.metrology import (
     STREAM_LEFT,
     STREAM_PRIMARY,
@@ -735,6 +735,142 @@ def test_replay_reproduces_every_report_kind_bitwise(kind, tag):
     again = EstimateReport.from_doc(json.loads(json.dumps(rep.to_doc())))
     expected = rep.witness["ratio"] if rep.kind == "gamma" else rep.value
     assert reevaluate_witness(again) == expected
+
+
+# --- index-only witnesses: replay re-draws the sample -------------------------
+
+RECIPE_KINDS = (*KINDS, *_PAIR_KINDS)
+
+
+def _recorded_ratios(monkeypatch, measure):
+    """Reports of ``measure()``, and the ratio its pass scored for every
+    (kind, sample index), chunk by chunk, with the chunk count."""
+    seen, chunks = {}, set()
+    for kind in RECIPE_KINDS:
+        scorer, encode, decode = metrology.REPORT_KINDS[kind]
+
+        def recording(ctx, tol, kind=kind, scorer=scorer):
+            score = scorer(ctx, tol)
+
+            def scored(x, chunk=None):
+                ratios = score(x, chunk)
+                if chunk is not None:
+                    chunks.add(chunk.indices.start)
+                    seen.update({(kind, i): r for i, r in zip(chunk.indices, ratios)})
+                return ratios
+            return scored
+        monkeypatch.setitem(metrology.REPORT_KINDS, kind, (recording, encode, decode))
+    reports = measure()
+    monkeypatch.undo()
+    return reports, seen, len(chunks)
+
+
+@pytest.mark.parametrize("n", [1, 5, 8])
+@pytest.mark.parametrize("tag", TAGS)
+def test_every_sample_redraws_to_its_chunked_ratio(monkeypatch, n, tag):
+    # chunks of 4 samples: the 10-sample stream spans 3 of them
+    monkeypatch.setattr(metrology, "CHUNK_ENTRIES", 4 * n**2)
+    spec, n_samples = KPBicentralizer("s", 2.0), 10
+    sampler = Sampler(seed=SEED, dim=n, p=2.0, tag=tag)
+
+    def measure():
+        return [*estimate_constants(spec, list(KINDS), sampler, n_samples),
+                *(_pair_estimate(spec, kind, sampler, n_samples)[0] for kind in _PAIR_KINDS)]
+
+    reports, seen, chunks = _recorded_ratios(monkeypatch, measure)
+    assert chunks == 3
+    assert [rep.kind for rep in reports] == list(RECIPE_KINDS)
+    for rep in reports:
+        assert set(rep.witness) <= {"index", "ratio", "frame_ambiguous"}, rep.kind
+        doc = json.loads(json.dumps(rep.to_doc()))
+        for i in range(n_samples):
+            ratio = seen[rep.kind, i]
+            assert not math.isnan(ratio)
+            doc.update(value=ratio, witness={**doc["witness"], "index": i, "ratio": ratio})
+            assert reevaluate_witness(EstimateReport.from_doc(doc)) == ratio, (rep.kind, i)
+
+
+@pytest.mark.parametrize("tag", ["rank_one", "sparse"])
+def test_replay_redraws_with_the_sampler_min_norm(tag):
+    # a threshold at the 90th percentile of first-draw norms redraws most samples
+    norms = [_norm(Sampler(seed=2, dim=5, p=2.0, tag=tag).raw(i), 2.0) for i in range(30)]
+    min_norm = float(np.quantile(norms, 0.9))
+    sampler = Sampler(seed=2, dim=5, p=2.0, tag=tag, min_norm=min_norm)
+    spec = KPBicentralizer("s", 2.0)
+    reports = [*estimate_constants(spec, list(KINDS), sampler, 30),
+               *(_pair_estimate(spec, kind, sampler, 30)[0] for kind in _PAIR_KINDS)]
+    moved = 0
+    for rep in reports:
+        assert rep.context["min_norm"] == min_norm
+        doc = json.loads(json.dumps(rep.to_doc()))
+        assert reevaluate_witness(EstimateReport.from_doc(doc)) == rep.value, rep.kind
+        doc["context"]["min_norm"] = Sampler.min_norm
+        moved += reevaluate_witness(EstimateReport.from_doc(doc)) != rep.value
+    assert moved  # the recorded threshold, not the default, re-draws the witnesses
+
+
+def _stored_inputs(rep):
+    """The inputs of an index-only report's witness sample, drawn apart
+    from the recipe, as reports from before index-only witnesses stored them."""
+    i, ctx = rep.witness["index"], rep.context
+
+    def unit(key, stream):
+        return Sampler(seed=rep.seed, dim=ctx["dim"], p=ctx[key],
+                       tag=ctx["tag"]).unit_sphere(i, stream)
+
+    if rep.kind == "covariant":
+        inputs = {"g": unit("p2", STREAM_PRIMARY), "f": unit("s", STREAM_SECONDARY)}
+    elif rep.kind == "contravariant":
+        inputs = {"g": unit("q2", STREAM_PRIMARY), "f": unit("p", STREAM_SECONDARY)}
+    else:
+        inputs = {"f": unit("p", STREAM_PRIMARY)}
+    if rep.kind == "Q":
+        inputs["g"] = unit("p", STREAM_SECONDARY)
+    if rep.kind == "L":
+        inputs["a"] = Sampler(seed=rep.seed, dim=ctx["dim"], p=2.0,
+                              tag=ctx["tag"]).contraction(i, STREAM_LEFT)
+    return {name: mat_to_json(m) for name, m in inputs.items()}
+
+
+@pytest.mark.parametrize("kind", ["Q", "L", *_PAIR_KINDS])
+def test_stored_witness_inputs_must_be_the_redrawn_sample(kind):
+    spec = KPBicentralizer("s", 2.0)
+    sampler = Sampler(seed=9, dim=5, p=2.0, tag="rank_one")
+    if kind in KINDS:
+        rep = estimate_constant(spec, kind, sampler, 20)
+    else:
+        rep = _pair_estimate(spec, kind, sampler, 20)[0]
+    doc = json.loads(json.dumps(rep.to_doc()))
+    doc["witness"]["inputs"] = _stored_inputs(rep)
+    del doc["context"]["min_norm"]  # as written before it was recorded
+    assert reevaluate_witness(EstimateReport.from_doc(doc)) == rep.value
+    entry = doc["witness"]["inputs"]["f"]["im"]
+    entry[3] = math.nextafter(entry[3], math.inf)
+    with pytest.raises(InputError, match=f"not sample {rep.witness['index']} of"):
+        reevaluate_witness(EstimateReport.from_doc(doc))
+
+
+def test_replay_refuses_a_witness_outside_the_stream():
+    rep = estimate_constant(KPBicentralizer("s", 2.0), "Q", Sampler(seed=9, dim=4, p=2.0), 20)
+    for index in (-1, 20, 2.0, "3"):
+        bad = EstimateReport.from_doc({**rep.to_doc(), "witness": {**rep.witness,
+                                                                   "index": index}})
+        with pytest.raises(InputError, match="is not a sample"):
+            reevaluate_witness(bad)
+
+
+@pytest.mark.parametrize("kind", ["Q", "distance", "modulus_mat", "gamma"])
+def test_replay_requires_the_witness_ratio_of_a_max(kind):
+    if kind == "Q":
+        rep = estimate_constant(KPBicentralizer("s", 2.0), "Q", Sampler(seed=9, dim=4, p=2.0), 20)
+    else:
+        rep = _report_of_kind(kind, "ginibre")
+    nudged = replace(rep, value=math.nextafter(rep.value, math.inf))
+    if kind == "gamma":  # its value is a mean, not its witness's ratio
+        assert reevaluate_witness(nudged) == rep.witness["ratio"]
+        return
+    with pytest.raises(InputError, match="witness ratio"):
+        reevaluate_witness(nudged)
 
 
 # --- distance_estimate -------------------------------------------------------
