@@ -1,16 +1,17 @@
 """Named experiments behind the command-line runner.
 
-Each experiment consumes a validated configuration and returns CSV rows
-plus the detailed reports that go into the JSON artifact.  Everything is
-driven by the configuration seed; rerunning a configuration reproduces
-the artifacts byte for byte.
+Each experiment prepares a configuration: it loads and checks everything
+a run reads, and returns the run, which gives CSV rows plus the detailed
+reports that go into the JSON artifact.  Validating a configuration is
+preparing it.  Everything is driven by the configuration seed; rerunning
+a configuration reproduces the artifacts byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -80,38 +81,20 @@ class ExperimentConfig:
     tolerances: dict = field(default_factory=dict)
 
     def doc(self) -> dict:
-        out = {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "output": self.output,
-            "dims": list(self.dims),
-            "samples": self.samples,
-            "tag": self.tag,
-            "side": self.side,
-            "slot": self.slot,
-            "phi": self.phi,
-            "kinds": list(self.kinds),
-            "tolerances": dict(self.tolerances),
-        }
-        for key in ("spec", "spec2", "operator"):
-            value = getattr(self, key)
+        """Every field but those that are None; an infinite index is "inf"."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
             if value is not None:
-                out[key] = value
-        for key in ("p", "q"):  # an infinite index is written "inf"
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = jsonable_float(value)
+                out[f.name] = (list(value) if isinstance(value, tuple) else
+                               jsonable_float(value) if isinstance(value, float) else value)
         return out
 
     def hash(self) -> str:
         return doc_hash(self.doc())
 
 
-_KNOWN_KEYS = {
-    "experiment", "seed", "output", "dims", "spec", "spec2", "operator",
-    "p", "q", "kinds", "samples", "tag", "side", "slot", "phi",
-    "tolerances",
-}
+_KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
 def _integers(values, key: str) -> tuple[int, ...]:
@@ -223,8 +206,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         spec=doc.get("spec"),
         spec2=doc.get("spec2"),
         operator=doc.get("operator"),
-        p=indices["p"],
-        q=indices["q"],
+        **indices,
         kinds=kinds,
         samples=samples,
         tag=tag,
@@ -233,34 +215,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
         phi=phi,
         tolerances=tolerances,
     )
-    EXPERIMENTS[cfg.experiment].validate(cfg)
+    EXPERIMENTS[cfg.experiment].prepare(cfg)
     return cfg
 
 
 def _tol(cfg: ExperimentConfig) -> Tolerances:
-    if not cfg.tolerances:
-        return DEFAULT_TOL
-    return Tolerances(**{**{k: getattr(DEFAULT_TOL, k)
-                            for k in DEFAULT_TOL.__dataclass_fields__},
-                         **{k: float(v) for k, v in cfg.tolerances.items()}})
-
-
-def _require(cfg: ExperimentConfig, *keys: str) -> None:
-    for key in keys:
-        if not getattr(cfg, key):
-            raise ConfigError(f"experiment {cfg.experiment!r} needs {key!r}",
-                              field_name=key)
-
-
-def _resolve_doc(doc, attr: str):
-    """Inline document, or a string path to one."""
-    if isinstance(doc, str):
-        try:
-            return json.loads(Path(doc).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read {attr} file: {exc}",
-                              field_name=attr) from None
-    return doc
+    return replace(DEFAULT_TOL, **{k: float(v) for k, v in cfg.tolerances.items()})
 
 
 def _load_spec(cfg: ExperimentConfig, attr: str = "spec",
@@ -272,12 +232,17 @@ def _load_spec(cfg: ExperimentConfig, attr: str = "spec",
         raise ConfigError(f"experiment {cfg.experiment!r} needs {attr!r}",
                           field_name=attr)
     try:
-        spec = decode(_resolve_doc(doc, attr))
+        if isinstance(doc, str):  # a path to the document
+            doc = json.loads(Path(doc).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # bad JSON, UTF-8 or path: ValueErrors
+        raise ConfigError(f"cannot read {attr} file: {exc}", field_name=attr) from None
+    try:
+        spec = decode(doc)
         spec.signature()
     except InputError as exc:
         raise ConfigError(f"bad {attr}: {exc}", field_name=attr) from None
     fixed = spec.fixed_dim()
-    if fixed is not None and any(d != fixed for d in cfg.dims):
+    if fixed is not None and set(cfg.dims) - {fixed}:
         raise ConfigError(
             f"{attr} pins dimension {fixed} but dims are {list(cfg.dims)}",
             field_name="dims")
@@ -290,79 +255,112 @@ FIELDS_SPLITTING = ("dim", "residual", "seed", "spec-hash")
 
 @dataclass(frozen=True)
 class Experiment:
+    """A named experiment.  ``prepare(cfg)`` loads and checks everything a
+    run of ``cfg`` reads, raising ConfigError, and returns the run: a
+    closure giving the fieldnames, rows and reports (and a spec hash)."""
+
     name: str
     describe: str
-    validate: Callable[[ExperimentConfig], None]
-    execute: Callable[[ExperimentConfig], dict]
+    prepare: Callable[[ExperimentConfig], Callable[[], dict]]
 
 
-def _validate_constants(cfg):
-    _require(cfg, "dims")
-    _load_spec(cfg)
-    if not cfg.kinds or any(k in _GROWTH_EXTRA_KINDS for k in cfg.kinds):
-        raise ConfigError("constants needs kinds among Q, L, R, B",
-                          field_name="kinds")
+def _sweep(cfg: ExperimentConfig, kinds) -> Callable[[], dict]:
+    """Prepare a dimension sweep of ``kinds``: load and check what they
+    read, and return the run, one row per dimension and kind in order.
 
-
-def _sweep(cfg: ExperimentConfig, kinds, measure) -> dict:
-    """One row per dimension and kind; ``measure(sampler, kinds)`` returns,
-    for each kind in order, an EstimateReport, which also goes into the
-    reports, or a (value, samples) pair."""
-    rows, reports = [], []
-    for d in cfg.dims:
-        sampler = Sampler(seed=cfg.seed, dim=d, p=cfg.p if cfg.p else 2.0,
-                          tag=cfg.tag)
-        for kind, out in zip(kinds, measure(sampler, kinds), strict=True):
-            if isinstance(out, EstimateReport):
-                reports.append(out)
-                out = (out.value, out.samples)
-            rows.append({"dim": d, "kind": kind, "value": out[0],
-                         "samples": out[1], "seed": cfg.seed})
-    return {"fieldnames": FIELDS_STANDARD, "rows": rows, "reports": reports}
-
-
-def _validate_growth(cfg):
-    _require(cfg, "dims")
-    if not cfg.kinds:
-        raise ConfigError("growth needs at least one kind", field_name="kinds")
-    if set(cfg.kinds) - {"kp_seq"}:
-        _load_spec(cfg)
-    if "kp_seq" in cfg.kinds:
-        if cfg.p is None:
-            raise ConfigError("kp_seq needs the index p", field_name="p")
-        get_phi(cfg.phi)
-
-
-def _run_growth(cfg: ExperimentConfig) -> dict:
-    spec = _load_spec(cfg) if set(cfg.kinds) - {"kp_seq"} else None
+    The Q/L/R/B kinds of a dimension come from one shared pass; each
+    other kind has its measure, which gives an EstimateReport, also
+    reported, or a (value, samples) pair.  A sweep reading ``spec``
+    records its hash.
+    """
+    if not cfg.dims:
+        raise ConfigError(f"experiment {cfg.experiment!r} needs 'dims'", field_name="dims")
+    if "modulus" in kinds:
+        if cfg.p is None or cfg.q is None:
+            raise ConfigError("modulus needs pY in q and pX in p", field_name="p")
+        if cfg.samples < 2:
+            raise ConfigError("the modulus probe needs at least two samples",
+                              field_name="samples")
+        mapping = _load_spec(cfg, decode=qmap_from_doc if cfg.slot == "vec" else spec_from_doc)
+    spec = _load_spec(cfg) if set(kinds) - {"kp_seq", "modulus"} else None
+    spec2 = _load_spec(cfg, "spec2") if "distance" in kinds else None
+    if set(kinds) & {*ESTIMATE_KINDS, "distance"}:
+        for key, index in zip("pq", spec.signature()):
+            if getattr(cfg, key) is None and index is None:
+                raise ConfigError(f"the spec leaves index {key} open; the configuration "
+                                  "must give it", field_name=key)
+    if "kp_seq" in kinds:
+        if cfg.p is None or math.isinf(cfg.p):
+            raise ConfigError("kp_seq needs a finite index p", field_name="p")
+        phi = get_phi(cfg.phi)
     tol = _tol(cfg)
 
-    def measure_one(sampler, kind):
-        """The kp_seq or residual value of one dimension."""
-        if kind == "kp_seq":
-            d = sampler.dim
-            x = np.full(d, d ** (-1.0 / cfg.p), dtype=np.complex128)
-            return lp_norm(kp_phi(x, get_phi(cfg.phi), cfg.p), cfg.p), 1
-        (row,) = splitting_distance(spec, [sampler.dim], cfg.seed, cfg.samples,
-                                    p=sampler.p, q=cfg.q if cfg.q else sampler.p,
-                                    side=cfg.side, tag=cfg.tag, tol=tol)
-        return row["residual"], cfg.samples
+    def kp_seq(s):
+        """The sequence witness at the flat unit vector of dimension s.dim."""
+        x = np.full(s.dim, s.dim ** (-1.0 / cfg.p), dtype=np.complex128)
+        return lp_norm(kp_phi(x, phi, cfg.p), cfg.p), 1
 
-    def measure(sampler, kinds):
-        defects = [kind for kind in kinds if kind in ESTIMATE_KINDS]
-        reports = iter(estimate_constants(spec, defects, sampler, cfg.samples,
-                                          p=cfg.p, q=cfg.q, tol=tol) if defects else ())
-        return [next(reports) if kind in ESTIMATE_KINDS else measure_one(sampler, kind)
-                for kind in kinds]
+    measures = {  # kind -> measure of one dimension, given its sampler
+        "kp_seq": kp_seq,
+        "residual": lambda s: (splitting_distance(
+            spec, [s.dim], cfg.seed, cfg.samples, p=s.p, q=cfg.q if cfg.q else s.p,
+            side=cfg.side, tag=cfg.tag, tol=tol)[0]["residual"], cfg.samples),
+        "distance": lambda s: distance_estimate(
+            spec, spec2, s, cfg.samples, p=cfg.p, q=cfg.q, tol=tol),
+        "modulus": lambda s: quasinorm_modulus_probe(
+            mapping, pY=cfg.q, pX=cfg.p, dim=s.dim, seed=cfg.seed, n_samples=cfg.samples,
+            slot=cfg.slot, tol=tol),
+    }
+    defects = [kind for kind in kinds if kind in ESTIMATE_KINDS]
 
-    out = _sweep(cfg, cfg.kinds, measure)
-    if spec is not None:
-        out["spec_hash"] = spec_hash(spec)
-    return out
+    def run() -> dict:
+        rows, reports = [], []
+        for d in cfg.dims:
+            sampler = Sampler(seed=cfg.seed, dim=d, p=cfg.p if cfg.p else 2.0, tag=cfg.tag)
+            shared = iter(estimate_constants(spec, defects, sampler, cfg.samples, p=cfg.p,
+                                             q=cfg.q, tol=tol) if defects else ())
+            for kind in kinds:
+                out = next(shared) if kind in ESTIMATE_KINDS else measures[kind](sampler)
+                if isinstance(out, EstimateReport):
+                    reports.append(out)
+                    out = (out.value, out.samples)
+                rows.append({"dim": d, "kind": kind, "value": out[0],
+                             "samples": out[1], "seed": cfg.seed})
+        out = {"fieldnames": FIELDS_STANDARD, "rows": rows, "reports": reports}
+        if spec is not None:
+            out["spec_hash"] = spec_hash(spec)
+        return out
+    return run
 
 
-def _gamma_table(cfg: ExperimentConfig) -> np.ndarray:
-    """Columns of the operator; validation builds exactly what a run uses."""
+def _growth(cfg: ExperimentConfig) -> Callable[[], dict]:
+    if not cfg.kinds:
+        raise ConfigError("growth needs at least one kind", field_name="kinds")
+    return _sweep(cfg, cfg.kinds)
+
+
+def _constants(cfg: ExperimentConfig) -> Callable[[], dict]:
+    if not cfg.kinds or any(k in _GROWTH_EXTRA_KINDS for k in cfg.kinds):
+        raise ConfigError("constants needs kinds among Q, L, R, B", field_name="kinds")
+    return _sweep(cfg, cfg.kinds)
+
+
+def _splitting(cfg: ExperimentConfig) -> Callable[[], dict]:
+    """The ``residual`` sweep, one row per dimension, with no reports."""
+    if cfg.p is None or cfg.q is None:
+        raise ConfigError("splitting needs explicit p and q", field_name="p")
+    sweep = _sweep(cfg, ("residual",))
+
+    def run() -> dict:
+        out = sweep()
+        rows = [{"dim": row["dim"], "residual": row["value"], "seed": row["seed"],
+                 "spec-hash": out["spec_hash"]} for row in out["rows"]]
+        return {**out, "fieldnames": FIELDS_SPLITTING, "rows": rows, "reports": []}
+    return run
+
+
+def _gamma(cfg: ExperimentConfig) -> Callable[[], dict]:
+    """The operator's columns, then its Monte Carlo Gaussian average."""
     op = cfg.operator
     if not isinstance(op, dict) or op.get("kind") not in ("identity", "matrix"):
         raise ConfigError("gamma needs operator {'kind': 'identity'|'matrix', ...}",
@@ -371,88 +369,38 @@ def _gamma_table(cfg: ExperimentConfig) -> np.ndarray:
         (k,) = _integers([op.get("k", 0)], "operator")
         if k < 1:
             raise ConfigError("identity operator needs k >= 1", field_name="operator")
-        return np.eye(k, dtype=np.complex128)
-    if "value" not in op:
+        table = np.eye(k, dtype=np.complex128)
+    elif "value" not in op:
         raise ConfigError("matrix operator needs a value", field_name="operator")
-    try:
-        return mat_from_json(op["value"])
-    except InputError as exc:
-        raise ConfigError(f"bad matrix operator: {exc}", field_name="operator") from None
+    else:
+        try:
+            table = mat_from_json(op["value"])
+        except InputError as exc:
+            raise ConfigError(f"bad matrix operator: {exc}", field_name="operator") from None
 
-
-def _run_gamma(cfg: ExperimentConfig) -> dict:
-    table = _gamma_table(cfg)
-    rep = gamma_summing_mc(table, cfg.samples, cfg.seed)
-    rows = [{"dim": table.shape[1], "kind": "gamma", "value": rep.value,
-             "samples": rep.samples, "seed": rep.seed}]
-    return {"fieldnames": FIELDS_STANDARD, "rows": rows, "reports": [rep]}
-
-
-def _validate_distance(cfg):
-    _require(cfg, "dims")
-    _load_spec(cfg)
-    _load_spec(cfg, "spec2")
-
-
-def _run_distance(cfg: ExperimentConfig) -> dict:
-    a = _load_spec(cfg)
-    b = _load_spec(cfg, "spec2")
-    tol = _tol(cfg)
-    return {**_sweep(cfg, ("distance",), lambda sampler, _: [distance_estimate(
-        a, b, sampler, cfg.samples, p=cfg.p, q=cfg.q, tol=tol)]),
-            "spec_hash": spec_hash(a)}
-
-
-def _validate_splitting(cfg):
-    _require(cfg, "dims")
-    _load_spec(cfg)
-    if cfg.p is None or cfg.q is None:
-        raise ConfigError("splitting needs explicit p and q", field_name="p")
-
-
-def _run_splitting(cfg: ExperimentConfig) -> dict:
-    spec = _load_spec(cfg)
-    rows = splitting_distance(spec, cfg.dims, seed=cfg.seed,
-                              n_samples=cfg.samples, p=cfg.p, q=cfg.q,
-                              side=cfg.side, tag=cfg.tag, tol=_tol(cfg))
-    return {"fieldnames": FIELDS_SPLITTING, "rows": rows, "reports": [],
-            "spec_hash": spec_hash(spec)}
-
-
-def _validate_modulus(cfg):
-    _require(cfg, "dims")
-    if cfg.p is None or cfg.q is None:
-        raise ConfigError("modulus needs pY in q and pX in p", field_name="p")
-    _modulus_map(cfg)
-
-
-def _modulus_map(cfg: ExperimentConfig):
-    return _load_spec(cfg, decode=qmap_from_doc if cfg.slot == "vec" else spec_from_doc)
-
-
-def _run_modulus(cfg: ExperimentConfig) -> dict:
-    mapping = _modulus_map(cfg)
-    tol = _tol(cfg)
-    return _sweep(cfg, ("modulus",), lambda sampler, _: [quasinorm_modulus_probe(
-        mapping, pY=cfg.q, pX=cfg.p, dim=sampler.dim, seed=cfg.seed,
-        n_samples=cfg.samples, slot=cfg.slot, tol=tol)])
+    def run() -> dict:
+        rep = gamma_summing_mc(table, cfg.samples, cfg.seed)
+        rows = [{"dim": table.shape[1], "kind": "gamma", "value": rep.value,
+                 "samples": rep.samples, "seed": rep.seed}]
+        return {"fieldnames": FIELDS_STANDARD, "rows": rows, "reports": [rep]}
+    return run
 
 
 EXPERIMENTS: dict[str, Experiment] = {exp.name: exp for exp in (
     Experiment("constants", "measure defect constants (Q, L, R, B) of a spec per dimension",
-               _validate_constants, _run_growth),
+               _constants),
     Experiment("growth", "dimension sweep of constants, fit residuals or the sequence witness",
-               _validate_growth, _run_growth),
+               _growth),
     Experiment("gamma", "Monte Carlo Gaussian-average norm of an operator given by columns",
-               _gamma_table, _run_gamma),
+               _gamma),
     Experiment("distance", "largest sampled gap between two specs, per dimension",
-               _validate_distance, _run_distance),
+               lambda cfg: _sweep(cfg, ("distance",))),
     Experiment("splitting", "distance to module morphisms per dimension (triviality probe)",
-               _validate_splitting, _run_splitting),
+               _splitting),
     Experiment("modulus", "empirical concavity modulus of a twisted quasinorm",
-               _validate_modulus, _run_modulus),
+               lambda cfg: _sweep(cfg, ("modulus",))),
 )}
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    return EXPERIMENTS[cfg.experiment].execute(cfg)
+    return EXPERIMENTS[cfg.experiment].prepare(cfg)()

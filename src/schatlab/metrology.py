@@ -245,8 +245,8 @@ class Sampler:
     def __post_init__(self):
         if int(self.seed) < 0:
             raise InputError("sampler seed must be a nonnegative integer")
-        if self.dim < 1:
-            raise InputError("sampler dimension must be positive")
+        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+            raise InputError(f"sampler dimension must be a positive integer, got {self.dim!r}")
         validate_index(self.p)
         if self.tag not in SAMPLE_TAGS:
             raise InputError(f"unknown sample tag {self.tag!r}; known: {SAMPLE_TAGS}")
@@ -407,16 +407,22 @@ class EstimateReport:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "EstimateReport":
-        return cls(
-            kind=doc["kind"],
-            value=float(doc["value"]),
-            samples=int(doc["samples"]),
-            seed=int(doc["seed"]),
-            witness=dict(doc["witness"]),
-            note=doc.get("note", ""),
-            stderr=doc.get("stderr"),
-            context=dict(doc.get("context", {})),
-        )
+        """The report of a document; a malformed one raises InputError."""
+        try:
+            report = cls(
+                kind=doc["kind"],
+                value=float(doc["value"]),
+                samples=int(doc["samples"]),
+                seed=int(doc["seed"]),
+                witness=dict(doc["witness"]),
+                note=doc.get("note", ""),
+                stderr=doc.get("stderr"),
+                context=dict(doc.get("context", {})),
+            )
+            float(report.witness["ratio"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed report: {exc!r}") from None
+        return report
 
 
 _KIND_NOTE = "max over samples; lower bound of the true supremum"

@@ -113,6 +113,7 @@ def test_validate_rejects_mistyped_fields(tmp_path, capsys, field_name, value):
 
 
 _KP = {"kind": "kp_bicentralizer", "phi": "s", "p": 2.0}
+_KP_ON_H = {"kind": "kp_on_h", "phi": "s"}
 _EYE6 = {"rows": 6, "cols": 6, "re": [float(i == j) for i in range(6) for j in range(6)],
          "im": [0.0] * 36}
 
@@ -167,6 +168,23 @@ def test_validate_rejects_bad_gamma_operator(tmp_path, capsys, operator):
     doc = {"experiment": "gamma", "operator": operator, "seed": 1, "samples": 10,
            "output": str(tmp_path / "out")}
     _rejected_by_cli(tmp_path, capsys, doc, "operator")
+
+
+_OPEN_SPEC = {"kind": "sum", "terms": []}  # its signature leaves both indices open
+
+
+@pytest.mark.parametrize("doc, field_name", [
+    ({"experiment": "growth", "dims": [4], "p": "inf", "kinds": ["kp_seq"]}, "p"),
+    ({"experiment": "modulus", "spec": _KP_ON_H, "slot": "vec", "dims": [4], "p": 2.0,
+      "q": 2.0, "samples": 1}, "samples"),
+    ({"experiment": "constants", "spec": _OPEN_SPEC, "dims": [4], "kinds": ["L"]}, "p"),
+    ({"experiment": "distance", "spec": _OPEN_SPEC, "spec2": _KP, "dims": [4], "p": 2.0},
+     "q"),
+], ids=["kp-seq-infinite-p", "modulus-one-sample", "constants-open-indices",
+        "distance-open-q"])
+def test_validate_rejects_what_the_run_cannot_measure(tmp_path, capsys, doc, field_name):
+    doc = {"seed": 1, "samples": 10, **doc, "output": str(tmp_path / "out")}
+    _rejected_by_cli(tmp_path, capsys, doc, field_name)
 
 
 def test_validate_rejects_boolean_tolerance(tmp_path, capsys):
@@ -360,9 +378,11 @@ def test_spec_by_file_path(tmp_path):
     cfg = parse_config(doc)
     out = run_config(cfg)
     assert (out / "results.csv").exists()
-    bad = constants_config(tmp_path, spec=str(tmp_path / "missing.json"))
-    with pytest.raises(ConfigError):
-        parse_config(bad)
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    for bad in (tmp_path / "missing.json", binary, "nul\0byte.json"):
+        with pytest.raises(ConfigError):
+            parse_config(constants_config(tmp_path, spec=str(bad)))
 
 
 def test_gamma_matrix_operator_fixture(tmp_path):
@@ -470,6 +490,37 @@ def test_replay_refuses_a_file_without_reports(tmp_path, capsys, text):
     assert main(["replay", str(report)]) == 2
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "replay" and "out of range of 0 reports" in err["message"]
+
+
+def _broken_report(tmp_path, capsys, experiment, entry):
+    """A report.json of a fresh run, its first entry passed through ``entry``."""
+    doc = (constants_config(tmp_path) if experiment == "constants" else
+           {"experiment": "gamma", "operator": {"kind": "identity", "k": 2}, "seed": 1,
+            "samples": 10, "output": str(tmp_path / "out")})
+    assert main(["run", str(write_config(tmp_path, doc))]) == 0
+    capsys.readouterr()
+    report = tmp_path / "out" / "report.json"
+    doc = read_json(report)
+    doc["reports"][0] = entry(doc["reports"][0])
+    report.write_text(json.dumps(doc))
+    return report
+
+
+@pytest.mark.parametrize("experiment, entry", [
+    ("gamma", lambda rep: {**rep, "witness": {k: v for k, v in rep["witness"].items()
+                                              if k != "ratio"}}),
+    ("constants", lambda rep: {**rep, "witness": 5}),
+    ("constants", lambda rep: {**rep, "value": "abc"}),
+    ("constants", lambda rep: {**rep, "samples": None}),
+    ("constants", lambda rep: 5),
+    ("constants", lambda rep: {**rep, "context": {**rep["context"], "dim": "x"}}),
+], ids=["gamma-without-ratio", "witness-number", "value-text", "samples-null",
+        "report-number", "dim-text"])
+def test_replay_refuses_a_malformed_report(tmp_path, capsys, experiment, entry):
+    report = _broken_report(tmp_path, capsys, experiment, entry)
+    assert main(["replay", str(report)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "replay"
 
 
 @pytest.mark.parametrize("atol", ["nan", "-1"])
@@ -648,7 +699,6 @@ def test_failed_rewrite_keeps_earlier_artifacts(tmp_path, capsys, monkeypatch):
 
 # --- fuzzed configuration documents -----------------------------------------
 
-_KP_ON_H = {"kind": "kp_on_h", "phi": "s"}
 # a valid tiny document of each experiment, which the fuzz test then alters
 _FUZZ_TEMPLATES = {
     "constants": {"spec": _KP, "dims": [2, 3], "p": 2.0, "q": 2.0, "kinds": ["Q", "B"]},
@@ -724,7 +774,8 @@ def test_fuzzed_config_runs_or_fails_structured(tmp_path_factory, monkeypatch, c
             continue
         assert status == 2, result
         assert set(result) == {"error"} and isinstance(result["error"]["message"], str)
-        assert result["error"]["type"] in ("config", "input", "output")
+        # a configuration that validates fails its run only at the output path
+        assert result["error"]["type"] == ("config" if command == "validate" else "output")
         if command == "validate":
             break
     written = sorted(p.name for p in base.rglob("*") if p.is_file())

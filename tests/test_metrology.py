@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schatlab.centralizers import (
     KPBicentralizer,
@@ -871,6 +872,43 @@ def test_replay_requires_the_witness_ratio_of_a_max(kind):
         return
     with pytest.raises(InputError, match="witness ratio"):
         reevaluate_witness(nudged)
+
+
+# --- partition invariance: split streams merge to the whole-stream report ----
+
+
+def _merged_over_parts(reports, cuts):
+    """(value, witness index) of each report, its stream scored part by part:
+    each part ``[a, b)`` of the cut stream is one ``_Chunk(range(a, b))``,
+    drawn by the report's recipe and scored by its kind's scorer, every
+    report of the list on the same chunk, as a shared pass scores it; the
+    parts merge by first strict maximum, where NaN never wins."""
+    best = [(-math.inf, None)] * len(reports)
+    for a, b in zip(cuts, cuts[1:]):
+        chunk = metrology._Chunk(range(a, b))
+        for j, rep in enumerate(reports):
+            draw = metrology._recipe(rep.kind, rep.context, rep.seed)
+            score = metrology.REPORT_KINDS[rep.kind][0](rep.context, DEFAULT_TOL)
+            ratios = score(draw(chunk), chunk)
+            k = int(np.argmax(np.where(np.isnan(ratios), -math.inf, ratios)))
+            if ratios[k] > best[j][0]:
+                best[j] = (float(ratios[k]), a + k)
+    return best
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(job=st.sampled_from(["shared", *_PAIR_KINDS]), tag=st.sampled_from(TAGS),
+       n=st.integers(1, 5), stream=st.integers(1, 40).flatmap(
+           lambda total: st.tuples(st.just(total), st.sets(st.integers(0, total)))))
+def test_stream_partition_changes_no_report(job, tag, n, stream):
+    total, cuts = stream
+    spec, sampler = KPBicentralizer("s", 2.0), Sampler(seed=SEED, dim=n, p=2.0, tag=tag)
+    reports = (estimate_constants(spec, list(KINDS), sampler, total) if job == "shared"
+               else [_pair_estimate(spec, job, sampler, total)[0]])
+    merged = _merged_over_parts(reports, sorted({0, total, *cuts}))
+    for rep, (value, index) in zip(reports, merged):
+        assert (value, index) == (rep.value, rep.witness.get("index")), rep.kind
+        assert math.copysign(1.0, value) == math.copysign(1.0, rep.value)
 
 
 # --- distance_estimate -------------------------------------------------------
