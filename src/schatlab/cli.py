@@ -232,6 +232,8 @@ def _cmd_replay(args) -> int:
     try:
         doc = read_json(args.report)
         reports = doc.get("reports", []) if isinstance(doc, dict) else []
+        if not isinstance(reports, list):
+            raise InputError(f"reports must be a list, got {reports!r}")
         if not 0 <= args.index < len(reports):
             raise InputError(f"index {args.index} out of range of {len(reports)} reports")
         rep = EstimateReport.from_doc(reports[args.index])

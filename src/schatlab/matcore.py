@@ -86,7 +86,10 @@ DEFAULT_TOL = Tolerances()
 
 def validate_index(p: float) -> float:
     """Check a summability index: any real in (0, inf]."""
-    p = float(p)
+    try:
+        p = float(p)
+    except (TypeError, ValueError):
+        raise InputError(f"summability index must be a number, got {p!r}") from None
     if math.isnan(p) or p <= 0.0:
         raise InputError(f"summability index must be positive, got {p!r}")
     return p

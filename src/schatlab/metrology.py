@@ -248,6 +248,9 @@ class Sampler:
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
             raise InputError(f"sampler dimension must be a positive integer, got {self.dim!r}")
         validate_index(self.p)
+        if not (isinstance(self.min_norm, (int, float)) and 0.0 < self.min_norm < math.inf):
+            raise InputError(f"sampler min_norm must be a positive finite number, "
+                             f"got {self.min_norm!r}")
         if self.tag not in SAMPLE_TAGS:
             raise InputError(f"unknown sample tag {self.tag!r}; known: {SAMPLE_TAGS}")
 
@@ -379,7 +382,8 @@ class EstimateReport:
     ``value`` is the largest defect ratio seen along the stream (a lower
     bound on the true supremum, never an upper bound).  ``witness`` holds
     the maximizing sample's ``index`` and ``ratio``, and the seed and
-    ``context`` re-draw it; modulus and gamma witnesses also hold its inputs.
+    ``context`` re-draw it through its kind's recipe; a gamma witness also
+    holds its Gaussian row.
     """
 
     kind: str
@@ -420,6 +424,8 @@ class EstimateReport:
                 context=dict(doc.get("context", {})),
             )
             float(report.witness["ratio"])
+            if not isinstance(report.kind, str):
+                raise TypeError(f"report kind must be a string, got {report.kind!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed report: {exc!r}") from None
         return report
@@ -587,40 +593,24 @@ def _recipe(kind: str, context: dict, seed: int):
         for name, method, stream, ix in _KIND_INPUTS[kind]}
 
 
-def _redraw(report: EstimateReport) -> dict:
-    """The witness sample of a sampler-drawn report, re-drawn as one-sample
-    stacks.  Inputs a witness still stores, as reports written before
-    witnesses kept their index alone do, must be that sample bit for bit."""
-    i = report.witness["index"]
-    if not (isinstance(i, int) and 0 <= i < report.samples):
-        raise InputError(f"witness index {i!r} is not a sample of the report's stream")
-    x = _recipe(report.kind, report.context, report.seed)(_Chunk(range(i, i + 1)))
-    stored = report.witness.get("inputs")
-    # float reprs round-trip, so equal JSON is equal bits, signed zeros included
-    if stored is not None and json.dumps(stored, sort_keys=True) != json.dumps(
-            {name: mat_to_json(m[0]) for name, m in x.items()}, sort_keys=True):
-        raise InputError(f"witness inputs are not sample {i} of the report's stream")
-    return x
+def _stored_input(report: EstimateReport, m) -> dict:
+    """One input of a sample as witnesses stored it before they kept their
+    index alone: a matrix, or a modulus pair with its slot."""
+    if report.kind != "modulus":
+        return mat_to_json(m)
+    encode = vec_to_json if m.ndim == 2 else mat_to_json
+    return {"g": encode(m[0]), "f": encode(m[1]), "slot": report.context["slot"]}
 
 
-def _defect_witness(x, tol):
-    return {"frame_ambiguous": frame_ambiguous(x["f"], tol)}
-
-
-# report kind -> (scorer, encode, decode).  ``scorer(context, tol)`` turns a
-# report's context into its chunk scorer, ``score(inputs, chunk=None)`` ->
-# one ratio per sample, which may share terms of the chunk's drawn stacks
-# with the other scorers of that chunk; ``encode(inputs, tol)`` gives the
-# witness fields of one sample's inputs and ``decode(report)`` gives its
-# witness's inputs as a one-sample stack: ``_redraw`` draws them again.
-# Measurement and replay build the scorer from the same context, so a
-# replayed witness cannot drift from its measurement.
+# report kind -> (scorer, recipe), built from a report alone by measurement
+# and replay: ``scorer(context, tol)`` gives ``score(inputs, chunk=None)``,
+# one ratio per sample, sharing the chunk's terms with its other scorers;
+# ``recipe(context, seed)`` gives ``draw(chunk)``, the inputs of its samples.
 REPORT_KINDS: dict[str, tuple] = {
-    **{kind: (_spec_scorer(_defect_ratio(kind)), _defect_witness, _redraw)
-       for kind in ESTIMATE_KINDS},
-    **{kind: (_spec_scorer(ratio), lambda x, tol: {}, _redraw)
-       for kind, ratio in (("distance", _distance_ratio), ("covariant", _covariant_ratio),
-                           ("contravariant", _contravariant_ratio))},
+    kind: (_spec_scorer(ratio), partial(_recipe, kind))
+    for kind, ratio in (*((kind, _defect_ratio(kind)) for kind in ESTIMATE_KINDS),
+                        ("distance", _distance_ratio), ("covariant", _covariant_ratio),
+                        ("contravariant", _contravariant_ratio))
 }
 
 
@@ -629,22 +619,24 @@ def max_over_stream(jobs, sampler: Sampler, n_samples: int,
                     note: str = _KIND_NOTE) -> list[EstimateReport]:
     """Largest ratio of each job over the seeded stream of ``sampler``, in one pass.
 
-    A job is ``(kind, context, draw)``: ``draw(chunk)`` returns the inputs
-    of the samples ``chunk.indices`` as stacks keyed by name, and the
-    scorer ``REPORT_KINDS[kind]`` builds from ``context`` rates them.  All
-    jobs read one ``_Chunk`` at a time, of ``CHUNK_ENTRIES`` entries of one
-    input (``dim`` per vector of a "vec" slot, else ``dim**2``), so a stack
-    or a term they share is made once per chunk.  Each job keeps its own
-    first strict maximum, and NaN never wins; only its winner is encoded.
-    A job whose chunk fails is rescored sample by sample, so its error
-    names the failing sample; the jobs listed after it stop, and the error
-    raised is that of the first listed job that fails, as if the jobs had
-    run one after another.  One report per job, in job order.
+    A job is ``(kind, context)``: the recipe of ``REPORT_KINDS[kind]``
+    draws each chunk's inputs from ``context`` and the sampler's seed, as
+    replay re-draws them, and the scorer built from ``context`` rates them.
+    All jobs read one ``_Chunk`` at a time, of ``CHUNK_ENTRIES`` entries of
+    one input (``dim`` per vector of a "vec" slot, else ``dim**2``), so a
+    stack or a term they share is made once per chunk.  Each job keeps its
+    own first strict maximum, and NaN never wins; its witness is the index
+    and ratio (for Q/L/R/B, also ``frame_ambiguous``) of the winner.  A job
+    whose chunk fails is rescored sample by sample, so its error names the
+    failing sample; the jobs listed after it stop, and the error raised is
+    that of the first listed job that fails, as if the jobs had run one
+    after another.  One report per job, in job order.
     """
     if n_samples < 1:
         raise InputError("need at least one sample")
-    scores = [REPORT_KINDS[kind][0](context, tol) for kind, context, _ in jobs]
-    vec = any(context.get("slot") == "vec" for _, context, _ in jobs)
+    scores = [REPORT_KINDS[kind][0](context, tol) for kind, context in jobs]
+    draws = [REPORT_KINDS[kind][1](context, sampler.seed) for kind, context in jobs]
+    vec = any(context.get("slot") == "vec" for _, context in jobs)
     step = max(1, CHUNK_ENTRIES // (sampler.dim if vec else sampler.dim**2))
     best = [-math.inf] * len(jobs)
     witness: list[dict] = [{} for _ in jobs]
@@ -654,8 +646,7 @@ def max_over_stream(jobs, sampler: Sampler, n_samples: int,
         if not live:
             break
         chunk = _Chunk(range(start, min(start + step, n_samples)))
-        for j in range(live):
-            draw, score = jobs[j][2], scores[j]
+        for j, draw, score in zip(range(live), draws, scores):
             try:
                 inputs = draw(chunk)
                 ratios = score(inputs, chunk)
@@ -679,9 +670,9 @@ def max_over_stream(jobs, sampler: Sampler, n_samples: int,
     if error is not None:
         raise error
     reports = []
-    for (kind, context, _), value, found, inputs in zip(jobs, best, witness, best_inputs):
-        if inputs is not None:
-            found.update(REPORT_KINDS[kind][1](inputs, tol))
+    for (kind, context), value, found, inputs in zip(jobs, best, witness, best_inputs):
+        if kind in ESTIMATE_KINDS and inputs is not None:
+            found["frame_ambiguous"] = frame_ambiguous(inputs["f"], tol)
         reports.append(EstimateReport(kind=kind, value=value, samples=n_samples,
                                       seed=sampler.seed, witness=found, note=note,
                                       context=context))
@@ -690,12 +681,12 @@ def max_over_stream(jobs, sampler: Sampler, n_samples: int,
 
 def _sampled(kinds, context: dict, sampler: Sampler, n_samples: int,
              tol: Tolerances, note: str = _KIND_NOTE) -> list[EstimateReport]:
-    """``max_over_stream`` of sampler-drawn kinds, each job drawn by its
-    kind's recipe from ``context`` and the sampler's stream."""
+    """``max_over_stream`` of sampler-drawn kinds, ``context`` completed by
+    what their recipe reads of the sampler."""
     context = {**context, "dim": sampler.dim, "tag": sampler.tag,
                "min_norm": sampler.min_norm}
-    return max_over_stream([(kind, dict(context), _recipe(kind, context, sampler.seed))
-                            for kind in kinds], sampler, n_samples, tol, note)
+    return max_over_stream([(kind, dict(context)) for kind in kinds],
+                           sampler, n_samples, tol, note)
 
 
 def estimate_constants(spec: CentralizerSpec, kinds, sampler: Sampler,
@@ -746,18 +737,35 @@ def distance_estimate(a: CentralizerSpec, b: CentralizerSpec, sampler: Sampler,
 
 def reevaluate_witness(report: EstimateReport,
                        tol: Tolerances = DEFAULT_TOL) -> float:
-    """Recompute the witness ratio of a report: sampler-drawn kinds re-draw
-    sample ``witness.index``, modulus and gamma rescore their serialized
-    inputs.  A witness ratio unlike the value is refused, but for gamma's
-    (its value is a mean)."""
+    """Recompute the witness ratio of a report: its kind's recipe re-draws
+    sample ``witness.index`` and its scorer rates it; gamma rescores its
+    stored row.  Refused: a context its kind cannot read, stored inputs
+    (as older witnesses hold) unlike the re-drawn sample, and a witness
+    ratio unlike the value, but for gamma's (its value is a mean)."""
     if report.kind not in REPORT_KINDS:
         raise InputError(f"cannot replay report of kind {report.kind!r}")
     ratio = report.witness.get("ratio")
     if report.kind != "gamma" and ratio != report.value:
         raise InputError(f"witness ratio {ratio!r} differs from the report value "
                          f"{report.value!r}")
-    scorer, _, decode = REPORT_KINDS[report.kind]
-    return float(scorer(report.context, tol)(decode(report))[0])
+    scorer, recipe = REPORT_KINDS[report.kind]
+    try:
+        score = scorer(report.context, tol)
+        draw = recipe(report.context, report.seed) if recipe else None
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"malformed {report.kind} report context: {exc!r}") from None
+    if recipe is None:
+        return float(score(vec_from_json(report.witness["inputs_gaussian"])[None])[0])
+    i = report.witness["index"]
+    if not (isinstance(i, int) and 0 <= i < report.samples):
+        raise InputError(f"witness index {i!r} is not a sample of the report's stream")
+    x = draw(_Chunk(range(i, i + 1)))
+    stored = report.witness.get("inputs")
+    # float reprs round-trip, so equal JSON is equal bits, signed zeros included
+    if stored is not None and json.dumps(stored, sort_keys=True) != json.dumps(
+            {name: _stored_input(report, m[0]) for name, m in x.items()}, sort_keys=True):
+        raise InputError(f"witness inputs are not sample {i} of the report's stream")
+    return float(score(x)[0])
 
 
 def _split_index(total: float, part: float) -> float:
@@ -906,11 +914,8 @@ def _gamma_scorer(ctx, tol):
     return lambda g: lp_rows(g @ m.T, target.pY)
 
 
-REPORT_KINDS["gamma"] = (
-    _gamma_scorer,
-    lambda g, tol: {"inputs_gaussian": vec_to_json(g)},
-    lambda report: vec_from_json(report.witness["inputs_gaussian"])[None],
-)
+# no recipe: every row comes from one generator, so re-drawing row i draws all before it
+REPORT_KINDS["gamma"] = (_gamma_scorer, None)
 
 
 def gamma_summing_mc(table, n_samples: int, seed: int, target=None) -> EstimateReport:
@@ -933,8 +938,7 @@ def gamma_summing_mc(table, n_samples: int, seed: int, target=None) -> EstimateR
     context = {"p": 2.0, "q": 2.0, "table": _table_to_doc(table)}
     if target is not None:
         context["target"] = target.doc()
-    scorer, encode, _ = REPORT_KINDS["gamma"]
-    score = scorer(context, DEFAULT_TOL)
+    score = _gamma_scorer(context, DEFAULT_TOL)
     norms = np.empty(n_samples)
     imax, best_row = 0, None
     rows = max(1, CHUNK_ENTRIES // max(1, width))
@@ -957,9 +961,9 @@ def gamma_summing_mc(table, n_samples: int, seed: int, target=None) -> EstimateR
     note = "Monte Carlo mean of squared norms; stderr by the delta method"
     if n_samples < 100:
         note += "; WARNING: fewer than 100 samples"
+    witness = {"index": imax, "inputs_gaussian": vec_to_json(best_row)}
     report = EstimateReport(kind="gamma", value=value, samples=n_samples, seed=seed,
-                            witness={"index": imax, **encode(best_row, DEFAULT_TOL)},
-                            note=note, stderr=stderr, context=context)
+                            witness=witness, note=note, stderr=stderr, context=context)
     # the replayed ratio: a one-row product may round unlike the block's row
     report.witness["ratio"] = reevaluate_witness(report)
     return report

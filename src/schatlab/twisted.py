@@ -30,12 +30,8 @@ from .matcore import (
     InputError,
     Tolerances,
     lp_rows,
-    mat_from_json,
-    mat_to_json,
     schatten_norm,
     validate_index,
-    vec_from_json,
-    vec_to_json,
 )
 from .metrology import (
     REPORT_KINDS,
@@ -131,10 +127,6 @@ def _sparse_vector(rng, n: int) -> np.ndarray:
     return out
 
 
-# slot -> (encode, decode) of one vector of a pair
-_SLOTS = {"mat": (mat_to_json, mat_from_json), "vec": (vec_to_json, vec_from_json)}
-
-
 def _draw_pairs(sampler: Sampler, slot: str, indices, stream: int) -> np.ndarray:
     """(g, f) of each sample, both from its generator, as a (k, 2, ...) stack."""
     rngs = [rng for rng in sampler.generators(stream, indices) for _ in "gf"]
@@ -143,16 +135,14 @@ def _draw_pairs(sampler: Sampler, slot: str, indices, stream: int) -> np.ndarray
     return pairs.reshape(-1, 2, *pairs.shape[1:])
 
 
-def _pairs_to_witness(x, tol) -> dict:
-    slot = "mat" if x["u"].ndim == 3 else "vec"
-    encode = _SLOTS[slot][0]
-    return {"inputs": {name: {"g": encode(g), "f": encode(f), "slot": slot}
-                       for name, (g, f) in x.items()}}
-
-
-def _pairs_from_witness(report) -> dict:
-    return {name: np.stack([_SLOTS[doc["slot"]][1](doc[k]) for k in "gf"])[None]
-            for name, doc in report.witness["inputs"].items()}
+def _modulus_recipe(context: dict, seed: int):
+    """``draw(chunk)`` of the modulus: the pairs u and v of each sample."""
+    slot = context["slot"]
+    if slot not in ("mat", "vec"):
+        raise InputError(f"slot must be 'mat' or 'vec', got {slot!r}")
+    sampler = Sampler(seed=seed, dim=context["dim"], p=2.0, tag="sparse")
+    return lambda chunk: {"u": _draw_pairs(sampler, slot, chunk.indices, STREAM_PRIMARY),
+                          "v": _draw_pairs(sampler, slot, chunk.indices, STREAM_SECONDARY)}
 
 
 def _modulus_scorer(ctx, tol):
@@ -167,7 +157,7 @@ def _modulus_scorer(ctx, tol):
     return lambda x, chunk=None: norms(x["u"] + x["v"]) / (norms(x["u"]) + norms(x["v"]))
 
 
-REPORT_KINDS["modulus"] = (_modulus_scorer, _pairs_to_witness, _pairs_from_witness)
+REPORT_KINDS["modulus"] = (_modulus_scorer, _modulus_recipe)
 
 
 def quasinorm_modulus_probe(mapping, pY: float, pX: float, dim: int, seed: int,
@@ -181,16 +171,11 @@ def quasinorm_modulus_probe(mapping, pY: float, pX: float, dim: int, seed: int,
     """
     if n_samples < 2:
         raise InputError("the modulus probe needs at least two samples")
-    if slot not in _SLOTS:
-        raise InputError(f"slot must be 'mat' or 'vec', got {slot!r}")
-    sampler = Sampler(seed=seed, dim=dim, p=2.0, tag="sparse")
     doc = ({"spec": spec_to_doc(mapping)} if isinstance(mapping, CentralizerSpec)
            else {"qmap": qmap_to_doc(mapping)})
     return max_over_stream(
-        [("modulus", {"pY": pY, "pX": pX, "dim": dim, "slot": slot, "map": doc},
-          lambda chunk: {"u": _draw_pairs(sampler, slot, chunk.indices, STREAM_PRIMARY),
-                         "v": _draw_pairs(sampler, slot, chunk.indices, STREAM_SECONDARY)})],
-        sampler, n_samples, tol,
+        [("modulus", {"pY": pY, "pX": pX, "dim": dim, "slot": slot, "map": doc})],
+        Sampler(seed=seed, dim=dim, p=2.0, tag="sparse"), n_samples, tol,
         note="max over samples; lower bound of the true modulus")[0]
 
 

@@ -492,32 +492,51 @@ def test_replay_refuses_a_file_without_reports(tmp_path, capsys, text):
     assert err["type"] == "replay" and "out of range of 0 reports" in err["message"]
 
 
-def _broken_report(tmp_path, capsys, experiment, entry):
-    """A report.json of a fresh run, its first entry passed through ``entry``."""
-    doc = (constants_config(tmp_path) if experiment == "constants" else
-           {"experiment": "gamma", "operator": {"kind": "identity", "k": 2}, "seed": 1,
-            "samples": 10, "output": str(tmp_path / "out")})
+def _broken_report(tmp_path, capsys, experiment, edit):
+    """A report.json of a fresh run, passed through ``edit``."""
+    doc = {"constants": constants_config(tmp_path),
+           "gamma": {"experiment": "gamma", "operator": {"kind": "identity", "k": 2},
+                     "seed": 1, "samples": 10, "output": str(tmp_path / "out")},
+           "modulus": modulus_vec_config(tmp_path, _KP_ON_H)}[experiment]
     assert main(["run", str(write_config(tmp_path, doc))]) == 0
     capsys.readouterr()
     report = tmp_path / "out" / "report.json"
-    doc = read_json(report)
-    doc["reports"][0] = entry(doc["reports"][0])
-    report.write_text(json.dumps(doc))
+    report.write_text(json.dumps(edit(read_json(report))))
     return report
 
 
-@pytest.mark.parametrize("experiment, entry", [
-    ("gamma", lambda rep: {**rep, "witness": {k: v for k, v in rep["witness"].items()
-                                              if k != "ratio"}}),
-    ("constants", lambda rep: {**rep, "witness": 5}),
-    ("constants", lambda rep: {**rep, "value": "abc"}),
-    ("constants", lambda rep: {**rep, "samples": None}),
-    ("constants", lambda rep: 5),
-    ("constants", lambda rep: {**rep, "context": {**rep["context"], "dim": "x"}}),
+def _first(entry):
+    """The edit passing the first report of the file through ``entry``."""
+    return lambda doc: {**doc, "reports": [entry(doc["reports"][0]), *doc["reports"][1:]]}
+
+
+def _context(**fields):
+    return _first(lambda rep: {**rep, "context": {**rep["context"], **fields}})
+
+
+@pytest.mark.parametrize("experiment, edit", [
+    ("gamma", _first(lambda rep: {**rep, "witness": {k: v for k, v in rep["witness"].items()
+                                                     if k != "ratio"}})),
+    ("constants", _first(lambda rep: {**rep, "witness": 5})),
+    ("constants", _first(lambda rep: {**rep, "value": "abc"})),
+    ("constants", _first(lambda rep: {**rep, "samples": None})),
+    ("constants", _first(lambda rep: 5)),
+    ("constants", _context(dim="x")),
+    ("constants", lambda doc: {**doc, "reports": 5}),
+    ("constants", _context(p="x")),
+    ("constants", _context(min_norm="x")),
+    ("gamma", _context(table=5)),
+    ("constants", _first(lambda rep: {**rep, "kind": ["L"]})),
+    ("modulus", _context(pY="x")),
+    ("modulus", _context(map=5)),
+    # the layout of modulus witnesses that stored their pairs
+    ("modulus", _first(lambda rep: {**rep, "witness": {**rep["witness"], "inputs": 5}})),
 ], ids=["gamma-without-ratio", "witness-number", "value-text", "samples-null",
-        "report-number", "dim-text"])
-def test_replay_refuses_a_malformed_report(tmp_path, capsys, experiment, entry):
-    report = _broken_report(tmp_path, capsys, experiment, entry)
+        "report-number", "dim-text", "reports-number", "p-text", "min-norm-text",
+        "gamma-table-number", "kind-list", "modulus-pY-text", "modulus-map-number",
+        "modulus-inputs-number"])
+def test_replay_refuses_a_malformed_report(tmp_path, capsys, experiment, edit):
+    report = _broken_report(tmp_path, capsys, experiment, edit)
     assert main(["replay", str(report)]) == 2
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "replay"

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from schatlab.centralizers import (
     KPBicentralizer,
@@ -20,7 +20,7 @@ from schatlab.centralizers import (
     evaluate,
 )
 from schatlab.matcore import (DEFAULT_TOL, InputError, NumericError, as_matrix, mat_to_json,
-                              rank_one, schatten_norm)
+                              rank_one, schatten_norm, vec_to_json)
 from schatlab.metrology import (
     STREAM_LEFT,
     STREAM_PRIMARY,
@@ -527,16 +527,25 @@ def test_chunked_estimate_prefix_stable_across_chunk_edges(small_chunks, kind):
             spec, kind, sampler, n_samples, 1.0)
 
 
+def _modulus(kind, dim, seed, n_samples):
+    """Report of the probe "modulus_mat" (the KP bicentralizer, indices 2
+    and 1) or "modulus_vec" (the KP vector map, indices 2 and 2)."""
+    if kind == "modulus_mat":
+        return quasinorm_modulus_probe(KPBicentralizer("s", 2.0), pY=2.0, pX=1.0, dim=dim,
+                                       seed=seed, n_samples=n_samples)
+    return quasinorm_modulus_probe(KPOnH("s"), pY=2.0, pX=2.0, dim=dim, seed=seed,
+                                   n_samples=n_samples, slot="vec")
+
+
 def _stream_report(kind, tag):
     """Report of a kind that ``max_over_stream`` drives, at n = 12 (chunks
     of 7 and 28 samples at 2**10 and 2**12 entries) or, for the vector
     modulus, n = 32 (chunks of 32 and 128)."""
     spec = KPBicentralizer("s", 2.0)
     if kind == "modulus_mat":
-        return quasinorm_modulus_probe(spec, pY=2.0, pX=1.0, dim=12, seed=SEED, n_samples=30)
+        return _modulus(kind, 12, SEED, 30)
     if kind == "modulus_vec":
-        return quasinorm_modulus_probe(KPOnH("s"), pY=2.0, pX=2.0, dim=32, seed=SEED,
-                                       n_samples=130, slot="vec")
+        return _modulus(kind, 32, SEED, 130)
     sampler = Sampler(seed=SEED, dim=12, p=2.0, tag=tag)
     if kind in KINDS:
         return estimate_constant(spec, kind, sampler, 30)
@@ -708,10 +717,9 @@ def test_replay_reproduces_estimate_bitwise(kind, tag):
 def _report_of_kind(kind, tag):
     kp = KPBicentralizer("s", 2.0)
     if kind == "modulus_mat":
-        return quasinorm_modulus_probe(kp, pY=2.0, pX=1.0, dim=5, seed=9, n_samples=40)
+        return _modulus(kind, 5, 9, 40)
     if kind == "modulus_vec":
-        return quasinorm_modulus_probe(KPOnH("s"), pY=2.0, pX=2.0, dim=8, seed=9,
-                                       n_samples=40, slot="vec")
+        return _modulus(kind, 8, 9, 40)
     if kind == "gamma":  # the canned operator
         return gamma_summing_mc(np.eye(8, dtype=complex), 400, seed=9)
     if kind == "gamma_matrix":
@@ -740,27 +748,28 @@ def test_replay_reproduces_every_report_kind_bitwise(kind, tag):
 
 # --- index-only witnesses: replay re-draws the sample -------------------------
 
-RECIPE_KINDS = (*KINDS, *_PAIR_KINDS)
+RECIPE_KINDS = (*KINDS, *_PAIR_KINDS, "modulus_mat", "modulus_vec")
 
 
 def _recorded_ratios(monkeypatch, measure):
     """Reports of ``measure()``, and the ratio its pass scored for every
-    (kind, sample index), chunk by chunk, with the chunk count."""
+    (kind, context, sample index), chunk by chunk, with the chunk count;
+    the context is its JSON, so the two modulus slots are told apart."""
     seen, chunks = {}, set()
-    for kind in RECIPE_KINDS:
-        scorer, encode, decode = metrology.REPORT_KINDS[kind]
+    for kind in (*KINDS, *_PAIR_KINDS, "modulus"):
+        scorer, recipe = metrology.REPORT_KINDS[kind]
 
         def recording(ctx, tol, kind=kind, scorer=scorer):
-            score = scorer(ctx, tol)
+            score, key = scorer(ctx, tol), (kind, json.dumps(ctx, sort_keys=True))
 
             def scored(x, chunk=None):
                 ratios = score(x, chunk)
                 if chunk is not None:
                     chunks.add(chunk.indices.start)
-                    seen.update({(kind, i): r for i, r in zip(chunk.indices, ratios)})
+                    seen.update({(*key, i): r for i, r in zip(chunk.indices, ratios)})
                 return ratios
             return scored
-        monkeypatch.setitem(metrology.REPORT_KINDS, kind, (recording, encode, decode))
+        monkeypatch.setitem(metrology.REPORT_KINDS, kind, (recording, recipe))
     reports = measure()
     monkeypatch.undo()
     return reports, seen, len(chunks)
@@ -776,16 +785,17 @@ def test_every_sample_redraws_to_its_chunked_ratio(monkeypatch, n, tag):
 
     def measure():
         return [*estimate_constants(spec, list(KINDS), sampler, n_samples),
-                *(_pair_estimate(spec, kind, sampler, n_samples)[0] for kind in _PAIR_KINDS)]
+                *(_pair_estimate(spec, kind, sampler, n_samples)[0] for kind in _PAIR_KINDS),
+                *(_modulus(kind, n, SEED, n_samples) for kind in ("modulus_mat", "modulus_vec"))]
 
     reports, seen, chunks = _recorded_ratios(monkeypatch, measure)
     assert chunks == 3
-    assert [rep.kind for rep in reports] == list(RECIPE_KINDS)
+    assert [rep.kind for rep in reports] == [kind.split("_")[0] for kind in RECIPE_KINDS]
     for rep in reports:
         assert set(rep.witness) <= {"index", "ratio", "frame_ambiguous"}, rep.kind
         doc = json.loads(json.dumps(rep.to_doc()))
         for i in range(n_samples):
-            ratio = seen[rep.kind, i]
+            ratio = seen[rep.kind, json.dumps(rep.context, sort_keys=True), i]
             assert not math.isnan(ratio)
             doc.update(value=ratio, witness={**doc["witness"], "index": i, "ratio": ratio})
             assert reevaluate_witness(EstimateReport.from_doc(doc)) == ratio, (rep.kind, i)
@@ -823,6 +833,12 @@ def _stored_inputs(rep):
         inputs = {"g": unit("p2", STREAM_PRIMARY), "f": unit("s", STREAM_SECONDARY)}
     elif rep.kind == "contravariant":
         inputs = {"g": unit("q2", STREAM_PRIMARY), "f": unit("p", STREAM_SECONDARY)}
+    elif rep.kind == "modulus":  # pairs, each slot's codec, the slot named
+        sampler = Sampler(seed=rep.seed, dim=ctx["dim"], p=2.0, tag="sparse")
+        encode = mat_to_json if ctx["slot"] == "mat" else vec_to_json
+        return {name: {"g": encode(g), "f": encode(f), "slot": ctx["slot"]}
+                for name, stream in (("u", STREAM_PRIMARY), ("v", STREAM_SECONDARY))
+                for g, f in _draw_pairs(sampler, ctx["slot"], [i], stream)}
     else:
         inputs = {"f": unit("p", STREAM_PRIMARY)}
     if rep.kind == "Q":
@@ -833,20 +849,28 @@ def _stored_inputs(rep):
     return {name: mat_to_json(m) for name, m in inputs.items()}
 
 
-@pytest.mark.parametrize("kind", ["Q", "L", *_PAIR_KINDS])
+@pytest.mark.parametrize("kind", ["Q", "L", *_PAIR_KINDS, "modulus_mat", "modulus_vec"])
 def test_stored_witness_inputs_must_be_the_redrawn_sample(kind):
     spec = KPBicentralizer("s", 2.0)
     sampler = Sampler(seed=9, dim=5, p=2.0, tag="rank_one")
     if kind in KINDS:
         rep = estimate_constant(spec, kind, sampler, 20)
-    else:
+    elif kind in _PAIR_KINDS:
         rep = _pair_estimate(spec, kind, sampler, 20)[0]
+    else:
+        rep = _report_of_kind(kind, None)
     doc = json.loads(json.dumps(rep.to_doc()))
     doc["witness"]["inputs"] = _stored_inputs(rep)
-    del doc["context"]["min_norm"]  # as written before it was recorded
+    doc["context"].pop("min_norm", None)  # as written before it was recorded
     assert reevaluate_witness(EstimateReport.from_doc(doc)) == rep.value
-    entry = doc["witness"]["inputs"]["f"]["im"]
-    entry[3] = math.nextafter(entry[3], math.inf)
+    stored = doc["witness"]["inputs"]
+    if kind == "modulus_mat":
+        entries, at = stored["v"]["f"]["im"], 3
+    elif kind == "modulus_vec":
+        entries, at = stored["u"]["g"][0], 0
+    else:
+        entries, at = stored["f"]["im"], 3
+    entries[at] = math.nextafter(entries[at], math.inf)
     with pytest.raises(InputError, match=f"not sample {rep.witness['index']} of"):
         reevaluate_witness(EstimateReport.from_doc(doc))
 
@@ -887,24 +911,29 @@ def _merged_over_parts(reports, cuts):
     for a, b in zip(cuts, cuts[1:]):
         chunk = metrology._Chunk(range(a, b))
         for j, rep in enumerate(reports):
-            draw = metrology._recipe(rep.kind, rep.context, rep.seed)
-            score = metrology.REPORT_KINDS[rep.kind][0](rep.context, DEFAULT_TOL)
-            ratios = score(draw(chunk), chunk)
+            scorer, recipe = metrology.REPORT_KINDS[rep.kind]
+            score = scorer(rep.context, DEFAULT_TOL)
+            ratios = score(recipe(rep.context, rep.seed)(chunk), chunk)
             k = int(np.argmax(np.where(np.isnan(ratios), -math.inf, ratios)))
             if ratios[k] > best[j][0]:
                 best[j] = (float(ratios[k]), a + k)
     return best
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
-@given(job=st.sampled_from(["shared", *_PAIR_KINDS]), tag=st.sampled_from(TAGS),
-       n=st.integers(1, 5), stream=st.integers(1, 40).flatmap(
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(job=st.sampled_from(["shared", *_PAIR_KINDS, "modulus_mat", "modulus_vec"]),
+       tag=st.sampled_from(TAGS), n=st.integers(1, 5), stream=st.integers(1, 40).flatmap(
            lambda total: st.tuples(st.just(total), st.sets(st.integers(0, total)))))
 def test_stream_partition_changes_no_report(job, tag, n, stream):
     total, cuts = stream
+    assume(total >= 2 or not job.startswith("modulus"))  # the probe needs two samples
     spec, sampler = KPBicentralizer("s", 2.0), Sampler(seed=SEED, dim=n, p=2.0, tag=tag)
-    reports = (estimate_constants(spec, list(KINDS), sampler, total) if job == "shared"
-               else [_pair_estimate(spec, job, sampler, total)[0]])
+    if job == "shared":
+        reports = estimate_constants(spec, list(KINDS), sampler, total)
+    elif job in _PAIR_KINDS:
+        reports = [_pair_estimate(spec, job, sampler, total)[0]]
+    else:
+        reports = [_modulus(job, n, SEED, total)]
     merged = _merged_over_parts(reports, sorted({0, total, *cuts}))
     for rep, (value, index) in zip(reports, merged):
         assert (value, index) == (rep.value, rep.witness.get("index")), rep.kind
@@ -1165,14 +1194,15 @@ def test_streamed_gamma_matches_block(name, pieces):
     n_samples = rows - 100 if pieces == "one-piece" else 2 * rows + 17
     rep = gamma_summing_mc(table, n_samples, seed=3, target=target)
     block = Sampler(seed=3, dim=8, p=2.0).gaussian_block(n_samples, 8)
-    scorer, encode, _ = metrology.REPORT_KINDS["gamma"]
+    scorer, recipe = metrology.REPORT_KINDS["gamma"]
+    assert recipe is None  # the witness row is stored, not re-drawn
     score = scorer(rep.context, DEFAULT_TOL)
     squares = score(block) ** 2
     value = math.sqrt(float(squares.mean()))
     stderr = float(squares.std(ddof=1)) / math.sqrt(n_samples) / (2.0 * value)
     imax = int(np.argmax(score(block)))
     assert (rep.value, rep.stderr) == (value, stderr)
-    assert rep.witness == {"index": imax, **encode(block[imax], DEFAULT_TOL),
+    assert rep.witness == {"index": imax, "inputs_gaussian": vec_to_json(block[imax]),
                            "ratio": float(score(block[imax][None])[0])}
 
 
