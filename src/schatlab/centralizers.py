@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import typing
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -24,10 +24,13 @@ from .matcore import (
     InputError,
     Tolerances,
     adjoint,
+    as_integer,
     as_matrices,
     as_matrix,
     as_vector,
+    checked,
     combine_indices,
+    decode_fields,
     mat_from_json,
     mat_to_json,
     rank_one,
@@ -70,8 +73,6 @@ __all__ = [
     "spec_to_doc",
     "spec_from_doc",
     "spec_hash",
-    "register_spec_kind",
-    "register_qmap_kind",
 ]
 
 
@@ -88,7 +89,9 @@ class Node:
     A class-level ``kind`` registers a node class in its family's
     ``kinds`` table, which decoding and ``schatlab list`` read; the first
     docstring line is the ``list`` text.  The dataclass fields, encoded
-    by type, are the wire format.
+    by type, are the wire format.  A user kind is registered the same
+    way: a dataclass subclass of ``CentralizerSpec`` or ``QuasilinearMap``
+    with its ``kind``, whose fields are of the types ``_codec`` knows.
     """
 
     kind: ClassVar[str]
@@ -498,17 +501,6 @@ def linear_from_rank_ones(ell: Callable[[np.ndarray], complex], n: int) -> np.nd
 # --- wire format --------------------------------------------------------------
 
 
-def _phi_name(name) -> str:
-    get_phi(name)
-    return name
-
-
-def _backend_name(name) -> str:
-    if name not in SCHMIDT_BACKENDS:
-        raise InputError(f"unknown schmidt backend {name!r}; known: {SCHMIDT_BACKENDS}")
-    return name
-
-
 def _complex_from_doc(doc) -> complex:
     re, im = doc
     return complex(re, im)
@@ -525,8 +517,10 @@ def _codec(tp) -> tuple[Callable, Callable]:
         return (lambda ts: [encode(t) for t in ts],
                 lambda docs: tuple(decode(d) for d in docs))
     return {
-        PhiName: (_same, _phi_name),
-        Backend: (_same, _backend_name),
+        int: (_same, as_integer),
+        PhiName: (_same, lambda name: get_phi(name).name),  # the name of a registered phi
+        Backend: (_same, checked(lambda name: name in SCHMIDT_BACKENDS,
+                                 f"schmidt backend must be one of {list(SCHMIDT_BACKENDS)}")),
         float: (_same, validate_index),
         float | None: (_same, lambda v: v if v is None else validate_index(v)),
         # [c.real, c.imag] keeps an int coefficient an int on the wire
@@ -538,16 +532,16 @@ def _codec(tp) -> tuple[Callable, Callable]:
 
 
 @functools.cache
-def _field_codecs(cls) -> tuple:
-    """(name, encode, decode, default) for each field of a node class."""
+def _field_codecs(cls) -> dict:
+    """name -> (encode, decode) of each field of a node class, in field order."""
     hints = typing.get_type_hints(cls)
-    return tuple((f.name, *_codec(hints[f.name]), f.default) for f in fields(cls))
+    return {f.name: _codec(hints[f.name]) for f in fields(cls)}
 
 
 def spec_to_doc(node: Node) -> dict:
     """Document of a spec or vector-map tree; fields that are None are left out."""
     doc = {"kind": node.kind}
-    for name, encode, _, _ in _field_codecs(type(node)):
+    for name, (encode, _) in _field_codecs(type(node)).items():
         value = getattr(node, name)
         if value is not None:
             doc[name] = encode(value)
@@ -565,22 +559,9 @@ def _node_from_doc(family: type, doc) -> Node:
     if not isinstance(kind, str) or kind not in family.kinds:
         raise InputError(f"unknown {family.noun} kind {kind!r}")
     cls = family.kinds[kind]
-    if not isinstance(cls, type):
-        return cls(doc)  # a registered loader
-    codecs = _field_codecs(cls)
-    unknown = set(doc) - {"kind"} - {name for name, *_ in codecs}
-    if unknown:
-        raise InputError(f"{family.noun} kind {kind!r} has no fields {sorted(unknown)}")
-    values = {}
-    for name, _, decode, default in codecs:
-        value = doc.get(name, default)
-        if value is MISSING:
-            raise InputError(f"{family.noun} kind {kind!r} needs field {name!r}")
-        try:
-            values[name] = decode(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"bad {name!r} in {family.noun} kind {kind!r}: {exc}") from None
-    return cls(**values)
+    return decode_fields(cls, {k: v for k, v in doc.items() if k != "kind"},
+                         {name: decode for name, (_, decode) in _field_codecs(cls).items()},
+                         f"{family.noun} kind {kind!r}")
 
 
 def spec_from_doc(doc: dict) -> CentralizerSpec:
@@ -591,15 +572,6 @@ def spec_from_doc(doc: dict) -> CentralizerSpec:
 def qmap_from_doc(doc: dict) -> QuasilinearMap:
     """Vector map of a document; a malformed document raises InputError."""
     return _node_from_doc(QuasilinearMap, doc)
-
-
-def register_qmap_kind(kind: str, loader: Callable[[dict], QuasilinearMap]) -> None:
-    QuasilinearMap.kinds[kind] = loader
-
-
-def register_spec_kind(kind: str, loader: Callable[[dict], CentralizerSpec]) -> None:
-    """Extension point: user constructors become loadable by name."""
-    CentralizerSpec.kinds[kind] = loader
 
 
 def spec_hash(spec: CentralizerSpec) -> str:

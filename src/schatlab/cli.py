@@ -187,8 +187,6 @@ def _load_config(path, args=None) -> ExperimentConfig | None:
         return parse_config(doc)
     except ConfigError as exc:
         _emit_error(exc.to_doc())
-    except InputError as exc:
-        _emit_error({"type": "config", "message": str(exc)})
     except (OSError, json.JSONDecodeError) as exc:
         _emit_error({"type": "config", "message": f"cannot read config: {exc}"})
     return None

@@ -25,7 +25,17 @@ from .centralizers import (
     spec_hash,
 )
 from .ioutil import doc_hash, jsonable_float
-from .matcore import DEFAULT_TOL, InputError, Tolerances, mat_from_json, validate_index
+from .matcore import (
+    DEFAULT_TOL,
+    InputError,
+    Tolerances,
+    as_integer,
+    checked,
+    decode_fields,
+    mat_from_json,
+    validate_dim,
+    validate_index,
+)
 from .metrology import (
     ESTIMATE_KINDS,
     SAMPLE_TAGS,
@@ -65,7 +75,7 @@ class ExperimentConfig:
 
     experiment: str
     seed: int
-    output: str
+    output: str = ""
     dims: tuple[int, ...] = ()
     spec: dict | str | None = None      # inline document or file path
     spec2: dict | str | None = None
@@ -94,20 +104,6 @@ class ExperimentConfig:
         return doc_hash(self.doc())
 
 
-_KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)}
-
-
-def _integers(values, key: str) -> tuple[int, ...]:
-    try:
-        if not isinstance(values, (list, tuple)) or any(
-                isinstance(v, bool) or (isinstance(v, float) and not v.is_integer())
-                for v in values):
-            raise TypeError
-        return tuple(int(v) for v in values)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be integer", field_name=key) from None
-
-
 def _reject_non_finite(value, where: str, field_name: str) -> None:
     """Refuse a NaN or infinite number anywhere inside a JSON value: the
     configuration hash is canonical JSON, which has no such numbers."""
@@ -120,103 +116,6 @@ def _reject_non_finite(value, where: str, field_name: str) -> None:
     elif isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
             _reject_non_finite(item, f"{where}[{i}]", field_name)
-
-
-def parse_config(doc: dict) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("configuration must be a JSON object")
-    unknown = set(doc) - _KNOWN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown configuration keys: {sorted(unknown)}",
-                          field_name=sorted(unknown)[0])
-    for key, value in doc.items():
-        _reject_non_finite(value, key, key)
-    if "experiment" not in doc:
-        raise ConfigError("missing experiment name", field_name="experiment")
-    if doc["experiment"] not in EXPERIMENTS:
-        raise ConfigError(
-            f"unknown experiment {doc['experiment']!r}; known: {sorted(EXPERIMENTS)}",
-            field_name="experiment")
-    if "seed" not in doc:
-        raise ConfigError("a seed is required; no implicit entropy",
-                          field_name="seed")
-    (seed,) = _integers([doc["seed"]], "seed")
-    if seed < 0:
-        raise ConfigError("seed must be nonnegative", field_name="seed")
-    dims = _integers(doc.get("dims", ()), "dims")
-    if any(d < 1 for d in dims):
-        raise ConfigError("dimensions must be positive", field_name="dims")
-    if any(b <= a for a, b in zip(dims, dims[1:])):
-        raise ConfigError("dimensions must be strictly ascending",
-                          field_name="dims")
-    indices = {}
-    for key in ("p", "q"):
-        value = doc.get(key)
-        if value is not None:
-            try:
-                value = math.inf if value in ("inf", "Infinity") else float(value)
-                validate_index(value)
-            except (InputError, TypeError, ValueError):
-                raise ConfigError(f"index {key} must be positive",
-                                  field_name=key) from None
-        indices[key] = value
-    (samples,) = _integers([doc.get("samples", 200)], "samples")
-    if samples < 1:
-        raise ConfigError("samples must be at least 1", field_name="samples")
-    kinds = doc.get("kinds", ())
-    if not isinstance(kinds, (list, tuple)):
-        raise ConfigError("kinds must be a list", field_name="kinds")
-    for k in kinds:
-        if k not in ESTIMATE_KINDS + _GROWTH_EXTRA_KINDS:
-            raise ConfigError(f"unknown kind {k!r}", field_name="kinds")
-    kinds = tuple(kinds)
-    side = doc.get("side", "left")
-    if side not in ("left", "right"):
-        raise ConfigError("side must be 'left' or 'right'", field_name="side")
-    tag = doc.get("tag", "ginibre")
-    if tag not in SAMPLE_TAGS:
-        raise ConfigError(f"unknown sample tag {tag!r}; known: {list(SAMPLE_TAGS)}",
-                          field_name="tag")
-    slot = doc.get("slot", "mat")
-    if slot not in ("mat", "vec"):
-        raise ConfigError("slot must be 'mat' or 'vec'", field_name="slot")
-    output = doc.get("output", "")
-    if not isinstance(output, str) or "\0" in output:
-        raise ConfigError("output must be a path string", field_name="output")
-    phi = doc.get("phi", "s")
-    if not isinstance(phi, str):
-        raise ConfigError("phi must be the name of a phi function", field_name="phi")
-    tolerances = doc.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise ConfigError("tolerances must be an object", field_name="tolerances")
-    known_tols = set(DEFAULT_TOL.__dataclass_fields__)
-    for key, value in tolerances.items():
-        if key not in known_tols:
-            raise ConfigError(f"unknown tolerance {key!r}; known: {sorted(known_tols)}",
-                              field_name="tolerances")
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not 0 < value < math.inf):
-            raise ConfigError(f"tolerance {key!r} must be a positive finite number",
-                              field_name="tolerances")
-    cfg = ExperimentConfig(
-        experiment=doc["experiment"],
-        seed=seed,
-        output=output,
-        dims=dims,
-        spec=doc.get("spec"),
-        spec2=doc.get("spec2"),
-        operator=doc.get("operator"),
-        **indices,
-        kinds=kinds,
-        samples=samples,
-        tag=tag,
-        side=side,
-        slot=slot,
-        phi=phi,
-        tolerances=tolerances,
-    )
-    EXPERIMENTS[cfg.experiment].prepare(cfg)
-    return cfg
 
 
 def _tol(cfg: ExperimentConfig) -> Tolerances:
@@ -365,18 +264,11 @@ def _gamma(cfg: ExperimentConfig) -> Callable[[], dict]:
     if not isinstance(op, dict) or op.get("kind") not in ("identity", "matrix"):
         raise ConfigError("gamma needs operator {'kind': 'identity'|'matrix', ...}",
                           field_name="operator")
-    if op["kind"] == "identity":
-        (k,) = _integers([op.get("k", 0)], "operator")
-        if k < 1:
-            raise ConfigError("identity operator needs k >= 1", field_name="operator")
-        table = np.eye(k, dtype=np.complex128)
-    elif "value" not in op:
-        raise ConfigError("matrix operator needs a value", field_name="operator")
-    else:
-        try:
-            table = mat_from_json(op["value"])
-        except InputError as exc:
-            raise ConfigError(f"bad matrix operator: {exc}", field_name="operator") from None
+    try:
+        table = (np.eye(validate_dim(op.get("k", 0)), dtype=np.complex128)
+                 if op["kind"] == "identity" else mat_from_json(op.get("value")))
+    except InputError as exc:
+        raise ConfigError(f"bad {op['kind']} operator: {exc}", field_name="operator") from None
 
     def run() -> dict:
         rep = gamma_summing_mc(table, cfg.samples, cfg.seed)
@@ -404,3 +296,54 @@ EXPERIMENTS: dict[str, Experiment] = {exp.name: exp for exp in (
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     return EXPERIMENTS[cfg.experiment].prepare(cfg)()
+
+
+def _one_of(allowed):
+    return checked(lambda v: v in allowed, f"must be one of {list(allowed)}")
+
+
+def _tuple_of(decode):
+    listed = checked(lambda v: isinstance(v, (list, tuple)), "must be a list")
+    return lambda values: tuple(decode(v) for v in listed(values))
+
+
+def _index(value) -> float | None:
+    return value if value is None else validate_index(value)
+
+
+# how each field of a configuration document decodes; spec, spec2 and
+# operator are taken as they are, for the experiment's preparation to read
+_CONFIG_CODECS = {
+    "experiment": _one_of(EXPERIMENTS),
+    "seed": checked(lambda n: n >= 0, "seed must be nonnegative", as_integer),
+    "output": checked(lambda v: isinstance(v, str) and "\0" not in v,
+                      "output must be a path string"),
+    "dims": checked(lambda ds: all(a < b for a, b in zip(ds, ds[1:])),
+                    "dimensions must be strictly ascending", _tuple_of(validate_dim)),
+    "p": _index,
+    "q": _index,
+    "kinds": _tuple_of(_one_of(ESTIMATE_KINDS + _GROWTH_EXTRA_KINDS)),
+    "samples": checked(lambda n: n >= 1, "samples must be at least 1", as_integer),
+    "tag": _one_of(SAMPLE_TAGS),
+    "side": _one_of(("left", "right")),
+    "slot": _one_of(("mat", "vec")),
+    "phi": checked(lambda v: isinstance(v, str), "phi must be the name of a phi function"),
+    "tolerances": checked(lambda t: isinstance(t, dict) and all(
+        k in DEFAULT_TOL.__dataclass_fields__ and not isinstance(v, bool)
+        and isinstance(v, (int, float)) and 0 < v < math.inf for k, v in t.items()),
+        "tolerances must map tolerance names to positive finite numbers"),
+}
+
+
+def parse_config(doc: dict) -> ExperimentConfig:
+    """The configuration of a document: every number finite, each field
+    decoded by its codec, then prepared by its experiment; a refusal
+    raises ConfigError, naming the field where one is at fault."""
+    for key, value in (doc.items() if isinstance(doc, dict) else ()):
+        _reject_non_finite(value, key, key)
+    try:
+        cfg = decode_fields(ExperimentConfig, doc, _CONFIG_CODECS, "configuration")
+        EXPERIMENTS[cfg.experiment].prepare(cfg)
+    except InputError as exc:
+        raise ConfigError(str(exc), field_name=exc.diagnostics.get("field")) from None
+    return cfg

@@ -10,7 +10,7 @@ mutated after construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -20,6 +20,10 @@ __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
     "validate_index",
+    "as_integer",
+    "validate_dim",
+    "checked",
+    "decode_fields",
     "as_matrix",
     "as_matrices",
     "as_vector",
@@ -93,6 +97,60 @@ def validate_index(p: float) -> float:
     if math.isnan(p) or p <= 0.0:
         raise InputError(f"summability index must be positive, got {p!r}")
     return p
+
+
+def as_integer(value) -> int:
+    """The one integer rule of every document: an int, an integral float or
+    a numeral such as "8", never a bool or a fractional float."""
+    try:
+        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+            raise TypeError
+        return int(value)
+    except (TypeError, ValueError):
+        raise InputError(f"expected an integer, got {value!r}") from None
+
+
+def validate_dim(n) -> int:
+    """Check a matrix dimension: a positive integer whose n x n complex128
+    matrix fits numpy's array-size limit."""
+    n = as_integer(n)
+    if not (n >= 1 and 16 * n * n <= np.iinfo(np.intp).max):
+        raise InputError(f"dimension {n} must be positive, and an n x n complex "
+                         "matrix must fit numpy's array-size limit")
+    return n
+
+
+def checked(test, message: str, decode=lambda v: v):
+    """Field decoder: ``decode`` of the value, refused where ``test`` fails."""
+    def check(value):
+        value = decode(value)
+        if not test(value):
+            raise InputError(f"{message}, got {value!r}")
+        return value
+    return check
+
+
+def decode_fields(cls, doc, codec: dict, what: str):
+    """The dataclass ``cls`` of the object ``doc``: each field present is
+    decoded by ``codec[name]`` (taken as is without one), each absent one
+    keeps its default.  Unknown keys and missing required fields are
+    refused; every refusal is an InputError naming the field in
+    ``diagnostics["field"]``."""
+    if not isinstance(doc, dict):
+        raise InputError(f"a {what} document must be an object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+    if unknown:
+        raise InputError(f"{what} has no fields {unknown}", {"field": unknown[0]})
+    values = {}
+    for f in fields(cls):
+        if f.name in doc:
+            try:
+                values[f.name] = codec.get(f.name, lambda v: v)(doc[f.name])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InputError(f"bad {f.name!r} in {what}: {exc}", {"field": f.name}) from None
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise InputError(f"{what} needs field {f.name!r}", {"field": f.name})
+    return cls(**values)
 
 
 def combine_indices(p: float, s: float) -> float:
@@ -464,7 +522,7 @@ def mat_to_json(f) -> dict:
 def mat_from_json(doc: dict) -> np.ndarray:
     """Matrix of a ``mat_to_json`` document; a malformed one raises InputError."""
     try:
-        rows, cols = int(doc["rows"]), int(doc["cols"])
+        rows, cols = as_integer(doc["rows"]), as_integer(doc["cols"])
         re = np.asarray(doc["re"], dtype=np.float64)
         im = np.asarray(doc["im"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:

@@ -42,13 +42,17 @@ from .matcore import (
     NumericError,
     Tolerances,
     adjoint,
+    as_integer,
     as_matrices,
     as_matrix,
+    checked,
+    decode_fields,
     lp_rows,
     mat_from_json,
     mat_to_json,
     rank_one,
     schatten_norm,
+    validate_dim,
     validate_index,
     vec_from_json,
     vec_to_json,
@@ -225,6 +229,11 @@ def dyadic_supports(rng, n: int, count: int = 1) -> list[np.ndarray]:
     return [rng.permutation(n)[:k] for _ in range(count)]
 
 
+# draws of a sample that all stay below its sampler's min_norm: the sample
+# is refused after this many redraws, which a reachable min_norm never needs
+MAX_REDRAWS = 1000
+
+
 @dataclass(frozen=True)
 class Sampler:
     """Deterministic sample source for matrices of a fixed dimension.
@@ -243,10 +252,11 @@ class Sampler:
     min_norm: float = 1e-8
 
     def __post_init__(self):
-        if int(self.seed) < 0:
+        # the seed and dimension decode as a document's integers do
+        object.__setattr__(self, "seed", as_integer(self.seed))
+        object.__setattr__(self, "dim", validate_dim(self.dim))
+        if self.seed < 0:
             raise InputError("sampler seed must be a nonnegative integer")
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
-            raise InputError(f"sampler dimension must be a positive integer, got {self.dim!r}")
         validate_index(self.p)
         if not (isinstance(self.min_norm, (int, float)) and 0.0 < self.min_norm < math.inf):
             raise InputError(f"sampler min_norm must be a positive finite number, "
@@ -257,7 +267,7 @@ class Sampler:
     def generators(self, stream: int, indices) -> list[np.random.Generator]:
         """The generator of each index, ``np.random.default_rng(SeedSequence(
         seed, spawn_key=(stream, index)))`` draw for draw, hashed together."""
-        return _pcg64_generators(int(self.seed), int(stream), indices)
+        return _pcg64_generators(self.seed, int(stream), indices)
 
     def generator(self, stream: int, index: int) -> np.random.Generator:
         """The generator of one index; see ``generators``."""
@@ -320,11 +330,9 @@ class Sampler:
             return self._spectral(rngs)
         return np.stack([self._draw_one(rng) for rng in rngs])
 
-    def raw(self, index: int, stream: int = STREAM_PRIMARY) -> np.ndarray:
-        return self._draw([self.generator(stream, index)])[0]
-
     def unit_sphere(self, index, stream: int = STREAM_PRIMARY) -> np.ndarray:
-        """Sample with Schatten p-norm 1; degenerate draws are redrawn.
+        """Sample with Schatten p-norm 1; draws below ``min_norm`` are
+        redrawn, up to ``MAX_REDRAWS`` times a sample, then refused.
 
         The norm is the estimators' one: at p = 2 the l^2 norm of the
         entries, no SVD.
@@ -344,10 +352,18 @@ class Sampler:
             m = self._draw(rngs)
             norm = _norm(m, self.p)
             low = np.flatnonzero(norm < self.min_norm)
-            while low.size:
+            for _ in range(MAX_REDRAWS):
+                if not low.size:
+                    break
                 m[low] = self._draw([rngs[j] for j in low])
                 norm[low] = _norm(m[low], self.p)
                 low = low[norm[low] < self.min_norm]
+            if low.size:
+                i = int(indices[start + low[0]])
+                raise InputError(
+                    f"sample {i} (seed {self.seed}, dim {n}, tag {self.tag!r}) stays below "
+                    f"min_norm {self.min_norm!r} after {MAX_REDRAWS} redraws",
+                    {"sample_index": i, "seed": self.seed, "dim": n, "tag": self.tag})
             np.divide(m, norm[:, None, None], out=out[start:start + step])
         return out if np.ndim(index) else out[0]
 
@@ -412,23 +428,22 @@ class EstimateReport:
     @classmethod
     def from_doc(cls, doc: dict) -> "EstimateReport":
         """The report of a document; a malformed one raises InputError."""
-        try:
-            report = cls(
-                kind=doc["kind"],
-                value=float(doc["value"]),
-                samples=int(doc["samples"]),
-                seed=int(doc["seed"]),
-                witness=dict(doc["witness"]),
-                note=doc.get("note", ""),
-                stderr=doc.get("stderr"),
-                context=dict(doc.get("context", {})),
-            )
-            float(report.witness["ratio"])
-            if not isinstance(report.kind, str):
-                raise TypeError(f"report kind must be a string, got {report.kind!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed report: {exc!r}") from None
-        return report
+        return decode_fields(cls, doc, _REPORT_CODECS, "report")
+
+
+def _witness(doc) -> dict:
+    if not (isinstance(doc, dict) and "ratio" in doc):
+        raise TypeError(f"a witness is an object with a ratio, got {doc!r}")
+    float(doc["ratio"])
+    return doc
+
+
+# how each field of a report document decodes; note and stderr are taken as they are
+_REPORT_CODECS = {
+    "kind": checked(lambda v: isinstance(v, str), "kind must be a string"),
+    "value": float, "samples": as_integer, "seed": as_integer, "witness": _witness,
+    "context": checked(lambda v: isinstance(v, dict), "context must be an object"),
+}
 
 
 _KIND_NOTE = "max over samples; lower bound of the true supremum"
@@ -757,7 +772,7 @@ def reevaluate_witness(report: EstimateReport,
     if recipe is None:
         return float(score(vec_from_json(report.witness["inputs_gaussian"])[None])[0])
     i = report.witness["index"]
-    if not (isinstance(i, int) and 0 <= i < report.samples):
+    if not (type(i) is int and 0 <= i < report.samples):
         raise InputError(f"witness index {i!r} is not a sample of the report's stream")
     x = draw(_Chunk(range(i, i + 1)))
     stored = report.witness.get("inputs")
@@ -907,11 +922,17 @@ def _gamma_scorer(ctx, tol):
         if target is None:
             raise InputError("a twisted table needs an explicit target quasinorm")
         y, x = mat_from_json(table["y"]), mat_from_json(table["x"])
-        return lambda g: target.rows(g @ y.T, g @ x.T)
-    m = as_matrix(mat_from_json(table["value"]))
-    if target is None:
-        return lambda g: np.linalg.norm(g @ m.T, axis=1)
-    return lambda g: lp_rows(g @ m.T, target.pY)
+    else:
+        x = as_matrix(mat_from_json(table["value"]))
+
+    def score(g):
+        if g.shape[-1] != x.shape[1]:
+            raise InputError(f"a row of {g.shape[-1]} Gaussian coefficients cannot "
+                             f"weight the table's {x.shape[1]} columns")
+        if table["kind"] == "twisted":
+            return target.rows(g @ y.T, g @ x.T)
+        return np.linalg.norm(g @ x.T, axis=1) if target is None else lp_rows(g @ x.T, target.pY)
+    return score
 
 
 # no recipe: every row comes from one generator, so re-drawing row i draws all before it

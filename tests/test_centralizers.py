@@ -1,9 +1,12 @@
+import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from schatlab.centralizers import (
+    CentralizerSpec,
     KPBicentralizer,
     KPOnH,
     LiftedQuasilinear,
@@ -24,7 +27,6 @@ from schatlab.centralizers import (
     lower_s,
     qmap_from_doc,
     qmap_to_doc,
-    register_spec_kind,
     signature,
     spatial_part,
     spec_from_doc,
@@ -467,11 +469,36 @@ def test_spec_from_doc_unknown_kind():
         spec_from_doc({"kind": "nope"})
 
 
-def test_registered_constructor_extension():
-    register_spec_kind("double_right", lambda doc: Scaled(
-        RightMultiplication(np.eye(int(doc["n"]))), 2.0))
-    spec = spec_from_doc({"kind": "double_right", "n": 3})
+def test_registered_constructor_extension(monkeypatch, tmp_path, capsys):
+    # a user kind is a spec subclass with a kind, its fields decoded as the built-ins' are
+    from schatlab.cli import main
+
+    monkeypatch.setattr(CentralizerSpec, "kinds", dict(CentralizerSpec.kinds))
+
+    @dataclass(frozen=True, eq=False)
+    class DoubleRight(CentralizerSpec):
+        """Right multiplication by twice the identity of C^n."""
+
+        kind = "double_right"
+        n: int
+
+        def evaluate(self, f, tol):
+            return evaluate(Scaled(RightMultiplication(np.eye(self.n)), 2.0), f, tol)
+
+    spec = spec_from_doc({"kind": "double_right", "n": 3.0})
+    assert isinstance(spec, DoubleRight) and spec_to_doc(spec) == {"kind": "double_right", "n": 3}
     assert np.allclose(evaluate(spec, np.eye(3)), 2.0 * np.eye(3))
+    for doc, field in (({}, "n"), ({"n": 2.5}, "n"), ({"n": True}, "n"), ({"n": 3, "m": 1}, "m")):
+        with pytest.raises(InputError) as info:
+            spec_from_doc({"kind": "double_right", **doc})
+        assert info.value.diagnostics["field"] == field
+    # a document lacking a field fails validation structured, not with a traceback
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"experiment": "constants", "spec": {"kind": "double_right"},
+                                  "dims": [3], "p": 2.0, "q": 2.0, "kinds": ["Q"], "seed": 1}))
+    assert main(["validate", str(config)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "config" and err["field"] == "spec" and "'n'" in err["message"]
 
 
 def test_qmap_document_round_trip(rng):

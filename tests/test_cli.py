@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -163,7 +167,8 @@ def test_non_object_config_fails_structured(tmp_path, capsys, doc):
     {"kind": "identity", "k": "abc"},
     {"kind": "identity", "k": 2.7},
     {"kind": "matrix", "value": {"rows": 2, "cols": 2, "re": [1.0], "im": [0.0]}},
-], ids=["k-text", "k-fraction", "bad-matrix"])
+    {"kind": "identity", "k": 2**40},
+], ids=["k-text", "k-fraction", "bad-matrix", "k-too-big"])
 def test_validate_rejects_bad_gamma_operator(tmp_path, capsys, operator):
     doc = {"experiment": "gamma", "operator": operator, "seed": 1, "samples": 10,
            "output": str(tmp_path / "out")}
@@ -185,6 +190,11 @@ _OPEN_SPEC = {"kind": "sum", "terms": []}  # its signature leaves both indices o
 def test_validate_rejects_what_the_run_cannot_measure(tmp_path, capsys, doc, field_name):
     doc = {"seed": 1, "samples": 10, **doc, "output": str(tmp_path / "out")}
     _rejected_by_cli(tmp_path, capsys, doc, field_name)
+
+
+def test_validate_rejects_a_dimension_numpy_cannot_hold(tmp_path, capsys):
+    # a 2**40 x 2**40 complex matrix exceeds numpy's array-size limit
+    _rejected_by_cli(tmp_path, capsys, constants_config(tmp_path, dims=[4, 2**40]), "dims")
 
 
 def test_validate_rejects_boolean_tolerance(tmp_path, capsys):
@@ -531,15 +541,41 @@ def _context(**fields):
     ("modulus", _context(map=5)),
     # the layout of modulus witnesses that stored their pairs
     ("modulus", _first(lambda rep: {**rep, "witness": {**rep["witness"], "inputs": 5}})),
+    ("constants", _context(dim=True)),
+    ("constants", _context(dim=2**70)),
+    ("modulus", _context(dim=2**70)),
+    ("gamma", _first(lambda rep: {**rep, "witness": {**rep["witness"], "inputs_gaussian": ""}})),
+    # the one integer rule: no fraction or bool stands for an integer
+    ("constants", _first(lambda rep: {**rep, "samples": 5.9})),
+    ("constants", _first(lambda rep: {**rep, "seed": 3.7})),
+    ("constants", _first(lambda rep: {**rep, "samples": True})),
+    ("constants", _first(lambda rep: {**rep, "witness": {**rep["witness"], "index": True}})),
+    ("constants", _first(lambda rep: {**rep, "stream": 0})),
 ], ids=["gamma-without-ratio", "witness-number", "value-text", "samples-null",
         "report-number", "dim-text", "reports-number", "p-text", "min-norm-text",
         "gamma-table-number", "kind-list", "modulus-pY-text", "modulus-map-number",
-        "modulus-inputs-number"])
+        "modulus-inputs-number", "dim-true", "dim-too-big", "modulus-dim-too-big",
+        "gamma-row-empty", "samples-fraction", "seed-fraction", "samples-true",
+        "index-true", "unknown-field"])
 def test_replay_refuses_a_malformed_report(tmp_path, capsys, experiment, edit):
     report = _broken_report(tmp_path, capsys, experiment, edit)
     assert main(["replay", str(report)]) == 2
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "replay"
+
+
+def test_replay_refuses_an_unreachable_min_norm(tmp_path, capsys):
+    # every draw stays below the threshold; the redraws are capped, so replay
+    # fails structured within seconds (a subprocess, so a hang fails the test)
+    report = _broken_report(tmp_path, capsys, "constants", _context(min_norm=1e30))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "schatlab.cli", "replay", str(report)],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 2, done.stderr
+    err = json.loads(done.stdout)["error"]
+    assert err["type"] == "replay" and "min_norm" in err["message"]
+    assert "(seed 42, dim 6, tag 'ginibre')" in err["message"]
 
 
 @pytest.mark.parametrize("atol", ["nan", "-1"])
@@ -843,3 +879,67 @@ def test_list_builtins_mentions_operations(capsys):
         assert token in text
     assert main(["list"]) == 0
     assert "kp_bicentralizer" in capsys.readouterr().out
+
+
+# --- fuzzed report documents ---------------------------------------------------
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+_REPORT_JUNK = (_DROP, None, True, False, 0, -1, 1.5, 2**70, 1e30, "", "x", "inf",
+                [], [1], {}, {"x": 1})
+
+
+@pytest.fixture(scope="module")
+def canned_reports(tmp_path_factory):
+    """The first report of each canned configuration that writes reports, run
+    at its first dimension with 20 samples."""
+    base = tmp_path_factory.mktemp("canned")
+    reports = {}
+    for name in ("constants_kp", "modulus_z2", "gamma_identity"):
+        doc = {**read_json(CONFIG_DIR / f"{name}.json"), "samples": 20,
+               "output": str(base / name)}
+        if "dims" in doc:
+            doc["dims"] = doc["dims"][:1]
+        run_config(parse_config(doc))
+        reports[name] = read_json(base / name / "report.json")["reports"][0]
+    return reports
+
+
+def _mutated(report: dict, path: tuple, junk) -> dict:
+    """A deep copy of ``report`` with the field at ``path`` set to ``junk``."""
+    report = json.loads(json.dumps(report))
+    *outer, key = path
+    parent = report
+    for name in outer:
+        parent = parent[name]
+    if junk is _DROP:
+        parent.pop(key, None)
+    else:
+        parent[key] = junk
+    return report
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_report_replays_or_fails_structured(tmp_path_factory, canned_reports, capsys,
+                                                   data):
+    report = canned_reports[data.draw(st.sampled_from(sorted(canned_reports)))]
+    paths = [(key,) for key in report] + [
+        (outer, key) for outer in ("context", "witness") for key in report[outer]]
+    path = data.draw(st.sampled_from(sorted(paths)))
+    junk = data.draw(st.sampled_from(_REPORT_JUNK))
+    file = tmp_path_factory.mktemp("fuzz") / "report.json"
+    file.write_text(json.dumps({"reports": [_mutated(report, path, junk)]}), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        status = main(["replay", str(file), "--atol", "0"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, (path, junk, peak)  # no junk value makes replay allocate
+    result = json.loads(capsys.readouterr().out)
+    if status == 2:
+        assert set(result) == {"error"} and result["error"]["type"] == "replay", result
+        assert isinstance(result["error"]["message"], str)
+    else:
+        assert status in (0, 4) and result["ok"] is (status == 0), (path, junk, result)

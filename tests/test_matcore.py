@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -6,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from schatlab.matcore import (
     InputError,
+    as_integer,
+    checked,
     combine_indices,
     concavity_modulus,
+    decode_fields,
     holder_factor,
     joint_root,
     mat_from_json,
@@ -19,6 +23,7 @@ from schatlab.matcore import (
     schmidt,
     singular_values,
     trace,
+    validate_dim,
     validate_index,
 )
 from conftest import complex_matrix, complex_vector, gapped_matrix, haar_unitary
@@ -70,6 +75,51 @@ def test_schatten_norm_rejects_nonfinite():
         schatten_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]), 2.0)
     with pytest.raises(InputError):
         validate_index(-1.0)
+
+
+# --- document fields ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("value, expected", [(3, 3), (3.0, 3), (-2.0, -2), ("8", 8),
+                                             (np.int64(5), 5), (2**70, 2**70)])
+def test_as_integer_takes_ints_integral_floats_and_numerals(value, expected):
+    assert as_integer(value) == expected and type(as_integer(value)) is int
+
+
+@pytest.mark.parametrize("value", [True, False, 2.5, "2.5", "x", "", None, [1], {},
+                                   math.inf, math.nan])
+def test_as_integer_refuses_bools_fractions_and_the_rest(value):
+    with pytest.raises(InputError):
+        as_integer(value)
+
+
+def test_validate_dim_refuses_what_numpy_cannot_hold():
+    # the largest n whose n x n complex128 matrix numpy can index; nothing is allocated
+    largest = math.isqrt(np.iinfo(np.intp).max // 16)
+    assert validate_dim(1) == 1 and validate_dim(largest) == largest
+    for n in (0, -1, largest + 1, 2**40, 2**70, True, 2.5):
+        with pytest.raises(InputError):
+            validate_dim(n)
+
+
+@dataclass(frozen=True)
+class _Doc:
+    n: int
+    name: str = "x"
+    tags: dict = field(default_factory=dict)
+
+
+def test_decode_fields_names_the_refused_field():
+    codec = {"n": as_integer, "name": checked(lambda v: isinstance(v, str), "name must be text")}
+    assert decode_fields(_Doc, {"n": "3"}, codec, "doc") == _Doc(3)
+    assert decode_fields(_Doc, {"n": 1, "tags": {"a": 1}}, codec, "doc").tags == {"a": 1}
+    for doc, name in (({}, "n"), ({"n": 2.5}, "n"), ({"n": 1, "name": 5}, "name"),
+                      ({"n": 1, "b": 0, "a": 0}, "a")):
+        with pytest.raises(InputError) as info:
+            decode_fields(_Doc, doc, codec, "doc")
+        assert info.value.diagnostics == {"field": name}
+    with pytest.raises(InputError, match="must be an object"):
+        decode_fields(_Doc, [1], codec, "doc")
 
 
 # --- concavity modulus -------------------------------------------------------

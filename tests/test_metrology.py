@@ -81,6 +81,16 @@ def test_sampler_rejects_bad_arguments():
         Sampler(seed=0, dim=4, p=2.0, tag="cauchy")
 
 
+@pytest.mark.parametrize("seed, dim", [(1.5, 4), (True, 4), (-1, 4), (1, True), (1, 2.5),
+                                       (1, 0), (1, 2**70), (1, "x")])
+def test_sampler_decodes_seed_and_dim_as_documents_do(seed, dim):
+    with pytest.raises(InputError):
+        Sampler(seed=seed, dim=dim, p=2.0)
+    sampler = Sampler(seed="3", dim=4.0, p=2.0)
+    assert (sampler.seed, sampler.dim) == (3, 4) and type(sampler.dim) is int
+    assert np.array_equal(sampler.unit_sphere(0), Sampler(seed=3, dim=4, p=2.0).unit_sphere(0))
+
+
 # one chunk mixing one-, two- and three-word indices
 _PINNED_INDICES = (2**40, *range(1500), 2**64 + 1, 2**32, *range(1500, 3000), 2**32 - 1)
 
@@ -179,7 +189,7 @@ def test_stacked_fills_match_lone_draws(tag):
     for i in indices:
         lone = _lone_draw(SEED, STREAM_SECONDARY, i, 5, tag)
         assert np.array_equal(stack[i], lone) and np.array_equal(
-            sampler.raw(i, STREAM_SECONDARY), lone), i
+            sampler._draw([sampler.generator(STREAM_SECONDARY, i)])[0], lone), i
         lone = _lone_draw(SEED, STREAM_RIGHT, i, 5, "haar_spectral")
         assert np.array_equal(contractions[i], lone) and np.array_equal(
             sampler.contraction(i, STREAM_RIGHT), lone), i
@@ -203,13 +213,19 @@ def test_gaussian_rows_concatenate_to_the_block(rows):
     assert np.array_equal(np.concatenate(pieces), s.gaussian_block(25, 3))
 
 
+def _first_draw(tag, i):
+    """The first draw of sample i, before any redraw, on the primary stream."""
+    sampler = Sampler(seed=2, dim=5, p=2.0, tag=tag)
+    return sampler._draw([sampler.generator(STREAM_PRIMARY, i)])[0]
+
+
 @pytest.mark.parametrize("tag", ["ginibre", "haar_spectral", "rank_one", "sparse"])
 def test_chunked_unit_sphere_matches_lone_draws(monkeypatch, tag):
     # 7 samples per fill: 30 samples cross four chunk edges, the last chunk
     # ragged; a threshold at the median norm of first draws redraws about half
     monkeypatch.setattr(metrology, "CHUNK_ENTRIES", 7 * 5**2)
     first = Sampler(seed=2, dim=5, p=2.0, tag=tag).unit_sphere(range(30))
-    raw = np.array([schatten_norm(Sampler(seed=2, dim=5, p=2.0, tag=tag).raw(i), 2.0)
+    raw = np.array([schatten_norm(_first_draw(tag, i), 2.0)
                     for i in range(30)])
     sampler = Sampler(seed=2, dim=5, p=2.0, tag=tag, min_norm=float(np.median(raw)))
     redrawn = raw < sampler.min_norm
@@ -567,7 +583,7 @@ def test_reports_invariant_to_chunk_size(monkeypatch, kind, tag):
 @pytest.mark.parametrize("tag", ["rank_one", "sparse"])
 def test_stacked_redraws_match_looped_unit_sphere(tag):
     # a threshold at the median norm of first draws redraws about half
-    norms = [schatten_norm(Sampler(seed=2, dim=5, p=2.0, tag=tag).raw(i), 2.0)
+    norms = [schatten_norm(_first_draw(tag, i), 2.0)
              for i in range(30)]
     sampler = Sampler(seed=2, dim=5, p=2.0, tag=tag, min_norm=float(np.median(norms)))
     stack = sampler.unit_sphere(range(30))
@@ -804,7 +820,7 @@ def test_every_sample_redraws_to_its_chunked_ratio(monkeypatch, n, tag):
 @pytest.mark.parametrize("tag", ["rank_one", "sparse"])
 def test_replay_redraws_with_the_sampler_min_norm(tag):
     # a threshold at the 90th percentile of first-draw norms redraws most samples
-    norms = [_norm(Sampler(seed=2, dim=5, p=2.0, tag=tag).raw(i), 2.0) for i in range(30)]
+    norms = [_norm(_first_draw(tag, i), 2.0) for i in range(30)]
     min_norm = float(np.quantile(norms, 0.9))
     sampler = Sampler(seed=2, dim=5, p=2.0, tag=tag, min_norm=min_norm)
     spec = KPBicentralizer("s", 2.0)
