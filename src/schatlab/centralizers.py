@@ -290,6 +290,9 @@ class Localized(CentralizerSpec):
     inner: CentralizerSpec
     e: np.ndarray
 
+    def __post_init__(self):
+        validate_projection(self.e)
+
     def evaluate(self, f, tol):
         return localize(self.inner, self.e, f, tol)
 

@@ -89,8 +89,10 @@ DEFAULT_TOL = Tolerances()
 
 
 def validate_index(p: float) -> float:
-    """Check a summability index: any real in (0, inf]."""
+    """Check a summability index: any real in (0, inf], never a bool."""
     try:
+        if isinstance(p, bool):
+            raise TypeError
         p = float(p)
     except (TypeError, ValueError):
         raise InputError(f"summability index must be a number, got {p!r}") from None
@@ -242,6 +244,7 @@ def lp_rows(a, p: float, kept=None) -> np.ndarray:
     ``kept[i]`` keeps the ``kept[i]`` largest moduli of row i; ``p`` is
     trusted.  Each sorted row is summed contiguously in ascending order and
     rooted by the scalar ``pow`` (numpy's array power rounds otherwise), as alone.
+    A root past the double range, as a tiny index gives, raises NumericError.
     """
     m = np.abs(a, order="C")
     if math.isinf(p):
@@ -252,7 +255,11 @@ def lp_rows(a, p: float, kept=None) -> np.ndarray:
     for count in {m.shape[1]} if kept is None else set(kept.tolist()) - {0}:
         same = slice(None) if kept is None else kept == count
         sums = m[same, m.shape[1] - count:].sum(axis=1)
-        norms[same] = [total ** (1.0 / p) for total in sums.tolist()]
+        try:
+            norms[same] = [total ** (1.0 / p) for total in sums.tolist()]
+        except OverflowError:
+            raise NumericError(f"an l^p norm overflows at index p = {p!r}",
+                               {"index": p}) from None
     return norms
 
 

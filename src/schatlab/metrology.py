@@ -258,7 +258,8 @@ class Sampler:
         if self.seed < 0:
             raise InputError("sampler seed must be a nonnegative integer")
         validate_index(self.p)
-        if not (isinstance(self.min_norm, (int, float)) and 0.0 < self.min_norm < math.inf):
+        if isinstance(self.min_norm, bool) or not (
+                isinstance(self.min_norm, (int, float)) and 0.0 < self.min_norm < math.inf):
             raise InputError(f"sampler min_norm must be a positive finite number, "
                              f"got {self.min_norm!r}")
         if self.tag not in SAMPLE_TAGS:
@@ -351,19 +352,18 @@ class Sampler:
             rngs = self.generators(stream, indices[start:start + step])
             m = self._draw(rngs)
             norm = _norm(m, self.p)
-            low = np.flatnonzero(norm < self.min_norm)
-            for _ in range(MAX_REDRAWS):
-                if not low.size:
-                    break
-                m[low] = self._draw([rngs[j] for j in low])
-                norm[low] = _norm(m[low], self.p)
-                low = low[norm[low] < self.min_norm]
-            if low.size:
-                i = int(indices[start + low[0]])
-                raise InputError(
-                    f"sample {i} (seed {self.seed}, dim {n}, tag {self.tag!r}) stays below "
-                    f"min_norm {self.min_norm!r} after {MAX_REDRAWS} redraws",
-                    {"sample_index": i, "seed": self.seed, "dim": n, "tag": self.tag})
+            for j in np.flatnonzero(norm < self.min_norm):
+                for _ in range(MAX_REDRAWS):
+                    m[j] = self._draw([rngs[j]])[0]
+                    norm[j] = _norm(m[j], self.p)
+                    if norm[j] >= self.min_norm:
+                        break
+                else:
+                    i = int(indices[start + j])
+                    raise InputError(
+                        f"sample {i} (seed {self.seed}, dim {n}, tag {self.tag!r}) stays below "
+                        f"min_norm {self.min_norm!r} after {MAX_REDRAWS} redraws",
+                        {"sample_index": i, "seed": self.seed, "dim": n, "tag": self.tag})
             np.divide(m, norm[:, None, None], out=out[start:start + step])
         return out if np.ndim(index) else out[0]
 

@@ -1,4 +1,4 @@
-"""Twisted-sum quasinorms and empirical splitting probes.
+"""Twisted-sum quasinorms and their empirical concavity modulus.
 
 A pair (g, f) in the twisted sum carries the quasinorm
 ``|g - map(f)|_pY + |f|_pX``.  Slots can be matrices (the map is a
@@ -22,7 +22,6 @@ from .centralizers import (
     qmap_from_doc,
     qmap_to_doc,
     spec_from_doc,
-    spec_hash,
     spec_to_doc,
 )
 from .matcore import (
@@ -40,7 +39,6 @@ from .metrology import (
     EstimateReport,
     Sampler,
     dyadic_supports,
-    fit_morphism,
     max_over_stream,
 )
 
@@ -50,7 +48,6 @@ __all__ = [
     "twisted_target",
     "TwistedTarget",
     "quasinorm_modulus_probe",
-    "splitting_distance",
 ]
 
 
@@ -177,31 +174,3 @@ def quasinorm_modulus_probe(mapping, pY: float, pX: float, dim: int, seed: int,
         [("modulus", {"pY": pY, "pX": pX, "dim": dim, "slot": slot, "map": doc})],
         Sampler(seed=seed, dim=dim, p=2.0, tag="sparse"), n_samples, tol,
         note="max over samples; lower bound of the true modulus")[0]
-
-
-def splitting_distance(spec_or_builder, dims, seed: int, n_samples: int,
-                       p: float, q: float, side: str = "left",
-                       tag: str = "ginibre",
-                       tol: Tolerances = DEFAULT_TOL) -> list[dict]:
-    """Per-dimension distance of a spec to module morphisms.
-
-    For each dimension the best morphism of the chosen side is fitted on
-    a seeded sample set and the worst (p, q) defect ratio is recorded.
-    Trivial maps give residuals at solver precision on every dimension;
-    residual growth across dimensions is reported as trend data, never as
-    a verdict (the underlying dichotomy lives at infinite dimension).
-    """
-    dims = [int(d) for d in dims]
-    if not dims or any(b <= a for a, b in zip(dims, dims[1:])):
-        raise InputError("dimensions must be nonempty and strictly ascending")
-    if n_samples < 1:
-        raise InputError("splitting needs at least one sample")
-    rows = []
-    for d in dims:
-        spec = spec_or_builder(d) if callable(spec_or_builder) else spec_or_builder
-        sampler = Sampler(seed=seed, dim=d, p=p, tag=tag)
-        samples = sampler.unit_sphere(np.arange(n_samples), STREAM_PRIMARY)
-        fit = fit_morphism(spec, side, samples, q=q, p=p, tol=tol)
-        rows.append({"dim": d, "residual": float(fit.residual),
-                     "seed": int(seed), "spec-hash": spec_hash(spec)})
-    return rows

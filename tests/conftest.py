@@ -1,12 +1,22 @@
 import numpy as np
 import pytest
 
+from schatlab.centralizers import spec_to_doc
+from schatlab.experiments import parse_config, run_experiment
+
 SEED = 20260810
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(SEED)
+
+
+def splitting_rows(spec, dims, seed, samples, p, q, side="left", tag="ginibre"):
+    """The rows of one ``splitting`` experiment of ``spec``."""
+    return run_experiment(parse_config({
+        "experiment": "splitting", "spec": spec_to_doc(spec), "dims": dims, "seed": seed,
+        "samples": samples, "p": p, "q": q, "side": side, "tag": tag}))["rows"]
 
 
 def complex_matrix(rng, rows, cols=None):

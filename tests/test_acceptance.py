@@ -39,8 +39,9 @@ from schatlab.metrology import (
     gamma_summing_mc,
 )
 from schatlab.seqcore import kp_phi, lp_norm, rank_sequence
-from schatlab.twisted import splitting_distance, twisted_target
-from conftest import complex_matrix, complex_vector, gapped_matrix, haar_unitary
+from schatlab.twisted import twisted_target
+from conftest import (complex_matrix, complex_vector, gapped_matrix, haar_unitary,
+                      splitting_rows)
 
 SEED = 20260810
 GROWTH_SEED = 1  # documented seed of the dimension-sweep criterion
@@ -235,23 +236,21 @@ def test_criterion_09_triviality_discrimination():
     rng = np.random.default_rng(SEED)
     worst_trivial = 0.0
     for n in (8, 16, 32, 64):
-        rows = splitting_distance(RightMultiplication(complex_matrix(rng, n)),
-                                  [n], seed=SEED, n_samples=32, p=2.0, q=2.0,
-                                  side="left")
+        rows = splitting_rows(RightMultiplication(complex_matrix(rng, n)), [n], seed=SEED,
+                              samples=32, p=2.0, q=2.0)
         worst_trivial = max(worst_trivial, rows[0]["residual"])
     ok &= worst_trivial <= 1e-8
     detail.append(f"trivial residual {worst_trivial:.2e}")
 
     bounded = KPBicentralizer("min_s_1", 2.0)
-    rows = splitting_distance(bounded, [8, 16, 32], seed=SEED, n_samples=48,
-                              p=2.0, q=2.0, side="left")
+    rows = splitting_rows(bounded, [8, 16, 32], seed=SEED, samples=48, p=2.0, q=2.0)
     worst_bounded = max(r["residual"] for r in rows)
     ok &= worst_bounded <= 1.0 + 1e-6  # sup|phi| = 1
     detail.append(f"bounded-phi residual {worst_bounded:.3f}")
 
     lift = LiftedQuasilinear(KPOnH("s"), p=1.0, q=1.0)
-    rows = splitting_distance(lift, [8, 64], seed=GROWTH_SEED, n_samples=48,
-                              p=1.0, q=1.0, side="right", tag="sparse")
+    rows = splitting_rows(lift, [8, 64], seed=GROWTH_SEED, samples=48, p=1.0, q=1.0,
+                          side="right", tag="sparse")
     factor = rows[1]["residual"] / rows[0]["residual"]
     ok &= rows[1]["residual"] > rows[0]["residual"] and factor >= 1.5
     detail.append(f"lift growth factor {factor:.2f}")

@@ -38,6 +38,7 @@ from schatlab.centralizers import (
 )
 from schatlab.matcore import (
     InputError,
+    mat_to_json,
     rank_one,
     schatten_norm,
     schmidt,
@@ -305,6 +306,18 @@ def test_localize_rejects_non_projection(rng):
         localize(spec, complex_matrix(rng, 4), complex_matrix(rng, 4))
     with pytest.raises(InputError):
         validate_projection(np.diag([1.0, 0.5]))
+
+
+@pytest.mark.parametrize("e", [[[1.0, 1.0], [0.0, 1.0]], np.diag([1.0, 0.5])],
+                         ids=["not-hermitian", "not-idempotent"])
+def test_localized_refuses_non_projection_at_construction(e):
+    # as kp_bicentralizer checks its index: the spec is refused when made,
+    # from a document too, not at its first evaluation
+    with pytest.raises(InputError, match="projection"):
+        Localized(zero_spec(), np.asarray(e, dtype=complex))
+    with pytest.raises(InputError, match="projection"):
+        spec_from_doc({"kind": "localized", "inner": spec_to_doc(zero_spec()),
+                       "e": mat_to_json(np.asarray(e, dtype=complex))})
 
 
 def test_localize_triviality_bound(rng):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from schatlab.cli import list_builtins, main, run_config
-from schatlab.experiments import ConfigError, parse_config
+from schatlab.experiments import ConfigError, parse_config, run_experiment
 from schatlab.ioutil import read_csv, read_json
 from schatlab.matcore import mat_to_json
 from schatlab.metrology import STREAM_LEFT, STREAM_PRIMARY, STREAM_RIGHT, STREAM_SECONDARY, Sampler
@@ -87,6 +87,19 @@ def _rejected_by_cli(tmp_path, capsys, doc, field_name):
 def test_validate_rejects_index_s(tmp_path, capsys):
     # no experiment reads a third index, so the configuration has none
     _rejected_by_cli(tmp_path, capsys, constants_config(tmp_path, s=2.0), "s")
+
+
+def test_validate_rejects_boolean_indices(tmp_path, capsys):
+    # true is no index, as it is no integer
+    doc = constants_config(tmp_path, p=True, q=True)
+    _rejected_by_cli(tmp_path, capsys, doc, "p")
+
+
+def test_validate_rejects_a_localized_non_projection(tmp_path, capsys):
+    e = {"rows": 2, "cols": 2, "re": [1.0, 1.0, 0.0, 1.0], "im": [0.0] * 4}
+    spec = {"kind": "localized", "inner": {"kind": "kp_bicentralizer", "phi": "s", "p": 2.0},
+            "e": e}
+    _rejected_by_cli(tmp_path, capsys, constants_config(tmp_path, spec=spec, dims=[2]), "spec")
 
 
 def test_validate_rejects_unknown_tag(tmp_path, capsys):
@@ -427,6 +440,24 @@ def test_run_reports_numeric_failure(tmp_path, capsys, monkeypatch):
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "numeric"
     assert err["diagnostics"]["sample_index"] == 3
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides, sample", [
+    ({"kinds": ["Q"], "dims": [4], "p": 0.001}, 0),
+    ({"experiment": "modulus", "spec": {"kind": "kp_on_h", "phi": "s"}, "slot": "vec",
+      "dims": [4], "p": 1e-300}, 0),
+    ({"experiment": "growth", "kinds": ["residual"], "dims": [4], "p": 1e-300}, None),
+], ids=["constants", "modulus", "growth-residual"])
+def test_run_reports_a_tiny_index_as_numeric(tmp_path, capsys, overrides, sample):
+    # the index validates, but an l^p root at it leaves the double range
+    path = write_config(tmp_path, constants_config(tmp_path, samples=8, **overrides))
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(path)]) == 3
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "numeric" and err["diagnostics"]["index"] == overrides["p"]
+    assert err["diagnostics"].get("sample_index") == sample
     assert not (tmp_path / "out").exists()
 
 
@@ -875,7 +906,7 @@ def test_env_default_output(tmp_path, monkeypatch):
 def test_list_builtins_mentions_operations(capsys):
     text = list_builtins()
     for token in ("kp_bicentralizer", "lower_s", "gamma_summing_mc",
-                  "holder_factor", "splitting_distance", "constants"):
+                  "holder_factor", "fit_morphism", "constants"):
         assert token in text
     assert main(["list"]) == 0
     assert "kp_bicentralizer" in capsys.readouterr().out
@@ -943,3 +974,19 @@ def test_fuzzed_report_replays_or_fails_structured(tmp_path_factory, canned_repo
         assert isinstance(result["error"]["message"], str)
     else:
         assert status in (0, 4) and result["ok"] is (status == 0), (path, junk, result)
+
+
+# --- scripts -------------------------------------------------------------------
+
+
+def test_trend_lifted_row_is_the_canned_splitting_config():
+    # the printed trend and the canned splitting artifact are one measurement
+    import importlib.util
+
+    path = CONFIG_DIR.parent / "triviality_trend.py"
+    spec = importlib.util.spec_from_file_location("triviality_trend", path)
+    trend = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trend)
+    canned = run_experiment(parse_config(read_json(CONFIG_DIR / "splitting_lift.json")))
+    row = trend.residuals(trend.rows()["lifted coordinate map"])
+    assert row == [r["residual"] for r in canned["rows"]] and len(row) == len(trend.DIMS)

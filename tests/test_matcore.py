@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from schatlab.matcore import (
     InputError,
+    NumericError,
     as_integer,
     checked,
     combine_indices,
@@ -14,6 +15,7 @@ from schatlab.matcore import (
     decode_fields,
     holder_factor,
     joint_root,
+    lp_rows,
     mat_from_json,
     mat_to_json,
     modulus_power,
@@ -75,6 +77,22 @@ def test_schatten_norm_rejects_nonfinite():
         schatten_norm(np.array([[np.nan, 0.0], [0.0, 1.0]]), 2.0)
     with pytest.raises(InputError):
         validate_index(-1.0)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_validate_index_refuses_bools(value):
+    # the index counterpart of as_integer's bool rule: true is not 1.0
+    with pytest.raises(InputError):
+        validate_index(value)
+
+
+@pytest.mark.parametrize("p", [0.001, 1e-300])
+def test_lp_rows_root_past_double_range_is_numeric(p):
+    # sum |x|^p is about the row length, and its 1/p-th power overflows
+    with pytest.raises(NumericError) as info:
+        lp_rows(np.ones((2, 16)), p)
+    assert info.value.diagnostics == {"index": p} and repr(p) in str(info.value)
+    assert lp_rows(np.ones((1, 2)), 0.003)[0] == pytest.approx(2.0 ** (1 / 0.003))
 
 
 # --- document fields ---------------------------------------------------------

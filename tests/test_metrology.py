@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from schatlab.centralizers import (
     SumSpec,
     evaluate,
 )
+from schatlab.experiments import parse_config, run_experiment
 from schatlab.matcore import (DEFAULT_TOL, InputError, NumericError, as_matrix, mat_to_json,
                               rank_one, schatten_norm, vec_to_json)
 from schatlab.metrology import (
@@ -79,6 +81,29 @@ def test_sampler_rejects_bad_arguments():
         Sampler(seed=-1, dim=4, p=2.0)
     with pytest.raises(InputError):
         Sampler(seed=0, dim=4, p=2.0, tag="cauchy")
+    with pytest.raises(InputError):
+        Sampler(seed=0, dim=4, p=True)
+    with pytest.raises(InputError):
+        Sampler(seed=0, dim=4, p=2.0, min_norm=True)
+
+
+def test_unreachable_min_norm_is_refused_one_sample_at_a_time(monkeypatch):
+    # each low sample is redrawn alone, so the first that never reaches
+    # min_norm is refused after its own MAX_REDRAWS draws, not after as many
+    # rounds over every low sample (256 + 256,000 draws)
+    drawn = []
+    draw = Sampler._draw
+
+    def counted(self, rngs):
+        drawn.append(len(rngs))
+        return draw(self, rngs)
+
+    monkeypatch.setattr(Sampler, "_draw", counted)
+    sampler = Sampler(seed=1, dim=4, p=2.0, tag="rank_one", min_norm=1e30)
+    with pytest.raises(InputError, match="after 1000 redraws") as info:
+        sampler.unit_sphere(range(256))
+    assert info.value.diagnostics["sample_index"] == 0
+    assert sum(drawn) <= 256 + metrology.MAX_REDRAWS
 
 
 @pytest.mark.parametrize("seed, dim", [(1.5, 4), (True, 4), (-1, 4), (1, True), (1, 2.5),
@@ -1240,14 +1265,16 @@ def test_gamma_memory_is_bounded():
     assert peak <= 8 * 2**20
 
 
+# the canned splitting configuration of the lifted coordinate map
+_LIFT_SPLITTING = json.loads((Path(__file__).resolve().parents[1] / "scripts" / "configs"
+                              / "splitting_lift.json").read_text(encoding="utf-8"))
+
+
 def test_splitting_fit_memory_is_bounded():
     # the canned lift at n = 64: the samples and their values (12.6 MB each)
     # stay whole, the rest one chunk at a time (~98 MB if fitted whole)
-    from schatlab.twisted import splitting_distance
-
-    lift = LiftedQuasilinear(KPOnH("s"), p=1.0, q=1.0)
-    peak = _traced_peak(lambda: splitting_distance(
-        lift, [64], seed=1, n_samples=192, p=1.0, q=1.0, side="right", tag="sparse"))
+    cfg = parse_config({**_LIFT_SPLITTING, "dims": [64], "samples": 192})
+    peak = _traced_peak(lambda: run_experiment(cfg))
     assert peak <= 2 * 192 * 64**2 * 16 + 4 * 2**20
 
 
@@ -1263,11 +1290,8 @@ def test_gamma_deterministic():
 def test_splitting_lift_residual_grows():
     # heterogeneous sparse sampling exposes the residual growth of the
     # nontrivial lift; homogeneous Gaussian samples would hide it
-    from schatlab.twisted import splitting_distance
-
-    lift = LiftedQuasilinear(KPOnH("s"), p=1.0, q=1.0)
-    rows = splitting_distance(lift, [8, 16], seed=1, n_samples=40, p=1.0,
-                              q=1.0, side="right", tag="sparse")
+    rows = run_experiment(parse_config({**_LIFT_SPLITTING, "dims": [8, 16],
+                                        "samples": 40}))["rows"]
     assert rows[1]["residual"] > rows[0]["residual"]
 
 

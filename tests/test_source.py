@@ -29,3 +29,19 @@ def test_module_uses_every_top_level_import(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = imported - used - _exported(tree)
     assert not unused, sorted(unused)
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_module_defines_every_export(module):
+    # a removed definition must not leave a dangling name in __all__
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    defined |= {target.id for node in tree.body
+                if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                if isinstance(target, ast.Name)}
+    defined |= {(alias.asname or alias.name).split(".")[0] for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    missing = _exported(tree) - defined
+    assert not missing, sorted(missing)

@@ -33,6 +33,7 @@ from schatlab.centralizers import (
     zero_spec,
 )
 from schatlab.ioutil import doc_hash
+from schatlab.matcore import InputError
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -141,6 +142,12 @@ def test_qmap_document_golden_and_round_trip(name):
     doc = qmap_to_doc(_qmap_cases()[name])
     assert doc_hash(doc) == GOLDEN_QMAPS[name]
     assert qmap_to_doc(qmap_from_doc(doc)) == doc
+
+
+def test_spec_document_refuses_a_boolean_index():
+    with pytest.raises(InputError) as info:
+        spec_from_doc({"kind": "kp_bicentralizer", "phi": "s", "p": True})
+    assert info.value.diagnostics["field"] == "p"
 
 
 def test_scalars_keep_their_wire_type():

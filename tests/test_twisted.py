@@ -12,6 +12,7 @@ from schatlab.centralizers import (
     evaluate,
     zero_spec,
 )
+from schatlab.experiments import ConfigError
 from schatlab.matcore import InputError, schatten_norm
 from schatlab.metrology import (
     STREAM_PRIMARY,
@@ -25,11 +26,10 @@ from schatlab.twisted import (
     TwistedVec,
     _draw_pairs,
     quasinorm_modulus_probe,
-    splitting_distance,
     twisted_quasinorm,
     twisted_target,
 )
-from conftest import SEED, complex_matrix, complex_vector
+from conftest import SEED, complex_matrix, complex_vector, splitting_rows
 
 
 # --- twisted_quasinorm -------------------------------------------------------
@@ -214,27 +214,26 @@ def test_modulus_probe_makes_no_scalar_quasinorm_call(monkeypatch, slot, mapping
 # --- splitting distance ------------------------------------------------------
 
 
-def test_splitting_trivial_spec_flat(rng):
-    g = complex_matrix(rng, 8)
-    rows = splitting_distance(lambda d: RightMultiplication(complex_matrix(
-        np.random.default_rng(d), d)), [4, 8], seed=3, n_samples=24,
-        p=2.0, q=2.0, side="left")
+def test_splitting_trivial_spec_flat():
+    # the matrix is drawn per dimension, so each dimension is its own experiment
+    rows = [row for d in (4, 8) for row in splitting_rows(
+        RightMultiplication(complex_matrix(np.random.default_rng(d), d)), [d],
+        seed=3, samples=24, p=2.0, q=2.0)]
     assert all(r["residual"] <= 1e-8 for r in rows)
     assert [r["dim"] for r in rows] == [4, 8]
     assert all(set(r) == {"dim", "residual", "seed", "spec-hash"} for r in rows)
 
 
 def test_splitting_bounded_phi_controlled():
-    spec = KPBicentralizer("min_s_1", 2.0)
-    rows = splitting_distance(spec, [8, 16], seed=SEED, n_samples=60,
-                              p=2.0, q=2.0, side="left")
+    rows = splitting_rows(KPBicentralizer("min_s_1", 2.0), [8, 16], seed=SEED, samples=60,
+                          p=2.0, q=2.0)
     assert all(r["residual"] <= 1.0 + 1e-6 for r in rows)
 
 
 def test_splitting_lift_grows_with_dimension():
     lift = LiftedQuasilinear(KPOnH("s"), p=1.0, q=1.0)
-    rows = splitting_distance(lift, [8, 32], seed=1, n_samples=40,
-                              p=1.0, q=1.0, side="right", tag="sparse")
+    rows = splitting_rows(lift, [8, 32], seed=1, samples=40, p=1.0, q=1.0,
+                          side="right", tag="sparse")
     assert rows[1]["residual"] >= 1.2 * rows[0]["residual"]
 
 
@@ -243,8 +242,7 @@ def test_splitting_normalized_residual_flat_in_lowerable_zone():
     # the norm gap, but dividing by the measured one-sided constant at the
     # same indices gives a dimension-stable quantity
     spec = KPBicentralizer("s", 1.0)
-    rows = splitting_distance(spec, [8, 32], seed=SEED, n_samples=32,
-                              p=1.0, q=0.5, side="left")
+    rows = splitting_rows(spec, [8, 32], seed=SEED, samples=32, p=1.0, q=0.5)
     ratios = []
     for row in rows:
         sampler = Sampler(seed=SEED, dim=row["dim"], p=1.0)
@@ -254,9 +252,9 @@ def test_splitting_normalized_residual_flat_in_lowerable_zone():
 
 
 def test_splitting_validates_dims():
-    with pytest.raises(InputError):
-        splitting_distance(zero_spec(), [8, 4], seed=1, n_samples=4,
-                           p=2.0, q=2.0)
+    with pytest.raises(ConfigError) as info:
+        splitting_rows(KPBicentralizer("s", 2.0), [8, 4], seed=1, samples=4, p=2.0, q=2.0)
+    assert info.value.field_name == "dims"
 
 
 # --- gamma target ------------------------------------------------------------
