@@ -22,6 +22,7 @@ from .matcore import (
     DEFAULT_TOL,
     SCHMIDT_BACKENDS,
     InputError,
+    SchmidtForm,
     Tolerances,
     adjoint,
     as_integer,
@@ -130,27 +131,41 @@ class QuasilinearMap(Node):
 
 class CentralizerSpec(Node):
     """Homogeneous matrix maps; ``evaluate(f, tol)`` maps a matrix, or
-    each matrix of a (k, m, n) stack."""
+    each matrix of a (k, m, n) stack.  A node that factors ``f`` sets
+    ``takes_form`` and is called ``evaluate(f, tol, form)`` where the
+    caller has ``form``, the Schmidt form of ``f``."""
 
     kinds: ClassVar[dict] = {}
     noun = "spec"
+    takes_form: ClassVar[bool] = False
     # only lifts have an index window outside which no estimate is backed
     within_guarantee = True
+
+
+def _at(node, x, tol, form):
+    """``node`` at ``x``, handed ``form``, the Schmidt form of ``x``, if it takes it."""
+    if form is not None and node.takes_form:
+        return node.evaluate(x, tol, form)
+    return node.evaluate(x, tol)
 
 
 # combinators shared by both families; their input is already checked
 
 
 class _ScaledBody:
-    def evaluate(self, x, tol):
-        return self.c * self.inner.evaluate(x, tol)
+    takes_form = True  # handed on to the inner map
+
+    def evaluate(self, x, tol, form=None):
+        return self.c * _at(self.inner, x, tol, form)
 
 
 class _SumBody:
-    def evaluate(self, x, tol):
+    takes_form = True  # handed on to every term
+
+    def evaluate(self, x, tol, form=None):
         out = np.zeros(x.shape, dtype=np.complex128)
         for t in self.terms:
-            out = out + t.evaluate(x, tol)
+            out = out + _at(t, x, tol, form)
         return out
 
 
@@ -217,6 +232,7 @@ class KPBicentralizer(CentralizerSpec):
     """Weighted singular expansion with weights phi(log(|f|_p/s_n), log n)."""
 
     kind = "kp_bicentralizer"
+    takes_form = True
     phi: PhiName
     p: float
     backend: Backend = "svd"
@@ -225,8 +241,8 @@ class KPBicentralizer(CentralizerSpec):
         if math.isinf(validate_index(self.p)):
             raise InputError("kp_bicentralizer needs a finite index")
 
-    def evaluate(self, f, tol):
-        return kp_bicentralizer(f, self.phi, self.p, tol, backend=self.backend)
+    def evaluate(self, f, tol, form=None):
+        return kp_bicentralizer(f, self.phi, self.p, tol, backend=self.backend, form=form)
 
     def signature(self):
         return self.p, self.p
@@ -242,6 +258,7 @@ class LiftedQuasilinear(CentralizerSpec):
     """
 
     kind = "lifted_quasilinear"
+    takes_form = True
     qmap: QuasilinearMap
     p: float
     q: float
@@ -250,8 +267,8 @@ class LiftedQuasilinear(CentralizerSpec):
     def within_guarantee(self) -> bool:
         return 0.0 < self.p < 2.0 and self.q > self.p
 
-    def evaluate(self, f, tol):
-        return lift_quasilinear(self.qmap, f, self.p, tol)
+    def evaluate(self, f, tol, form=None):
+        return lift_quasilinear(self.qmap, f, self.p, tol, form=form)
 
     def signature(self):
         return self.p, self.q
@@ -266,12 +283,13 @@ class Lowered(CentralizerSpec):
     """
 
     kind = "lowered"
+    takes_form = True
     inner: CentralizerSpec
     s: float
     p_inner: float | None = None
 
-    def evaluate(self, f, tol):
-        return lower_s(self.inner, self.s, f, p_inner=self.p_inner, tol=tol)
+    def evaluate(self, f, tol, form=None):
+        return lower_s(self.inner, self.s, f, p_inner=self.p_inner, tol=tol, form=form)
 
     def signature(self):
         p2, q2 = self.inner.signature()
@@ -356,13 +374,16 @@ def signature(spec: CentralizerSpec) -> tuple[float | None, float | None]:
 
 
 def kp_bicentralizer(f, phi, p: float, tol: Tolerances = DEFAULT_TOL,
-                     backend: str = "svd") -> np.ndarray:
+                     backend: str = "svd", form: SchmidtForm | None = None) -> np.ndarray:
     """Reweight the prescribed expansion of ``f`` by phi along (s_n, n).
 
     The weight sequence is the coordinate map of the singular values, so
     rank-one inputs map to 0 whenever phi vanishes at the origin (the
     single weight is phi(0, 0)), and the whole map inherits exact
-    homogeneity from the expansion convention.
+    homogeneity from the expansion convention.  ``form``, the expansion
+    of ``f`` where the caller has it (a sample's, from its draw), is used
+    instead of factoring ``f``; it serves every ``backend``, since every
+    route obeys the one convention.
     """
     phi = get_phi(phi)
     p = validate_index(p)
@@ -370,29 +391,32 @@ def kp_bicentralizer(f, phi, p: float, tol: Tolerances = DEFAULT_TOL,
         raise InputError("kp_bicentralizer needs a finite index")
     if not phi.vanishes_at_origin:
         raise InputError(f"phi {phi.name!r} must vanish at the origin")
-    return schmidt(f, tol, backend=backend).expand(lambda part: (
+    return (form or schmidt(f, tol, backend=backend)).expand(lambda part: (
         (part.y * kp_phi_rows(part.s, phi, p)[:, None, :]) @ adjoint(part.x)))
 
 
-def lift_quasilinear(qmap: QuasilinearMap, u, p: float,
-                     tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def lift_quasilinear(qmap: QuasilinearMap, u, p: float, tol: Tolerances = DEFAULT_TOL,
+                     form: SchmidtForm | None = None) -> np.ndarray:
     """Lift a vector map through the prescribed expansion of ``u``.
 
     ``sum_k s_k rank_one(x_k, qmap(y_k))``; on a normalized rank-one
-    x (x) y the value is exactly rank_one(x, qmap(y)).
+    x (x) y the value is exactly rank_one(x, qmap(y)).  ``form``, the
+    expansion of ``u`` where the caller has it, is used instead of
+    factoring ``u``.
     """
     validate_index(p)
-    return schmidt(u, tol).expand(lambda part: (
+    return (form or schmidt(u, tol)).expand(lambda part: (
         (apply_qmap_cols(qmap, part.y) * part.s[:, None, :]) @ adjoint(part.x)))
 
 
 def lower_s(spec: CentralizerSpec, s: float, h, p_inner: float | None = None,
-            tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+            tol: Tolerances = DEFAULT_TOL, form: SchmidtForm | None = None) -> np.ndarray:
     """Evaluate the index-lowered map at ``h``.
 
     With ``h = u |h|`` this is ``spec(u |h|^(p1/p2)) @ |h|^(p1/s)`` where
     p2 is the inner input index and 1/p1 = 1/p2 + 1/s.  Both polar parts
-    come from one factorization of ``h``.
+    come from one factorization of ``h``, or from ``form``, its expansion
+    where the caller has it.
     """
     s = validate_index(s)
     if p_inner is None:
@@ -408,7 +432,7 @@ def lower_s(spec: CentralizerSpec, s: float, h, p_inner: float | None = None,
         radial = (part.x * (part.s ** (p1 / s))[:, None, :]) @ xh
         return evaluate(spec, inner_arg, tol) @ radial
 
-    return schmidt(h, tol).expand(lowered)
+    return (form or schmidt(h, tol)).expand(lowered)
 
 
 def validate_projection(e, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -432,12 +456,17 @@ def localize(spec: CentralizerSpec, e, f, tol: Tolerances = DEFAULT_TOL) -> np.n
     return evaluate(spec, f @ e, tol)
 
 
-def evaluate(spec: CentralizerSpec, f, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def evaluate(spec: CentralizerSpec, f, tol: Tolerances = DEFAULT_TOL,
+             form: SchmidtForm | None = None) -> np.ndarray:
     """Evaluate a spec tree at a matrix or at each matrix of a stack.
 
     A (k, m, n) stack gives every matrix the value it would get alone.
+    ``form`` is the Schmidt form of ``f`` where the caller has it: the
+    nodes that factor their input (KPBicentralizer, LiftedQuasilinear,
+    Lowered) read it instead, Scaled and SumSpec hand it on, and the
+    others, which evaluate at other matrices, ignore it.
     """
-    return spec.evaluate(as_matrices(f), tol)
+    return _at(spec, as_matrices(f), tol, form)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,10 +2,12 @@
 
 Configurations are single JSON documents; command-line flags only
 override individual fields.  Every run writes its CSV/JSON results plus
-a manifest carrying the configuration hash, the spec hash and the
-library version, with no timestamps, so identical configurations yield
-byte-identical artifacts.  The only environment input is SCHATLAB_OUT,
-the default output directory.
+a manifest carrying the configuration hash, the spec hash, the library
+version and the BLAS thread-count variables, with no timestamps, so
+identical configurations yield byte-identical artifacts.  The other
+environment input is SCHATLAB_OUT, the default output directory.  LAPACK
+can round otherwise under another thread count, so a replay that does not
+reproduce its witness names the recorded and the current counts.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from .metrology import ESTIMATE_KINDS, EstimateReport, reevaluate_witness
 from .seqcore import PHI_TABLE
 
 OUTPUT_ENV = "SCHATLAB_OUT"
+BLAS_THREAD_ENV = ("MKL_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
+
 
 def _summary(obj) -> str:
     return (inspect.getdoc(obj) or "").split("\n", 1)[0]
@@ -58,6 +62,11 @@ def list_builtins() -> str:
         lines.append(f"  {name:24s} {exp.describe}")
     lines.append("estimate kinds: " + ", ".join(ESTIMATE_KINDS))
     return "\n".join(lines) + "\n"
+
+
+def _blas_threads() -> dict:
+    """Each BLAS thread-count variable as set, None where unset."""
+    return {name: os.environ.get(name) for name in BLAS_THREAD_ENV}
 
 
 def _emit_error(doc: dict) -> None:
@@ -165,6 +174,7 @@ def run_config(cfg: ExperimentConfig) -> Path:
         "experiment": cfg.experiment,
         "artifacts": ["results.csv", "report.json"],
         "config": cfg.doc(),
+        "blas_threads": _blas_threads(),
     }
     _write_artifacts(out, {
         "results.csv": lambda path: write_csv(path, result["fieldnames"], result["rows"],
@@ -241,14 +251,27 @@ def _cmd_replay(args) -> int:
         return 2
     recorded = float(rep.witness["ratio"])
     delta = 0.0 if recomputed == recorded else abs(recomputed - recorded)  # inf - inf is NaN
-    print(json.dumps({
+    reply = {
         "kind": rep.kind,
         "recorded": jsonable_float(recorded),
         "recomputed": jsonable_float(recomputed),
         "delta": delta,
         "ok": delta <= args.atol,
-    }, sort_keys=True))
-    return 0 if delta <= args.atol else 4
+    }
+    if not reply["ok"]:  # a thread count unlike the run's can explain the drift
+        reply["blas_threads"] = {"recorded": _manifest_blas_threads(args.report),
+                                 "current": _blas_threads()}
+    print(json.dumps(reply, sort_keys=True))
+    return 0 if reply["ok"] else 4
+
+
+def _manifest_blas_threads(report) -> dict | None:
+    """The BLAS thread counts the manifest beside ``report`` records, if any."""
+    try:
+        manifest = read_json(Path(report).with_name("manifest.json"))
+    except (OSError, ValueError):  # unreadable, not UTF-8 or not JSON
+        return None
+    return manifest.get("blas_threads") if isinstance(manifest, dict) else None
 
 
 def main(argv=None) -> int:

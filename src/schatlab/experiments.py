@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
@@ -192,6 +193,10 @@ def _sweep(cfg: ExperimentConfig, kinds) -> Callable[[], dict]:
     if "kp_seq" in kinds:
         if cfg.p is None or math.isinf(cfg.p):
             raise ConfigError("kp_seq needs a finite index p", field_name="p")
+        # the flat unit vector's coordinate d^(-1/p) must stay a normal double
+        if max(cfg.dims) ** (-1.0 / cfg.p) < sys.float_info.min:
+            raise ConfigError(f"kp_seq at p = {cfg.p!r}: the flat unit vector of dimension "
+                              f"{max(cfg.dims)} underflows", field_name="p")
         phi = get_phi(cfg.phi)
     tol = _tol(cfg)
 

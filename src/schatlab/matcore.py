@@ -33,10 +33,12 @@ __all__ = [
     "singular_values",
     "lp_rows",
     "schatten_norm",
+    "values_norm",
     "concavity_modulus",
     "SchmidtForm",
     "SCHMIDT_BACKENDS",
     "schmidt",
+    "schmidt_from_factors",
     "PolarForm",
     "polar",
     "modulus_power",
@@ -276,9 +278,18 @@ def schatten_norm(f, p: float, tol: Tolerances = DEFAULT_TOL):
     against it.
     """
     p = validate_index(p)
-    s = singular_values(f)
+    return values_norm(singular_values(f), p, tol)
+
+
+def values_norm(s, p: float, tol: Tolerances = DEFAULT_TOL):
+    """``schatten_norm``'s rule on given singular values: the l^p norm of
+    ``s`` (n values in any order, or a (k, n) array of them, one norm
+    each), values below ``tol.zero_rtol`` times the largest dropped;
+    ``p`` is trusted."""
+    s = np.asarray(s, dtype=np.float64)
     rows = s.reshape(math.prod(s.shape[:-1]), s.shape[-1])
-    kept = None if math.isinf(p) else (rows > tol.zero_rtol * rows[:, :1]).sum(axis=1)
+    kept = None if math.isinf(p) else (
+        rows > tol.zero_rtol * rows.max(axis=1, initial=0.0, keepdims=True)).sum(axis=1)
     norms = lp_rows(rows, p, kept)
     return norms.reshape(s.shape[:-1]) if s.ndim > 1 else float(norms[0])
 
@@ -286,9 +297,13 @@ def schatten_norm(f, p: float, tol: Tolerances = DEFAULT_TOL):
 def concavity_modulus(r: float) -> float:
     """Best constant in the p-triangle inequality: 2^(1/r - 1) for r < 1."""
     r = validate_index(r)
-    if r < 1.0:
+    if r >= 1.0:
+        return 1.0
+    try:
         return 2.0 ** (1.0 / r - 1.0)
-    return 1.0
+    except OverflowError:  # r below about 1/1023
+        raise NumericError(f"the concavity modulus overflows at index r = {r!r}",
+                           {"index": r}) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,8 +406,7 @@ def schmidt(f, tol: Tolerances = DEFAULT_TOL, backend: str = "svd") -> SchmidtFo
     A (k, m, n) stack is factored in one call, one expansion per matrix.
     """
     f = as_matrices(f)
-    lead = f.shape[:-2]
-    stack = f.reshape((math.prod(lead),) + f.shape[-2:])
+    stack = f.reshape((math.prod(f.shape[:-2]),) + f.shape[-2:])
     try:
         if backend == "svd":
             u, s, vh = np.linalg.svd(stack, full_matrices=False)
@@ -413,17 +427,45 @@ def schmidt(f, tol: Tolerances = DEFAULT_TOL, backend: str = "svd") -> SchmidtFo
             "singular value decomposition did not converge",
             diagnostics=_condition_diagnostics(f),
         ) from exc
-    # values are nonincreasing, so the kept ones form a prefix
+    return _form(s, x, u, f.shape, tol)
+
+
+def schmidt_from_factors(u, s, v, tol: Tolerances = DEFAULT_TOL) -> SchmidtForm:
+    """Prescribed expansion of ``u diag(s) v*`` from its factors.
+
+    ``u`` and ``v`` are n x n unitaries (or (k, n, n) stacks of them,
+    with ``s`` (k, n)) and ``s`` is nonnegative, in any order.  The form
+    follows the convention of ``schmidt``: values put in nonincreasing
+    order (a stable sort) and dropped alike, frames gauge-fixed alike, so
+    it agrees with the factored form to rounding, with no factorization.
+    """
+    s = np.asarray(s)
+    lead, n = s.shape[:-1], s.shape[-1]
+    s = s.reshape(-1, n)
+    order = np.argsort(-s, axis=1, kind="stable")
+    x, y = (np.take_along_axis(np.reshape(a, (-1, n, n)), order[:, None, :], axis=2)
+            for a in (v, u))
+    return _form(np.take_along_axis(s, order, axis=1), x, y, lead + (n, n), tol)
+
+
+def _form(s: np.ndarray, x: np.ndarray, y: np.ndarray, shape: tuple,
+          tol: Tolerances) -> SchmidtForm:
+    """The form of a (k, r) stack of nonincreasing values with their
+    (k, n, r) frames ``x`` and (k, m, r) frames ``y``, under the
+    convention: values below ``tol.zero_rtol * s_1`` dropped, frames
+    gauge-fixed.  ``shape`` is the shape of the matrix or stack."""
+    # the values are nonincreasing, so the kept ones form a prefix
     keep = s > tol.zero_rtol * s[:, :1]
     rank = int(keep.sum(axis=1).max(initial=0))
     keep = keep[:, :rank]
     s = np.where(keep, s[:, :rank], 0.0)
     x, y = _gauge_fix(np.where(keep[:, None, :], x[:, :, :rank], 0.0),
-                      np.where(keep[:, None, :], u[:, :, :rank], 0.0), tol.gauge_atol)
+                      np.where(keep[:, None, :], y[:, :, :rank], 0.0), tol.gauge_atol)
+    lead = shape[:-2]
     s, x, y = (a.reshape(lead + a.shape[1:]) for a in (s, x, y))
     for arr in (s, x, y):  # forms are shared freely; keep them immutable
         arr.setflags(write=False)
-    return SchmidtForm(s=s, x=x, y=y, shape=f.shape)
+    return SchmidtForm(s=s, x=x, y=y, shape=shape)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,10 @@ L and B the left contraction and R and B the right one.
 ``estimate_constants`` scores all its kinds chunk by chunk in one
 ``max_over_stream`` call, so each shared stack is drawn once per chunk and
 each shared term (the spec's value at f, |f|_p, |a|_inf) is computed once
-per chunk; every report keeps the bits it gets alone.
+per chunk; every report keeps the bits it gets alone.  A stack drawn as
+``u diag(sigma) v*`` (the contractions, haar_spectral samples) keeps its
+factors for its chunk, so its Schmidt form and norms come from the draw,
+not from an SVD, in measurement and replay alike.
 """
 
 from __future__ import annotations
@@ -52,8 +55,10 @@ from .matcore import (
     mat_to_json,
     rank_one,
     schatten_norm,
+    schmidt_from_factors,
     validate_dim,
     validate_index,
+    values_norm,
     vec_from_json,
     vec_to_json,
 )
@@ -201,16 +206,18 @@ def _pcg64_generators(seed: int, stream: int, indices) -> list[np.random.Generat
     return [np.random.Generator(np.random.PCG64(ready(s))) for s in states]
 
 
-def _norm(m, p: float):
+def _norm(m, p: float, values=None):
     """Schatten p-norm of a matrix or of each matrix of a stack, as the
     estimators take it.
 
     At p = 2 it is the Hilbert-Schmidt norm, tr(f* f)^(1/2): the l^2 norm
     of the entries, with no factorization, on the inputs ``schatten_norm``
-    takes.  Every other index goes to ``schatten_norm``, the SVD definition.
+    takes.  Every other index goes to ``schatten_norm``, the SVD definition,
+    or, given the singular ``values`` a stack was drawn with, to the same
+    rule on them, with no factorization.
     """
     if p != 2.0:
-        return schatten_norm(m, p)
+        return schatten_norm(m, p) if values is None else values_norm(values, p)
     m = as_matrices(m)
     lead = m.shape[:-2]
     norms = lp_rows(m.reshape(math.prod(lead), m.shape[-2] * m.shape[-1]), 2.0)
@@ -292,16 +299,17 @@ class Sampler:
         d[d == 0] = 1.0
         return q * (d / np.abs(d))[..., None, :]
 
-    def _spectral(self, rngs) -> np.ndarray:
+    def _spectral(self, rngs) -> tuple:
         """Haar frames around a uniform spectrum, one matrix per generator:
-        the frames' Ginibre pair, then the spectrum."""
+        the frames' Ginibre pair, then the spectrum.  The (k, n, n) stack
+        ``u diag(sigma) v*``, then its factors u, sigma and v."""
         n = self.dim
         z = self._ginibre(rngs, 2, n)
         spectrum = np.empty((len(rngs), n))
         for rng, out in zip(rngs, spectrum):
             rng.random(out=out)  # uniform(0, 1) is 0 + 1 * random(), bit for bit
         u, v = np.moveaxis(self._haar(z), 1, 0)
-        return (u * spectrum[:, None, :]) @ adjoint(v)
+        return (u * spectrum[:, None, :]) @ adjoint(v), u, spectrum, v
 
     def _draw_one(self, rng) -> np.ndarray:
         n = self.dim
@@ -328,15 +336,51 @@ class Sampler:
         if self.tag == "ginibre":
             return self._ginibre(rngs, 1, self.dim)[:, 0]
         if self.tag == "haar_spectral":
-            return self._spectral(rngs)
+            return self._spectral(rngs)[0]
         return np.stack([self._draw_one(rng) for rng in rngs])
+
+    def _factored(self, rngs) -> tuple:
+        """``(_draw(rngs),)``, and for the haar_spectral tag its factors
+        (u, sigma, v) after it."""
+        return self._spectral(rngs) if self.tag == "haar_spectral" else (self._draw(rngs),)
+
+    def _unit_sphere(self, indices, stream: int) -> tuple:
+        """``unit_sphere`` of the samples ``indices``, drawn as one stack,
+        and for the haar_spectral tag its factors (u, sigma, v): each
+        sample is ``u diag(sigma) v*``, sigma divided by the norm as the
+        matrix is.  None for other tags, which are not drawn factored."""
+        rngs = self.generators(stream, indices)
+        drawn = self._factored(rngs)
+        m = drawn[0]
+        norm = _norm(m, self.p)
+        for j in np.flatnonzero(norm < self.min_norm):
+            for _ in range(MAX_REDRAWS):
+                for whole, part in zip(drawn, self._factored([rngs[j]])):
+                    whole[j] = part[0]
+                norm[j] = _norm(m[j], self.p)
+                if norm[j] >= self.min_norm:
+                    break
+            else:
+                i = int(indices[j])
+                raise InputError(
+                    f"sample {i} (seed {self.seed}, dim {self.dim}, tag {self.tag!r}) stays "
+                    f"below min_norm {self.min_norm!r} after {MAX_REDRAWS} redraws",
+                    {"sample_index": i, "seed": self.seed, "dim": self.dim, "tag": self.tag})
+        m /= norm[:, None, None]
+        if len(drawn) == 1:
+            return m, None
+        u, spectrum, v = drawn[1:]
+        return m, (u, spectrum / norm[:, None], v)
 
     def unit_sphere(self, index, stream: int = STREAM_PRIMARY) -> np.ndarray:
         """Sample with Schatten p-norm 1; draws below ``min_norm`` are
         redrawn, up to ``MAX_REDRAWS`` times a sample, then refused.
 
         The norm is the estimators' one: at p = 2 the l^2 norm of the
-        entries, no SVD.
+        entries, no SVD; the sample is the draw divided by it.  A
+        haar_spectral draw ``u diag(sigma) v*`` keeps its factors in the
+        estimators' chunks: the sample's form is (sigma / norm, v, u), and
+        its norms and Schmidt form are read off them.
 
         ``index`` is one sample index, or a sequence of them for a
         (k, n, n) stack.  Every sample, redraws included, comes from its
@@ -349,30 +393,25 @@ class Sampler:
         out = np.empty((len(indices), n, n), dtype=np.complex128)
         step = max(1, CHUNK_ENTRIES // n**2)
         for start in range(0, len(indices), step):
-            rngs = self.generators(stream, indices[start:start + step])
-            m = self._draw(rngs)
-            norm = _norm(m, self.p)
-            for j in np.flatnonzero(norm < self.min_norm):
-                for _ in range(MAX_REDRAWS):
-                    m[j] = self._draw([rngs[j]])[0]
-                    norm[j] = _norm(m[j], self.p)
-                    if norm[j] >= self.min_norm:
-                        break
-                else:
-                    i = int(indices[start + j])
-                    raise InputError(
-                        f"sample {i} (seed {self.seed}, dim {n}, tag {self.tag!r}) stays below "
-                        f"min_norm {self.min_norm!r} after {MAX_REDRAWS} redraws",
-                        {"sample_index": i, "seed": self.seed, "dim": n, "tag": self.tag})
-            np.divide(m, norm[:, None, None], out=out[start:start + step])
+            out[start:start + step] = self._unit_sphere(indices[start:start + step], stream)[0]
         return out if np.ndim(index) else out[0]
+
+    def _contraction(self, indices, stream: int) -> tuple:
+        """``contraction`` of the samples ``indices`` as one stack, and its
+        factors (u, sigma, v)."""
+        m, u, spectrum, v = self._spectral(self.generators(stream, indices))
+        return m, (u, spectrum, v)
 
     def contraction(self, index, stream: int = STREAM_LEFT) -> np.ndarray:
         """Operator-norm contraction: Haar frames around a uniform spectrum.
 
+        Each is drawn as ``u diag(sigma) v*`` with sigma in [0, 1); in the
+        estimators' chunks it keeps these factors, so its operator norm is
+        max(sigma), with no factorization.
+
         ``index`` is one sample index, or a sequence of them for a stack.
         """
-        out = self._spectral(self.generators(stream, np.atleast_1d(index)))
+        out = self._contraction(np.atleast_1d(index), stream)[0]
         return out if np.ndim(index) else out[0]
 
     def gaussian_rows(self, count: int, width: int, rows: int,
@@ -448,20 +487,22 @@ _REPORT_CODECS = {
 
 _KIND_NOTE = "max over samples; lower bound of the true supremum"
 
-# inputs of each sampler-drawn report kind: (name, sampler method, stream,
-# context key of the index, which a contraction ignores); kinds that read
-# the same input share its stack in one pass
+# inputs of each sampler-drawn report kind: (name, sampler method giving a
+# stack and its drawn factors, stream, context key of the index, which a
+# contraction ignores); kinds that read the same input share its stack in
+# one pass
 _KIND_INPUTS = {
-    "Q": (("f", "unit_sphere", STREAM_PRIMARY, "p"), ("g", "unit_sphere", STREAM_SECONDARY, "p")),
-    "L": (("a", "contraction", STREAM_LEFT, "p"), ("f", "unit_sphere", STREAM_PRIMARY, "p")),
-    "R": (("a", "contraction", STREAM_RIGHT, "p"), ("f", "unit_sphere", STREAM_PRIMARY, "p")),
-    "B": (("a", "contraction", STREAM_LEFT, "p"), ("b", "contraction", STREAM_RIGHT, "p"),
-          ("f", "unit_sphere", STREAM_PRIMARY, "p")),
-    "distance": (("f", "unit_sphere", STREAM_PRIMARY, "p"),),
-    "covariant": (("g", "unit_sphere", STREAM_PRIMARY, "p2"),
-                  ("f", "unit_sphere", STREAM_SECONDARY, "s")),
-    "contravariant": (("g", "unit_sphere", STREAM_PRIMARY, "q2"),
-                      ("f", "unit_sphere", STREAM_SECONDARY, "p")),
+    "Q": (("f", "_unit_sphere", STREAM_PRIMARY, "p"),
+          ("g", "_unit_sphere", STREAM_SECONDARY, "p")),
+    "L": (("a", "_contraction", STREAM_LEFT, "p"), ("f", "_unit_sphere", STREAM_PRIMARY, "p")),
+    "R": (("a", "_contraction", STREAM_RIGHT, "p"), ("f", "_unit_sphere", STREAM_PRIMARY, "p")),
+    "B": (("a", "_contraction", STREAM_LEFT, "p"), ("b", "_contraction", STREAM_RIGHT, "p"),
+          ("f", "_unit_sphere", STREAM_PRIMARY, "p")),
+    "distance": (("f", "_unit_sphere", STREAM_PRIMARY, "p"),),
+    "covariant": (("g", "_unit_sphere", STREAM_PRIMARY, "p2"),
+                  ("f", "_unit_sphere", STREAM_SECONDARY, "s")),
+    "contravariant": (("g", "_unit_sphere", STREAM_PRIMARY, "q2"),
+                      ("f", "_unit_sphere", STREAM_SECONDARY, "p")),
 }
 ESTIMATE_KINDS = ("Q", "L", "R", "B")
 
@@ -493,19 +534,30 @@ class _Chunk:
 
     A term is kept only for a stack the chunk drew, never for a matrix
     derived from one (``f + g``, ``a @ f``), which is made at every call.
+    A stack drawn as ``u diag(sigma) v*`` keeps sigma for its norms and
+    its frames until its Schmidt form is made, under the chunk's one
+    ``tol``; all live as long as the chunk.
     """
 
-    def __init__(self, indices):
+    def __init__(self, indices, tol: Tolerances = DEFAULT_TOL):
         self.indices = indices
+        self.tol = tol
         self._stacks = {}
         self._drawn = {}  # id of each drawn stack -> its key; the chunk keeps them alive
         self._terms = {}
+        self._values = {}  # key of each stack drawn factored -> its sigma
+        self._frames = {}  # ... -> its (u, v), until its form is made
 
     def draw(self, key, make):
-        """The input stack ``key`` of this chunk, ``make()`` on first use."""
+        """The input stack ``key`` of this chunk.  On first use ``make()``
+        gives it with its factors (u, sigma, v), or None if not drawn so."""
         if key not in self._stacks:
-            stack = self._stacks[key] = make()
+            stack, factors = make()
+            self._stacks[key] = stack
             self._drawn.setdefault(id(stack), key)
+            if factors is not None:
+                u, self._values[key], v = factors
+                self._frames[key] = u, v
         return self._stacks[key]
 
     def term(self, key, m, make):
@@ -517,6 +569,23 @@ class _Chunk:
             self._terms[key, drawn] = make()
         return self._terms[key, drawn]
 
+    def values(self, m):
+        """The singular values ``m`` was drawn with, or None."""
+        return self._values.get(self._drawn.get(id(m)))
+
+    def form(self, m):
+        """The Schmidt form of ``m`` from its drawn factors, made once on
+        first use, which lets its frames go; None for a matrix not drawn
+        factored."""
+        key = self._drawn.get(id(m))
+        if key not in self._values:
+            return None
+
+        def make():
+            u, v = self._frames.pop(key)
+            return schmidt_from_factors(u, self._values[key], v, self.tol)
+        return self.term("form", m, make)
+
 
 def _spec_scorer(ratio):
     """Scorer factory of ``ratio(ev, norm, x, ix)`` over the specs of a context.
@@ -526,7 +595,8 @@ def _spec_scorer(ratio):
     of an input; ``ix`` maps each index name to its value.  Given the
     chunk the inputs come from, both are chunk terms, keyed by what they
     compute (the spec document and the tolerances, or the index), so every
-    scorer of the chunk reads one value.
+    scorer of the chunk reads one value.  An input drawn factored is
+    evaluated at its drawn Schmidt form and normed by its drawn values.
     """
 
     def scorer(ctx, tol):
@@ -538,14 +608,14 @@ def _spec_scorer(ratio):
               for key in ("p", "q", "s", "p2", "r", "q2") if key in ctx}
 
         def score(x, chunk=None):
-            chunk = _Chunk(()) if chunk is None else chunk
+            chunk = _Chunk((), tol) if chunk is None else chunk
 
             def ev(m, key="spec"):
                 return chunk.term(("evaluate", docs[key], tol), m,
-                                  lambda: evaluate(specs[key], m, tol))
+                                  lambda: evaluate(specs[key], m, tol, chunk.form(m)))
 
             def norm(m, p):
-                return chunk.term(("norm", p), m, lambda: _norm(m, p))
+                return chunk.term(("norm", p), m, lambda: _norm(m, p, chunk.values(m)))
 
             return ratio(ev, norm, x, ix)
         return score
@@ -553,7 +623,14 @@ def _spec_scorer(ratio):
 
 
 def _defect_ratio(kind):
-    """Q/L/R/B defect over its denominator, as ``estimate_constant`` states."""
+    """Q/L/R/B defect over its denominator, as ``estimate_constant`` states.
+
+    |a|_inf and |b|_inf are the contractions' largest drawn singular
+    values.  |f|_p and |g|_p are l^2 entry norms at p = 2; at other p they
+    come from a haar_spectral sample's drawn values, else from an SVD.  The
+    spec reads a haar_spectral sample's drawn Schmidt form and factors
+    every other input itself.
+    """
 
     def ratio(ev, norm, x, ix):
         f, p = x["f"], ix["p"]
@@ -660,7 +737,7 @@ def max_over_stream(jobs, sampler: Sampler, n_samples: int,
     for start in range(0, n_samples, step):
         if not live:
             break
-        chunk = _Chunk(range(start, min(start + step, n_samples)))
+        chunk = _Chunk(range(start, min(start + step, n_samples)), tol)
         for j, draw, score in zip(range(live), draws, scores):
             try:
                 inputs = draw(chunk)
@@ -668,8 +745,9 @@ def max_over_stream(jobs, sampler: Sampler, n_samples: int,
             except (NumericError, InputError) as exc:
                 index = None
                 for i in chunk.indices:  # the first sample that fails alone names the error
+                    lone = _Chunk(range(i, i + 1), tol)
                     try:
-                        score(draw(_Chunk(range(i, i + 1))))
+                        score(draw(lone), lone)
                     except (NumericError, InputError) as single:
                         index, exc = i, single
                         break
@@ -774,13 +852,14 @@ def reevaluate_witness(report: EstimateReport,
     i = report.witness["index"]
     if not (type(i) is int and 0 <= i < report.samples):
         raise InputError(f"witness index {i!r} is not a sample of the report's stream")
-    x = draw(_Chunk(range(i, i + 1)))
+    chunk = _Chunk(range(i, i + 1), tol)
+    x = draw(chunk)
     stored = report.witness.get("inputs")
     # float reprs round-trip, so equal JSON is equal bits, signed zeros included
     if stored is not None and json.dumps(stored, sort_keys=True) != json.dumps(
             {name: _stored_input(report, m[0]) for name, m in x.items()}, sort_keys=True):
         raise InputError(f"witness inputs are not sample {i} of the report's stream")
-    return float(score(x)[0])
+    return float(score(x, chunk)[0])
 
 
 def _split_index(total: float, part: float) -> float:

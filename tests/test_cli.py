@@ -95,6 +95,18 @@ def test_validate_rejects_boolean_indices(tmp_path, capsys):
     _rejected_by_cli(tmp_path, capsys, doc, "p")
 
 
+def test_validate_rejects_a_kp_seq_index_whose_flat_vector_underflows(tmp_path, capsys):
+    # at p = 0.001 the coordinate 8^(-1000) of the flat unit vector is 0.0
+    doc = {"experiment": "growth", "kinds": ["kp_seq"], "p": 0.001, "dims": [4, 8],
+           "seed": 1, "output": str(tmp_path / "out")}
+    _rejected_by_cli(tmp_path, capsys, doc, "p")
+    # at p = 0.003 it stays a normal double, and the run gives log(n) / p
+    assert main(["run", str(write_config(tmp_path, {**doc, "p": 0.003}))]) == 0
+    rows = read_csv(tmp_path / "out" / "results.csv")
+    assert [float(row["value"]) for row in rows] == pytest.approx(
+        [math.log(n) / 0.003 for n in (4, 8)], rel=1e-12)
+
+
 def test_validate_rejects_a_localized_non_projection(tmp_path, capsys):
     e = {"rows": 2, "cols": 2, "re": [1.0, 1.0, 0.0, 1.0], "im": [0.0] * 4}
     spec = {"kind": "localized", "inner": {"kind": "kp_bicentralizer", "phi": "s", "p": 2.0},
@@ -653,6 +665,74 @@ def test_replay_index_only_witnesses(tmp_path, capsys):
     for i in range(4):
         assert main(["replay", str(report), "--index", str(i), "--atol", "0"]) == 0
         assert json.loads(capsys.readouterr().out)["ok"]
+
+
+def _haar_constants(tmp_path, **overrides):
+    """Q/L/R/B at n = 8, chunks of 64 samples, and n = 64, one sample a chunk."""
+    return constants_config(tmp_path, **{"kinds": ["Q", "L", "R", "B"], "dims": [8, 64],
+                                         "tag": "haar_spectral", "samples": 24, **overrides})
+
+
+def test_haar_spectral_witnesses_replay_bitwise(tmp_path, capsys):
+    # replay reads the drawn forms and norms the run read, at both chunkings
+    assert main(["run", str(write_config(tmp_path, _haar_constants(tmp_path)))]) == 0
+    capsys.readouterr()
+    report = tmp_path / "out" / "report.json"
+    reports = read_json(report)["reports"]
+    assert [(rep["context"]["dim"], rep["kind"]) for rep in reports] == [
+        (dim, kind) for dim in (8, 64) for kind in "QLRB"]
+    for i in range(len(reports)):
+        assert main(["replay", str(report), "--index", str(i), "--atol", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"]
+
+
+@pytest.mark.parametrize("dim", [8, 64])
+def test_haar_spectral_failure_names_the_sample(tmp_path, capsys, monkeypatch, dim):
+    import numpy as np
+    import schatlab.metrology as metrology
+
+    bad = Sampler(seed=42, dim=dim, p=2.0, tag="haar_spectral").unit_sphere(5)
+    evaluate_ = metrology.evaluate
+
+    def poisoned(spec, m, tol, form=None):
+        # non-finite at sample 5's f, in any stack, where it is read by its
+        # drawn form: the lone rescore must read that form too to find it
+        hit = np.all(m == bad, axis=(-2, -1)) & (form is not None)
+        return np.where(hit[..., None, None], np.inf, evaluate_(spec, m, tol, form))
+
+    monkeypatch.setattr(metrology, "evaluate", poisoned)
+    doc = _haar_constants(tmp_path, dims=[dim], samples=8)
+    assert main(["run", str(write_config(tmp_path, doc))]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "input" and "finite" in err["message"]
+    assert err["diagnostics"] == {"sample_index": 5, "seed": 42, "dim": dim,
+                                  "tag": "haar_spectral"}
+    assert not (tmp_path / "out").exists()
+
+
+def test_replay_failure_names_recorded_and_current_blas_threads(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    assert main(["run", str(write_config(tmp_path, constants_config(tmp_path)))]) == 0
+    capsys.readouterr()
+    recorded = {"MKL_NUM_THREADS": None, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"}
+    assert read_json(tmp_path / "out" / "manifest.json")["blas_threads"] == recorded
+    report = tmp_path / "out" / "report.json"
+    assert main(["replay", str(report), "--atol", "0"]) == 0
+    assert "blas_threads" not in json.loads(capsys.readouterr().out)
+    doc = read_json(report)  # a witness one part in 1e9 off, as another thread count can give
+    rep = doc["reports"][0]
+    rep["value"] = rep["witness"]["ratio"] = rep["value"] * (1.0 + 1e-9)
+    report.write_text(json.dumps(doc))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert main(["replay", str(report), "--atol", "0"]) == 4
+    reply = json.loads(capsys.readouterr().out)
+    assert not reply["ok"] and reply["blas_threads"] == {
+        "recorded": recorded, "current": {**recorded, "OPENBLAS_NUM_THREADS": "2"}}
+    (tmp_path / "out" / "manifest.json").unlink()  # nothing recorded: null
+    assert main(["replay", str(report), "--atol", "0"]) == 4
+    assert json.loads(capsys.readouterr().out)["blas_threads"]["recorded"] is None
 
 
 def _with_stored_inputs(doc):

@@ -149,6 +149,14 @@ def test_concavity_modulus(r, expected):
     assert concavity_modulus(r) == pytest.approx(expected)
 
 
+def test_concavity_modulus_overflow_is_numeric():
+    # 2^(1/r - 1) leaves the double range for r below about 1/1023
+    assert concavity_modulus(1.0 / 1000.0) == 2.0 ** 999.0
+    with pytest.raises(NumericError) as info:
+        concavity_modulus(1e-4)
+    assert info.value.diagnostics == {"index": 1e-4}
+
+
 # --- schmidt -----------------------------------------------------------------
 
 

@@ -22,7 +22,8 @@ from schatlab.centralizers import (
 )
 from schatlab.experiments import parse_config, run_experiment
 from schatlab.matcore import (DEFAULT_TOL, InputError, NumericError, as_matrix, mat_to_json,
-                              rank_one, schatten_norm, vec_to_json)
+                              rank_one, schatten_norm, schmidt, schmidt_from_factors,
+                              vec_to_json)
 from schatlab.metrology import (
     STREAM_LEFT,
     STREAM_PRIMARY,
@@ -264,8 +265,8 @@ def test_chunked_unit_sphere_matches_lone_draws(monkeypatch, tag):
 
 def test_chunk_terms_are_kept_for_drawn_stacks_only():
     chunk = metrology._Chunk(range(3))
-    f = chunk.draw("f", lambda: np.ones((3, 2, 2)))
-    g = chunk.draw("g", lambda: np.zeros((3, 2, 2)))
+    f = chunk.draw("f", lambda: (np.ones((3, 2, 2)), None))
+    g = chunk.draw("g", lambda: (np.zeros((3, 2, 2)), None))
     assert chunk.draw("f", lambda: None) is f
     made = []
 
@@ -278,6 +279,18 @@ def test_chunk_terms_are_kept_for_drawn_stacks_only():
     derived = f + g
     assert [chunk.term("t", derived, make), chunk.term("t", derived, make)] == [4, 5]
     assert chunk.term("t", f.copy(), make) == 6
+
+
+def test_chunk_reads_a_factored_draw_and_lets_its_frames_go():
+    sampler = Sampler(seed=SEED, dim=4, p=2.0, tag="haar_spectral")
+    chunk = metrology._Chunk(range(3))
+    f = chunk.draw("f", lambda: sampler._unit_sphere(range(3), STREAM_PRIMARY))
+    g = chunk.draw("g", lambda: (np.zeros((3, 4, 4)), None))
+    assert chunk.values(g) is None and chunk.form(g) is None and chunk.form(f + g) is None
+    assert np.array_equal(chunk.values(f), sampler._unit_sphere(range(3), STREAM_PRIMARY)[1][1])
+    form = chunk.form(f)
+    assert chunk.form(f) is form and not chunk._frames  # made once, then the frames go
+    assert np.abs(form.reconstruct() - f).max() <= 1e-14
 
 
 # --- the estimators' norm rule ------------------------------------------------
@@ -328,8 +341,8 @@ def test_norm_rule_is_schatten_norm_off_two(p):
 @pytest.mark.parametrize("n", [4, 8])
 def test_shared_pass_takes_no_svd_for_s2_norms(monkeypatch, n):
     # per chunk at p = 2: one SVD per spec evaluation (f + g, f, g, a f,
-    # f a, a f b) and per operator norm (|a|_inf, |b|_inf), none for an S^2
-    # norm; then one frame check per report
+    # f a, a f b), none for an S^2 norm and none for an operator norm
+    # (|a|_inf, |b|_inf come from the draw); then one frame check per report
     calls = []
     svd = np.linalg.svd
 
@@ -341,7 +354,7 @@ def test_shared_pass_takes_no_svd_for_s2_norms(monkeypatch, n):
     step = metrology.CHUNK_ENTRIES // n**2
     estimate_constants(KPBicentralizer("s", 2.0), list(KINDS),
                        Sampler(seed=SEED, dim=n, p=2.0, tag="ginibre"), step + 1)
-    assert len(calls) == 8 * 2 + len(KINDS)
+    assert len(calls) == 6 * 2 + len(KINDS)
 
 
 # --- estimate_constant -------------------------------------------------------
@@ -426,49 +439,69 @@ TAGS = ("ginibre", "haar_spectral", "rank_one", "sparse")
 KINDS = ("Q", "L", "R", "B")
 
 
-def _looped_ratio(spec, kind, sampler, i, q, other=None, index=None):
+def _looped_ratio(spec, kind, sampler, i, q, other=None, index=None, factored=False):
     """Ratio of sample i written out alone; ``other`` is the second spec of
-    a distance or a companion's candidate, ``index`` its s or r."""
+    a distance or a companion's candidate, ``index`` its s or r.  A matrix
+    drawn as u diag(sigma) v* is evaluated at the Schmidt form and normed
+    by the singular values its draw gives, unless ``factored``; every
+    other matrix is factored."""
     p = sampler.p
+    drawn = {}  # id of each input drawn factored -> (input, its form, its values)
+
+    def draw(method, stream, index=p):
+        m, factors = getattr(replace(sampler, p=index), method)([i], stream)
+        m = m[0]
+        if factors is not None and not factored:
+            u, s, v = (x[0] for x in factors)
+            drawn[id(m)] = (m, schmidt_from_factors(u, s, v), s)
+        return m
+
+    def ev(spec, m):
+        return evaluate(spec, m, DEFAULT_TOL, drawn.get(id(m), (m, None))[1])
+
+    def norm(m, index):
+        return _norm(m, index, drawn.get(id(m), (m, None, None))[2])
+
     if kind == "distance":
-        f = sampler.unit_sphere(i, STREAM_PRIMARY)
-        return _norm(evaluate(spec, f) - evaluate(other, f), q) / _norm(f, p)
+        f = draw("_unit_sphere", STREAM_PRIMARY)
+        return _norm(ev(spec, f) - ev(other, f), q) / norm(f, p)
     if kind == "covariant":
         p2 = 1.0 / (1.0 / p - 1.0 / index)
-        g = replace(sampler, p=p2).unit_sphere(i, STREAM_PRIMARY)
-        f = replace(sampler, p=index).unit_sphere(i, STREAM_SECONDARY)
-        defect = evaluate(spec, g @ f) - evaluate(other, g) @ f
-        return _norm(defect, q) / (_norm(g, p2) * _norm(f, index))
+        g = draw("_unit_sphere", STREAM_PRIMARY, p2)
+        f = draw("_unit_sphere", STREAM_SECONDARY, index)
+        defect = ev(spec, g @ f) - ev(other, g) @ f
+        return _norm(defect, q) / (norm(g, p2) * norm(f, index))
     if kind == "contravariant":
         q2 = 1.0 / (1.0 / index - 1.0 / q)
-        g = replace(sampler, p=q2).unit_sphere(i, STREAM_PRIMARY)
-        f = sampler.unit_sphere(i, STREAM_SECONDARY)
-        defect = g @ evaluate(spec, f) + evaluate(other, g) @ f
-        return _norm(defect, index) / (_norm(g, q2) * _norm(f, p))
-    f = sampler.unit_sphere(i, STREAM_PRIMARY)
+        g = draw("_unit_sphere", STREAM_PRIMARY, q2)
+        f = draw("_unit_sphere", STREAM_SECONDARY)
+        defect = g @ ev(spec, f) + ev(other, g) @ f
+        return _norm(defect, index) / (norm(g, q2) * norm(f, p))
+    f = draw("_unit_sphere", STREAM_PRIMARY)
     if kind == "Q":
-        g = sampler.unit_sphere(i, STREAM_SECONDARY)
-        defect = evaluate(spec, f + g) - evaluate(spec, f) - evaluate(spec, g)
-        denom = _norm(f, p) + _norm(g, p)
+        g = draw("_unit_sphere", STREAM_SECONDARY)
+        defect = ev(spec, f + g) - ev(spec, f) - ev(spec, g)
+        denom = norm(f, p) + norm(g, p)
     else:
-        a = sampler.contraction(i, STREAM_RIGHT if kind == "R" else STREAM_LEFT)
-        denom = _norm(a, math.inf) * _norm(f, p)
+        a = draw("_contraction", STREAM_RIGHT if kind == "R" else STREAM_LEFT)
+        denom = norm(a, math.inf) * norm(f, p)
         if kind == "L":
-            defect = evaluate(spec, a @ f) - a @ evaluate(spec, f)
+            defect = ev(spec, a @ f) - a @ ev(spec, f)
         elif kind == "R":
-            defect = evaluate(spec, f @ a) - evaluate(spec, f) @ a
+            defect = ev(spec, f @ a) - ev(spec, f) @ a
         else:
-            b = sampler.contraction(i, STREAM_RIGHT)
-            defect = evaluate(spec, a @ f @ b) - a @ evaluate(spec, f) @ b
-            denom = denom * _norm(b, math.inf)
+            b = draw("_contraction", STREAM_RIGHT)
+            defect = ev(spec, a @ f @ b) - a @ ev(spec, f) @ b
+            denom = denom * norm(b, math.inf)
     return _norm(defect, q) / denom
 
 
-def _looped_estimate(spec, kind, sampler, n_samples, q, other=None, index=None):
+def _looped_estimate(spec, kind, sampler, n_samples, q, other=None, index=None,
+                     factored=False):
     """Oracle: the max-over-stream ratio, one sample at a time."""
     best, best_index = -math.inf, None
     for i in range(n_samples):
-        ratio = _looped_ratio(spec, kind, sampler, i, q, other, index)
+        ratio = _looped_ratio(spec, kind, sampler, i, q, other, index, factored)
         if ratio > best:
             best, best_index = ratio, i
     return best, best_index
@@ -509,6 +542,48 @@ def test_chunked_estimate_matches_per_sample_loop(small_chunks, spec_kind, tag):
             assert rep.value == value, kind
         else:
             assert rep.value == pytest.approx(value, rel=1e-12, abs=1e-12), kind
+
+
+def _drawn_stacks(n):
+    """Stacks drawn as u diag(sigma) v*, with their factors: contractions
+    and haar_spectral unit-sphere samples at p = 2 and p = 1."""
+    for p in (2.0, 1.0):
+        sampler = Sampler(seed=SEED, dim=n, p=p, tag="haar_spectral")
+        yield p, "unit_sphere", sampler._unit_sphere(range(3), STREAM_PRIMARY)
+    yield math.inf, "contraction", sampler._contraction(range(3), STREAM_LEFT)
+
+
+@pytest.mark.parametrize("n", [4, 8, 64])
+def test_drawn_form_matches_the_factored_oracle(n):
+    kp = KPBicentralizer("s", 2.0)
+    for p, what, (m, factors) in _drawn_stacks(n):
+        form = schmidt_from_factors(*factors)
+        oracle = schmidt(m)
+        assert form.shape == oracle.shape and form.rank.tolist() == oracle.rank.tolist()
+        assert np.allclose(form.s, oracle.s, rtol=1e-12, atol=0.0), (p, what)
+        assert np.abs(form.reconstruct() - m).max() <= 1e-12 * np.abs(m).max(), (p, what)
+        assert np.array_equal(form.gap < DEFAULT_TOL.gap_rtol,
+                              oracle.gap < DEFAULT_TOL.gap_rtol), (p, what)
+        value = evaluate(kp, m, DEFAULT_TOL, form)
+        assert np.abs(value - evaluate(kp, m)).max() <= 1e-12 * np.abs(value).max()
+        # the drawn norm: max(sigma) at p = inf, the values' l^p norm otherwise
+        norms = _norm(m, p, factors[1])
+        assert np.allclose(norms, schatten_norm(m, p), rtol=1e-12, atol=0.0), (p, what)
+        if what == "contraction":
+            assert np.array_equal(norms, factors[1].max(axis=1))
+
+
+@pytest.mark.parametrize("n, p", [(4, 2.0), (8, 1.0), (64, 2.0)])
+def test_drawn_forms_keep_estimates_on_the_svd_route(n, p):
+    # at n = 64 every sample is a chunk of its own
+    spec = KPBicentralizer("s", p)
+    sampler = Sampler(seed=SEED, dim=n, p=p, tag="haar_spectral")
+    n_samples = 3 if n == 64 else 20
+    for kind in KINDS:
+        rep = estimate_constant(spec, kind, sampler, n_samples)
+        value, index = _looped_estimate(spec, kind, sampler, n_samples, p, factored=True)
+        assert rep.witness["index"] == index, kind
+        assert rep.value == pytest.approx(value, rel=1e-12, abs=0.0), kind
 
 
 # the second spec, candidate and s or r of each two-spec kind, by n
@@ -647,11 +722,11 @@ def _poisoned_evaluate(monkeypatch, bad):
     """Make ``evaluate`` non-finite at each matrix of ``bad``, in any stack."""
     evaluate_ = metrology.evaluate
 
-    def poisoned(spec, m, tol):
+    def poisoned(spec, m, tol, form=None):
         hit = np.zeros(m.shape[:-2], dtype=bool)
         for b in bad:
             hit |= np.all(m == b, axis=(-2, -1))
-        return np.where(hit[..., None, None], np.inf, evaluate_(spec, m, tol))
+        return np.where(hit[..., None, None], np.inf, evaluate_(spec, m, tol, form))
 
     monkeypatch.setattr(metrology, "evaluate", poisoned)
 
@@ -693,9 +768,9 @@ def test_shared_pass_evaluates_each_shared_term_once(monkeypatch):
     calls = []
     evaluate_ = metrology.evaluate
 
-    def counted(spec, m, tol):
+    def counted(spec, m, tol, form=None):
         calls.append(m.shape[0])
-        return evaluate_(spec, m, tol)
+        return evaluate_(spec, m, tol, form)
 
     monkeypatch.setattr(metrology, "evaluate", counted)
     sampler = Sampler(seed=SEED, dim=8, p=2.0)
