@@ -208,7 +208,7 @@ def _sweep(cfg: ExperimentConfig, kinds) -> Callable[[], dict]:
     measures = {  # kind -> measure of one dimension, given its sampler
         "kp_seq": kp_seq,
         "residual": lambda s: (fit_morphism(
-            spec, cfg.side, s.unit_sphere(range(cfg.samples)), q=cfg.q if cfg.q else s.p,
+            spec, cfg.side, s.unit_sphere_chunks(range(cfg.samples)), q=cfg.q if cfg.q else s.p,
             p=s.p, tol=tol).residual, cfg.samples),
         "distance": lambda s: distance_estimate(
             spec, spec2, s, cfg.samples, p=cfg.p, q=cfg.q, tol=tol),

@@ -31,6 +31,7 @@ __all__ = [
     "rank_one",
     "trace",
     "singular_values",
+    "svd_factors",
     "lp_rows",
     "schatten_norm",
     "values_norm",
@@ -228,16 +229,29 @@ def _condition_diagnostics(f: np.ndarray) -> dict:
     }
 
 
-def singular_values(f) -> np.ndarray:
-    """Singular values of ``f`` in nonincreasing order (per matrix of a stack)."""
-    f = as_matrices(f)
+def _converged(factor, f: np.ndarray):
+    """``factor()``, a factorization of ``f``; a LAPACK failure is a NumericError."""
     try:
-        return np.linalg.svd(f, compute_uv=False)
+        return factor()
     except np.linalg.LinAlgError as exc:
         raise NumericError(
             "singular value decomposition did not converge",
             diagnostics=_condition_diagnostics(f),
         ) from exc
+
+
+def singular_values(f) -> np.ndarray:
+    """Singular values of ``f`` in nonincreasing order (per matrix of a stack)."""
+    f = as_matrices(f)
+    return _converged(lambda: np.linalg.svd(f, compute_uv=False), f)
+
+
+def svd_factors(f) -> tuple:
+    """``(u, s, v)`` with ``f = u diag(s) v*``, s nonincreasing (per matrix
+    of a stack): the thin SVD, one call for a stack."""
+    f = as_matrices(f)
+    u, s, vh = _converged(lambda: np.linalg.svd(f, full_matrices=False), f)
+    return u, s, adjoint(vh)
 
 
 def lp_rows(a, p: float, kept=None) -> np.ndarray:
@@ -407,37 +421,33 @@ def schmidt(f, tol: Tolerances = DEFAULT_TOL, backend: str = "svd") -> SchmidtFo
     """
     f = as_matrices(f)
     stack = f.reshape((math.prod(f.shape[:-2]),) + f.shape[-2:])
-    try:
-        if backend == "svd":
-            u, s, vh = np.linalg.svd(stack, full_matrices=False)
-            x = adjoint(vh)
-        elif backend == "eig":
-            w, x = np.linalg.eigh(adjoint(stack) @ stack)
-            order = np.argsort(-w, axis=1, kind="stable")
-            w = np.clip(np.take_along_axis(w, order, axis=1), 0.0, None)
-            x = np.take_along_axis(x, order[:, None, :], axis=2)
-            s = np.sqrt(w)
-            live = (s > 0.0)[:, None, :]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                u = np.where(live, 1.0, 0.0) * (stack @ x) / np.where(live, s[:, None, :], 1.0)
-        else:
-            raise InputError(f"unknown schmidt backend {backend!r}")
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            "singular value decomposition did not converge",
-            diagnostics=_condition_diagnostics(f),
-        ) from exc
+    if backend == "svd":
+        u, s, vh = _converged(lambda: np.linalg.svd(stack, full_matrices=False), f)
+        x = adjoint(vh)
+    elif backend == "eig":
+        w, x = _converged(lambda: np.linalg.eigh(adjoint(stack) @ stack), f)
+        order = np.argsort(-w, axis=1, kind="stable")
+        w = np.clip(np.take_along_axis(w, order, axis=1), 0.0, None)
+        x = np.take_along_axis(x, order[:, None, :], axis=2)
+        s = np.sqrt(w)
+        live = (s > 0.0)[:, None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = np.where(live, 1.0, 0.0) * (stack @ x) / np.where(live, s[:, None, :], 1.0)
+    else:
+        raise InputError(f"unknown schmidt backend {backend!r}")
     return _form(s, x, u, f.shape, tol)
 
 
 def schmidt_from_factors(u, s, v, tol: Tolerances = DEFAULT_TOL) -> SchmidtForm:
     """Prescribed expansion of ``u diag(s) v*`` from its factors.
 
-    ``u`` and ``v`` are n x n unitaries (or (k, n, n) stacks of them,
-    with ``s`` (k, n)) and ``s`` is nonnegative, in any order.  The form
-    follows the convention of ``schmidt``: values put in nonincreasing
-    order (a stable sort) and dropped alike, frames gauge-fixed alike, so
-    it agrees with the factored form to rounding, with no factorization.
+    ``u`` and ``v`` are n x n (or (k, n, n) stacks, with ``s`` (k, n)),
+    with orthonormal columns where ``s`` is nonzero (the columns at zero
+    values are dropped, so zero-padded frames serve), and ``s`` is
+    nonnegative, in any order.  The form follows the convention of
+    ``schmidt``: values put in nonincreasing order (a stable sort) and
+    dropped alike, frames gauge-fixed alike, so it agrees with the
+    factored form to rounding, with no factorization.
     """
     s = np.asarray(s)
     lead, n = s.shape[:-1], s.shape[-1]

@@ -14,10 +14,12 @@ L and B the left contraction and R and B the right one.
 ``estimate_constants`` scores all its kinds chunk by chunk in one
 ``max_over_stream`` call, so each shared stack is drawn once per chunk and
 each shared term (the spec's value at f, |f|_p, |a|_inf) is computed once
-per chunk; every report keeps the bits it gets alone.  A stack drawn as
-``u diag(sigma) v*`` (the contractions, haar_spectral samples) keeps its
-factors for its chunk, so its Schmidt form and norms come from the draw,
-not from an SVD, in measurement and replay alike.
+per chunk; every report keeps the bits it gets alone.  Each sample is
+factored at most once, when it is drawn: a stack drawn as
+``u diag(sigma) v*`` (haar_spectral samples, sparse samples on their
+blocks, ginibre and rank_one samples off p = 2) keeps its Schmidt form and
+sigma for its chunk, a contraction its sigma alone, so its norms and form
+come from the draw, not from another SVD, in measurement and replay alike.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -56,6 +59,7 @@ from .matcore import (
     rank_one,
     schatten_norm,
     schmidt_from_factors,
+    svd_factors,
     validate_dim,
     validate_index,
     values_norm,
@@ -236,6 +240,23 @@ def dyadic_supports(rng, n: int, count: int = 1) -> list[np.ndarray]:
     return [rng.permutation(n)[:k] for _ in range(count)]
 
 
+def dyadic_fills(rngs, n: int, count: int) -> tuple:
+    """From each generator in turn, ``dyadic_supports(rng, n, count)`` and
+    then 2 * width**count standard normals, as a lone draw takes them.
+
+    Returns the supports of each generator, the k widths and the
+    (k, 2 * n**count) normals, row i filled up to 2 * width**count.
+    """
+    supports, widths = [], []
+    normals = np.empty((len(rngs), 2 * n**count))
+    for rng, out in zip(rngs, normals):
+        drawn = dyadic_supports(rng, n, count)
+        supports.append(drawn)
+        widths.append(len(drawn[0]))
+        rng.standard_normal(out=out[:2 * widths[-1]**count])
+    return supports, np.array(widths, dtype=np.intp), normals
+
+
 # draws of a sample that all stay below its sampler's min_norm: the sample
 # is refused after this many redraws, which a reachable min_norm never needs
 MAX_REDRAWS = 1000
@@ -250,6 +271,12 @@ class Sampler:
     "rank_one" (spread input frame, dyadic-width output spike), or
     "sparse" (ginibre blocks of dyadic random size).  Identical
     (seed, tag) always reproduce the same stream.
+
+    The estimators draw through ``_unit_sphere`` and ``_contraction``,
+    which give each stack with its factors: a haar_spectral sample's and
+    a contraction's from the draw, a sparse sample's from one SVD of its
+    block, a ginibre or rank_one sample's off p = 2 from one SVD of the
+    draw.  A sample's norm, values and Schmidt form are read off them.
     """
 
     seed: int
@@ -311,21 +338,39 @@ class Sampler:
         u, v = np.moveaxis(self._haar(z), 1, 0)
         return (u * spectrum[:, None, :]) @ adjoint(v), u, spectrum, v
 
-    def _draw_one(self, rng) -> np.ndarray:
+    def _rank_one(self, rng) -> np.ndarray:
+        # spread input frame, output factor a spike of dyadic random width
         n = self.dim
-        if self.tag == "rank_one":
-            # spread input frame, output factor a spike of dyadic random width
-            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            (support,) = dyadic_supports(rng, n)
-            k = len(support)
-            y = np.zeros(n, dtype=np.complex128)
-            y[support] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-            return rank_one(x, y)
-        # "sparse": a ginibre block on dyadic random rows and columns
-        rows, cols = dyadic_supports(rng, n, 2)
-        z = np.zeros((n, n), dtype=np.complex128)
-        z[np.ix_(rows, cols)] = self._ginibre([rng], 1, len(rows))[0, 0]
-        return z
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        (support,) = dyadic_supports(rng, n)
+        k = len(support)
+        y = np.zeros(n, dtype=np.complex128)
+        y[support] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        return rank_one(x, y)
+
+    def _sparse(self, rngs, factored: bool) -> tuple:
+        """A ginibre block on dyadic random rows and columns from each
+        generator, as a (k, n, n) stack; with ``factored`` also its factors
+        (u, sigma, v), from one SVD of each block, put in zero-padded n x n
+        frames.  The blocks of one width are combined, placed and factored
+        by one call each."""
+        n = self.dim
+        supports, widths, z = dyadic_fills(rngs, n, 2)
+        m = np.zeros((len(rngs), n, n), dtype=np.complex128)
+        if factored:
+            u, s, v = np.zeros_like(m), np.zeros((len(rngs), n)), np.zeros_like(m)
+        for w in sorted(set(widths.tolist())):
+            group = np.flatnonzero(widths == w)
+            rows, cols = (np.array([supports[i][side] for i in group.tolist()])[:, :, None]
+                          for side in (0, 1))
+            raw = z[group, :2 * w * w].reshape(-1, 2, w, w)
+            block = (raw[:, 0] + 1j * raw[:, 1]) / math.sqrt(2.0)
+            at = group[:, None, None]
+            m[at, rows, cols.transpose(0, 2, 1)] = block
+            if factored:
+                bu, s[group, :w], bv = svd_factors(block)
+                u[at, rows, np.arange(w)], v[at, cols, np.arange(w)] = bu, bv
+        return (m, u, s, v) if factored else (m,)
 
     def _draw(self, rngs) -> np.ndarray:
         """One matrix from each generator, in order, as a (k, n, n) stack.
@@ -337,27 +382,37 @@ class Sampler:
             return self._ginibre(rngs, 1, self.dim)[:, 0]
         if self.tag == "haar_spectral":
             return self._spectral(rngs)[0]
-        return np.stack([self._draw_one(rng) for rng in rngs])
+        if self.tag == "sparse":
+            return self._sparse(rngs, factored=False)[0]
+        return np.stack([self._rank_one(rng) for rng in rngs])
 
     def _factored(self, rngs) -> tuple:
-        """``(_draw(rngs),)``, and for the haar_spectral tag its factors
-        (u, sigma, v) after it."""
-        return self._spectral(rngs) if self.tag == "haar_spectral" else (self._draw(rngs),)
+        """``(_draw(rngs),)``, then its factors (u, sigma, v) where a norm or
+        a form needs them or they are cheap: a haar_spectral stack's from
+        its draw, a sparse one's from its blocks, a ginibre or rank_one
+        one's off p = 2 from one SVD.  At p = 2 a ginibre or rank_one
+        sample, normed by its entries, is not factored."""
+        if self.tag == "haar_spectral":
+            return self._spectral(rngs)
+        if self.tag == "sparse":
+            return self._sparse(rngs, factored=True)
+        m = self._draw(rngs)
+        return (m,) if self.p == 2.0 else (m, *svd_factors(m))
 
     def _unit_sphere(self, indices, stream: int) -> tuple:
         """``unit_sphere`` of the samples ``indices``, drawn as one stack,
-        and for the haar_spectral tag its factors (u, sigma, v): each
-        sample is ``u diag(sigma) v*``, sigma divided by the norm as the
-        matrix is.  None for other tags, which are not drawn factored."""
+        and its factors (u, sigma, v) as ``_factored`` gives them, sigma
+        divided by the norm as the matrix is, or None.  Each norm is
+        ``_norm`` of the draw, off p = 2 read from its sigma."""
         rngs = self.generators(stream, indices)
         drawn = self._factored(rngs)
-        m = drawn[0]
-        norm = _norm(m, self.p)
+        m, values = drawn[0], (drawn[2] if len(drawn) > 1 else None)
+        norm = _norm(m, self.p, values)
         for j in np.flatnonzero(norm < self.min_norm):
             for _ in range(MAX_REDRAWS):
                 for whole, part in zip(drawn, self._factored([rngs[j]])):
                     whole[j] = part[0]
-                norm[j] = _norm(m[j], self.p)
+                norm[j] = _norm(m[j], self.p, None if values is None else values[j])
                 if norm[j] >= self.min_norm:
                     break
             else:
@@ -367,20 +422,18 @@ class Sampler:
                     f"below min_norm {self.min_norm!r} after {MAX_REDRAWS} redraws",
                     {"sample_index": i, "seed": self.seed, "dim": self.dim, "tag": self.tag})
         m /= norm[:, None, None]
-        if len(drawn) == 1:
+        if values is None:
             return m, None
-        u, spectrum, v = drawn[1:]
-        return m, (u, spectrum / norm[:, None], v)
+        return m, (drawn[1], values / norm[:, None], drawn[3])
 
     def unit_sphere(self, index, stream: int = STREAM_PRIMARY) -> np.ndarray:
         """Sample with Schatten p-norm 1; draws below ``min_norm`` are
         redrawn, up to ``MAX_REDRAWS`` times a sample, then refused.
 
         The norm is the estimators' one: at p = 2 the l^2 norm of the
-        entries, no SVD; the sample is the draw divided by it.  A
-        haar_spectral draw ``u diag(sigma) v*`` keeps its factors in the
-        estimators' chunks: the sample's form is (sigma / norm, v, u), and
-        its norms and Schmidt form are read off them.
+        entries, no SVD; off p = 2 the l^p norm of the singular values
+        the sample was factored with when drawn (see the class notes).
+        The sample is the draw divided by it, and so are those values.
 
         ``index`` is one sample index, or a sequence of them for a
         (k, n, n) stack.  Every sample, redraws included, comes from its
@@ -391,22 +444,30 @@ class Sampler:
         indices = np.atleast_1d(index)
         n = self.dim
         out = np.empty((len(indices), n, n), dtype=np.complex128)
-        step = max(1, CHUNK_ENTRIES // n**2)
-        for start in range(0, len(indices), step):
-            out[start:start + step] = self._unit_sphere(indices[start:start + step], stream)[0]
+        for part in _chunked(len(indices), n**2):
+            out[part] = self._unit_sphere(indices[part], stream)[0]
         return out if np.ndim(index) else out[0]
+
+    def unit_sphere_chunks(self, index, stream: int = STREAM_PRIMARY):
+        """``unit_sphere`` of the samples ``index`` as the estimators draw
+        it: one ``(stack, factors)`` pair per chunk of ``CHUNK_ENTRIES``
+        entries, as ``_unit_sphere`` gives them, each drawn when asked for."""
+        indices = np.atleast_1d(index)
+        for part in _chunked(len(indices), self.dim**2):
+            yield self._unit_sphere(indices[part], stream)
 
     def _contraction(self, indices, stream: int) -> tuple:
         """``contraction`` of the samples ``indices`` as one stack, and its
-        factors (u, sigma, v)."""
-        m, u, spectrum, v = self._spectral(self.generators(stream, indices))
-        return m, (u, spectrum, v)
+        factors (None, sigma, None): no estimator asks a contraction for its
+        form, so its frames go once it is formed."""
+        m, _, spectrum, _ = self._spectral(self.generators(stream, indices))
+        return m, (None, spectrum, None)
 
     def contraction(self, index, stream: int = STREAM_LEFT) -> np.ndarray:
         """Operator-norm contraction: Haar frames around a uniform spectrum.
 
         Each is drawn as ``u diag(sigma) v*`` with sigma in [0, 1); in the
-        estimators' chunks it keeps these factors, so its operator norm is
+        estimators' chunks it keeps sigma, so its operator norm is
         max(sigma), with no factorization.
 
         ``index`` is one sample index, or a sequence of them for a stack.
@@ -513,6 +574,13 @@ ESTIMATE_KINDS = ("Q", "L", "R", "B")
 CHUNK_ENTRIES = 2**12
 
 
+def _chunked(count: int, entries: int) -> list[slice]:
+    """``range(count)`` in slices of ``CHUNK_ENTRIES`` entries, ``entries``
+    per sample."""
+    step = max(1, CHUNK_ENTRIES // entries)
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+
+
 def _resolve_indices(spec, p, q):
     sig_p, sig_q = signature(spec)
     p = sig_p if p is None else p
@@ -534,9 +602,9 @@ class _Chunk:
 
     A term is kept only for a stack the chunk drew, never for a matrix
     derived from one (``f + g``, ``a @ f``), which is made at every call.
-    A stack drawn as ``u diag(sigma) v*`` keeps sigma for its norms and
-    its frames until its Schmidt form is made, under the chunk's one
-    ``tol``; all live as long as the chunk.
+    A stack drawn as ``u diag(sigma) v*`` keeps sigma for its norms and,
+    drawn with its frames, the Schmidt form they give under the chunk's
+    one ``tol``, not the frames; all live as long as the chunk.
     """
 
     def __init__(self, indices, tol: Tolerances = DEFAULT_TOL):
@@ -546,18 +614,20 @@ class _Chunk:
         self._drawn = {}  # id of each drawn stack -> its key; the chunk keeps them alive
         self._terms = {}
         self._values = {}  # key of each stack drawn factored -> its sigma
-        self._frames = {}  # ... -> its (u, v), until its form is made
+        self._forms = {}  # ... and drawn with its frames -> its Schmidt form
 
     def draw(self, key, make):
         """The input stack ``key`` of this chunk.  On first use ``make()``
-        gives it with its factors (u, sigma, v), or None if not drawn so."""
+        gives it with its factors (u, sigma, v), u and v None for a stack
+        drawn with sigma alone, or None if not drawn so."""
         if key not in self._stacks:
             stack, factors = make()
             self._stacks[key] = stack
             self._drawn.setdefault(id(stack), key)
             if factors is not None:
                 u, self._values[key], v = factors
-                self._frames[key] = u, v
+                if u is not None:
+                    self._forms[key] = schmidt_from_factors(u, self._values[key], v, self.tol)
         return self._stacks[key]
 
     def term(self, key, m, make):
@@ -574,17 +644,8 @@ class _Chunk:
         return self._values.get(self._drawn.get(id(m)))
 
     def form(self, m):
-        """The Schmidt form of ``m`` from its drawn factors, made once on
-        first use, which lets its frames go; None for a matrix not drawn
-        factored."""
-        key = self._drawn.get(id(m))
-        if key not in self._values:
-            return None
-
-        def make():
-            u, v = self._frames.pop(key)
-            return schmidt_from_factors(u, self._values[key], v, self.tol)
-        return self.term("form", m, make)
+        """The Schmidt form ``m`` was drawn with, or None."""
+        return self._forms.get(self._drawn.get(id(m)))
 
 
 def _spec_scorer(ratio):
@@ -627,9 +688,9 @@ def _defect_ratio(kind):
 
     |a|_inf and |b|_inf are the contractions' largest drawn singular
     values.  |f|_p and |g|_p are l^2 entry norms at p = 2; at other p they
-    come from a haar_spectral sample's drawn values, else from an SVD.  The
-    spec reads a haar_spectral sample's drawn Schmidt form and factors
-    every other input itself.
+    come from the sample's drawn values.  The spec reads a sample's drawn
+    Schmidt form where it was drawn factored and factors every other
+    input (ginibre and rank_one samples at p = 2, f + g, a f, ...) itself.
     """
 
     def ratio(ev, norm, x, ix):
@@ -729,15 +790,14 @@ def max_over_stream(jobs, sampler: Sampler, n_samples: int,
     scores = [REPORT_KINDS[kind][0](context, tol) for kind, context in jobs]
     draws = [REPORT_KINDS[kind][1](context, sampler.seed) for kind, context in jobs]
     vec = any(context.get("slot") == "vec" for _, context in jobs)
-    step = max(1, CHUNK_ENTRIES // (sampler.dim if vec else sampler.dim**2))
     best = [-math.inf] * len(jobs)
     witness: list[dict] = [{} for _ in jobs]
     best_inputs: list = [None] * len(jobs)
     error, live = None, len(jobs)  # jobs[live:] stop: one before them failed
-    for start in range(0, n_samples, step):
+    for part in _chunked(n_samples, sampler.dim if vec else sampler.dim**2):
         if not live:
             break
-        chunk = _Chunk(range(start, min(start + step, n_samples)), tol)
+        chunk = _Chunk(range(n_samples)[part], tol)
         for j, draw, score in zip(range(live), draws, scores):
             try:
                 inputs = draw(chunk)
@@ -933,27 +993,41 @@ def fit_morphism(spec: CentralizerSpec, side: str, samples, q: float,
                  p: float, tol: Tolerances = DEFAULT_TOL) -> FitResult:
     """Least-squares module morphism of ``spec`` plus its worst defect ratio.
 
-    ``samples`` is a (k, n, n) stack or a sequence of matrices.  The stack
-    is walked in chunks of ``CHUNK_ENTRIES`` entries: a first pass
-    evaluates the spec and sums the Gram and cross terms in sample order,
-    as a loop over the samples would sum them; a second pass over the same
-    chunks scores the ratios.  Beside the samples and their values, a call
-    holds one chunk's terms.
+    ``samples`` is a (k, n, n) stack, a sequence of matrices, or an
+    iterator of drawn chunks ``(stack, factors)``, as
+    ``Sampler.unit_sphere_chunks`` gives them; a stack is walked in chunks
+    of ``CHUNK_ENTRIES`` entries that carry no factors.  Each chunk is read
+    as a ``_Chunk``: the spec is evaluated at its drawn Schmidt form where
+    it has one, and the Gram and cross terms are summed in sample order,
+    as a loop over the samples would sum them; a second pass over the
+    chunks scores the ratios, |f|_p from the drawn singular values where
+    there are some.  A chunk's frames and form go before the next chunk is
+    drawn: beside one chunk's terms, a call holds the samples, their values
+    and their drawn singular values.
     """
     if side not in ("left", "right"):
         raise InputError(f"side must be 'left' or 'right', got {side!r}")
-    if len(samples) == 0:
-        raise InputError("fit_morphism needs at least one sample")
-    f = as_matrices(samples)
-    if f.ndim != 3:
-        raise InputError(f"fit_morphism needs a stack of matrices, got shape {f.shape}")
+    if not isinstance(samples, Iterator):
+        if len(samples) == 0:
+            raise InputError("fit_morphism needs at least one sample")
+        f = as_matrices(samples)
+        if f.ndim != 3:
+            raise InputError(f"fit_morphism needs a stack of matrices, got shape {f.shape}")
+        samples = ((f[part], None) for part in _chunked(len(f), f[0].size))
     p = validate_index(p)
     q = validate_index(q)
-    step = max(1, CHUNK_ENTRIES // f[0].size)
-    chunks = [f[start:start + step] for start in range(0, len(f), step)]
-    values = [evaluate(spec, fc, tol) for fc in chunks]
+
+    def evaluated(drawn):
+        chunk = _Chunk((), tol)
+        fc = chunk.draw("f", lambda: drawn)
+        return fc, evaluate(spec, fc, tol, chunk.form(fc)), chunk.values(fc)
+
+    # map() holds no chunk while it draws the next one
+    chunks = list(map(evaluated, samples))
+    if not chunks:
+        raise InputError("fit_morphism needs at least one sample")
     gram = cross = 0.0  # 0.0 plus the first term is that term, as from np.zeros
-    for fc, y in zip(chunks, values):
+    for fc, y, _ in chunks:
         if side == "left":
             gram_terms, cross_terms = adjoint(fc) @ fc, adjoint(fc) @ y
         else:
@@ -965,9 +1039,9 @@ def fit_morphism(spec: CentralizerSpec, side: str, samples, q: float,
     pinv = np.linalg.pinv(gram)
     morph = pinv @ cross if side == "left" else cross @ pinv
     ratios = []
-    for fc, y in zip(chunks, values):
+    for fc, y, values in chunks:
         approx = fc @ morph if side == "left" else morph @ fc
-        ratios += (_norm(y - approx, q) / _norm(fc, p)).tolist()
+        ratios += (_norm(y - approx, q) / _norm(fc, p, values)).tolist()
     ratios = tuple(ratios)
     return FitResult(matrix=morph, residual=max(ratios), side=side,
                      rank_deficient=rank_deficient, ratios=ratios)

@@ -38,7 +38,7 @@ from .metrology import (
     STREAM_SECONDARY,
     EstimateReport,
     Sampler,
-    dyadic_supports,
+    dyadic_fills,
     max_over_stream,
 )
 
@@ -114,21 +114,23 @@ def twisted_target(qmap, pY: float = 2.0, pX: float = 2.0) -> TwistedTarget:
     return TwistedTarget(qmap=qmap, pY=validate_index(pY), pX=validate_index(pX))
 
 
-def _sparse_vector(rng, n: int) -> np.ndarray:
-    """Complex normals on a dyadic random support, so sampled pairs range
-    from disjoint spikes (the concavity extremizers) to spread vectors."""
-    (support,) = dyadic_supports(rng, n)
-    z = rng.standard_normal((len(support), 2))
-    out = np.zeros(n, dtype=np.complex128)
-    out[support] = (z[:, 0] + 1j * z[:, 1]) / math.sqrt(2.0)
+def _sparse_vectors(rngs, n: int) -> np.ndarray:
+    """Complex normals on a dyadic random support from each generator, as
+    a (k, n) stack, so sampled pairs range from disjoint spikes (the
+    concavity extremizers) to spread vectors.  The stack is combined and
+    placed by one call each."""
+    supports, widths, z = dyadic_fills(rngs, n, 1)
+    pairs = z[np.arange(2 * n) < 2 * widths[:, None]]  # (re, im) of each entry in turn
+    out = np.zeros((len(rngs), n), dtype=np.complex128)
+    out[np.repeat(np.arange(len(rngs)), widths), np.concatenate([s for s, in supports])] = (
+        pairs[0::2] + 1j * pairs[1::2]) / math.sqrt(2.0)
     return out
 
 
 def _draw_pairs(sampler: Sampler, slot: str, indices, stream: int) -> np.ndarray:
     """(g, f) of each sample, both from its generator, as a (k, 2, ...) stack."""
     rngs = [rng for rng in sampler.generators(stream, indices) for _ in "gf"]
-    pairs = (sampler._draw(rngs) if slot == "mat"
-             else np.array([_sparse_vector(rng, sampler.dim) for rng in rngs]))
+    pairs = sampler._draw(rngs) if slot == "mat" else _sparse_vectors(rngs, sampler.dim)
     return pairs.reshape(-1, 2, *pairs.shape[1:])
 
 

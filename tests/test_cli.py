@@ -686,6 +686,20 @@ def test_haar_spectral_witnesses_replay_bitwise(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["ok"]
 
 
+@pytest.mark.parametrize("tag", ["sparse", "ginibre"])
+def test_factored_draws_replay_bitwise(tmp_path, capsys, tag):
+    # at p = 1 each sample is factored when drawn, on its block (sparse) or
+    # whole (ginibre), and replay reads the forms and values the run read
+    doc = _haar_constants(tmp_path, tag=tag, p=1.0, q=1.0,
+                          spec={"kind": "kp_bicentralizer", "phi": "s", "p": 1.0})
+    assert main(["run", str(write_config(tmp_path, doc))]) == 0
+    capsys.readouterr()
+    report = tmp_path / "out" / "report.json"
+    for i in range(len(read_json(report)["reports"])):
+        assert main(["replay", str(report), "--index", str(i), "--atol", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"]
+
+
 @pytest.mark.parametrize("dim", [8, 64])
 def test_haar_spectral_failure_names_the_sample(tmp_path, capsys, monkeypatch, dim):
     import numpy as np

@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -42,7 +43,7 @@ from schatlab.metrology import (
     reevaluate_witness,
 )
 import schatlab.metrology as metrology
-from schatlab.metrology import _norm, _pcg64_generators
+from schatlab.metrology import _norm, _pcg64_generators, dyadic_supports
 from schatlab.twisted import _draw_pairs, quasinorm_modulus_probe
 from conftest import SEED, complex_matrix, haar_unitary
 
@@ -183,7 +184,7 @@ def _lone_dyadic_draw(rng, n, what):
     return out
 
 
-@pytest.mark.parametrize("n", [1, 5, 8])
+@pytest.mark.parametrize("n", [1, 5, 8, 32])
 def test_dyadic_support_draws_match_lone_oracle(n):
     indices = range(40)
 
@@ -284,13 +285,22 @@ def test_chunk_terms_are_kept_for_drawn_stacks_only():
 def test_chunk_reads_a_factored_draw_and_lets_its_frames_go():
     sampler = Sampler(seed=SEED, dim=4, p=2.0, tag="haar_spectral")
     chunk = metrology._Chunk(range(3))
-    f = chunk.draw("f", lambda: sampler._unit_sphere(range(3), STREAM_PRIMARY))
+    drawn = sampler._unit_sphere(range(3), STREAM_PRIMARY)
+    frames = [weakref.ref(drawn[1][0]), weakref.ref(drawn[1][2])]
+    f = chunk.draw("f", lambda: drawn)
     g = chunk.draw("g", lambda: (np.zeros((3, 4, 4)), None))
+    a = chunk.draw("a", lambda: sampler._contraction(range(3), STREAM_LEFT))
     assert chunk.values(g) is None and chunk.form(g) is None and chunk.form(f + g) is None
-    assert np.array_equal(chunk.values(f), sampler._unit_sphere(range(3), STREAM_PRIMARY)[1][1])
+    assert np.array_equal(chunk.values(f), drawn[1][1])
+    del drawn
+    assert [ref() for ref in frames] == [None, None]  # the chunk keeps the form, not the frames
     form = chunk.form(f)
-    assert chunk.form(f) is form and not chunk._frames  # made once, then the frames go
+    assert chunk.form(f) is form
     assert np.abs(form.reconstruct() - f).max() <= 1e-14
+    # a contraction keeps sigma alone
+    assert chunk.form(a) is None
+    assert np.array_equal(chunk.values(a), sampler._spectral(
+        sampler.generators(STREAM_LEFT, range(3)))[2])
 
 
 # --- the estimators' norm rule ------------------------------------------------
@@ -338,23 +348,66 @@ def test_norm_rule_is_schatten_norm_off_two(p):
         assert np.array_equal(_norm(m, p), schatten_norm(m, p)), case
 
 
+def _counted_svd(monkeypatch, frame_checks=True):
+    """The matrices each ``np.linalg.svd`` call is handed, one list a call;
+    without ``frame_checks`` the reports' frame checks are stubbed out."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.reshape(a, (-1,) + np.shape(a)[-2:]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    if not frame_checks:
+        monkeypatch.setattr(metrology, "frame_ambiguous", lambda f, tol: False)
+    return calls
+
+
 @pytest.mark.parametrize("n", [4, 8])
 def test_shared_pass_takes_no_svd_for_s2_norms(monkeypatch, n):
     # per chunk at p = 2: one SVD per spec evaluation (f + g, f, g, a f,
     # f a, a f b), none for an S^2 norm and none for an operator norm
     # (|a|_inf, |b|_inf come from the draw); then one frame check per report
-    calls = []
-    svd = np.linalg.svd
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    calls = _counted_svd(monkeypatch)
     step = metrology.CHUNK_ENTRIES // n**2
     estimate_constants(KPBicentralizer("s", 2.0), list(KINDS),
                        Sampler(seed=SEED, dim=n, p=2.0, tag="ginibre"), step + 1)
     assert len(calls) == 6 * 2 + len(KINDS)
+
+
+def test_shared_pass_factors_each_sample_once_off_two(monkeypatch):
+    # a Q chunk at p = 1 on ginibre: one SVD of each draw of f and g, whose
+    # forms and values serve their evaluations and norms, one of f + g and
+    # one for the defect's S^1 norm; then one frame check for the report
+    calls = _counted_svd(monkeypatch)
+    n = 4
+    step = metrology.CHUNK_ENTRIES // n**2
+    estimate_constant(KPBicentralizer("s", 1.0), "Q",
+                      Sampler(seed=SEED, dim=n, p=1.0, tag="ginibre"), step + 1)
+    assert len(calls) == 4 * 2 + 1
+
+
+def test_sparse_chunks_factor_blocks_not_samples(monkeypatch):
+    # every sparse sample is factored on its block alone: no SVD of a chunk
+    # is handed a sample, raw or normalized, in the shared pass or the fit
+    n, count = 8, 70  # two chunks of 64 samples
+    sampler = Sampler(seed=SEED, dim=n, p=1.0, tag="sparse")
+    samples = {m.tobytes() for stream in (STREAM_PRIMARY, STREAM_SECONDARY)
+               for m in (*sampler.unit_sphere(range(count), stream),
+                         *sampler._draw(sampler.generators(stream, range(count))))}
+    narrow = [(np.abs(m).sum(axis=1) > 0).sum() < n for stream in (STREAM_PRIMARY,
+              STREAM_SECONDARY) for m in sampler.unit_sphere(range(count), stream)]
+    calls = _counted_svd(monkeypatch, frame_checks=False)
+    spec = KPBicentralizer("s", 1.0)
+    estimate_constants(spec, list(KINDS), sampler, count)
+    fit_morphism(spec, "right", sampler.unit_sphere_chunks(range(count)), q=1.0, p=1.0)
+    factored = [m for call in calls for m in call]
+    assert len(factored) > 4 * count
+    assert not any(m.tobytes() in samples for m in factored)
+    # each draw of f (the pass and the fit) and g factors every block narrower than n
+    assert sum(len(call) for call in calls if call.shape[-1] < n) == (
+        sum(narrow) + sum(narrow[:count]))
 
 
 # --- estimate_constant -------------------------------------------------------
@@ -443,8 +496,9 @@ def _looped_ratio(spec, kind, sampler, i, q, other=None, index=None, factored=Fa
     """Ratio of sample i written out alone; ``other`` is the second spec of
     a distance or a companion's candidate, ``index`` its s or r.  A matrix
     drawn as u diag(sigma) v* is evaluated at the Schmidt form and normed
-    by the singular values its draw gives, unless ``factored``; every
-    other matrix is factored."""
+    by the singular values its draw gives (a contraction, drawn with sigma
+    alone, only normed), unless ``factored``; every other matrix is
+    factored."""
     p = sampler.p
     drawn = {}  # id of each input drawn factored -> (input, its form, its values)
 
@@ -452,8 +506,8 @@ def _looped_ratio(spec, kind, sampler, i, q, other=None, index=None, factored=Fa
         m, factors = getattr(replace(sampler, p=index), method)([i], stream)
         m = m[0]
         if factors is not None and not factored:
-            u, s, v = (x[0] for x in factors)
-            drawn[id(m)] = (m, schmidt_from_factors(u, s, v), s)
+            u, s, v = (None if x is None else x[0] for x in factors)
+            drawn[id(m)] = (m, None if u is None else schmidt_from_factors(u, s, v), s)
         return m
 
     def ev(spec, m):
@@ -544,33 +598,35 @@ def test_chunked_estimate_matches_per_sample_loop(small_chunks, spec_kind, tag):
             assert rep.value == pytest.approx(value, rel=1e-12, abs=1e-12), kind
 
 
-def _drawn_stacks(n):
-    """Stacks drawn as u diag(sigma) v*, with their factors: contractions
-    and haar_spectral unit-sphere samples at p = 2 and p = 1."""
-    for p in (2.0, 1.0):
-        sampler = Sampler(seed=SEED, dim=n, p=p, tag="haar_spectral")
-        yield p, "unit_sphere", sampler._unit_sphere(range(3), STREAM_PRIMARY)
-    yield math.inf, "contraction", sampler._contraction(range(3), STREAM_LEFT)
-
-
 @pytest.mark.parametrize("n", [4, 8, 64])
 def test_drawn_form_matches_the_factored_oracle(n):
+    # each unit-sphere sample drawn factored: its form and norm against
+    # schmidt and schatten_norm of the normalized sample
     kp = KPBicentralizer("s", 2.0)
-    for p, what, (m, factors) in _drawn_stacks(n):
-        form = schmidt_from_factors(*factors)
-        oracle = schmidt(m)
-        assert form.shape == oracle.shape and form.rank.tolist() == oracle.rank.tolist()
-        assert np.allclose(form.s, oracle.s, rtol=1e-12, atol=0.0), (p, what)
-        assert np.abs(form.reconstruct() - m).max() <= 1e-12 * np.abs(m).max(), (p, what)
-        assert np.array_equal(form.gap < DEFAULT_TOL.gap_rtol,
-                              oracle.gap < DEFAULT_TOL.gap_rtol), (p, what)
-        value = evaluate(kp, m, DEFAULT_TOL, form)
-        assert np.abs(value - evaluate(kp, m)).max() <= 1e-12 * np.abs(value).max()
-        # the drawn norm: max(sigma) at p = inf, the values' l^p norm otherwise
-        norms = _norm(m, p, factors[1])
-        assert np.allclose(norms, schatten_norm(m, p), rtol=1e-12, atol=0.0), (p, what)
-        if what == "contraction":
-            assert np.array_equal(norms, factors[1].max(axis=1))
+    for tag in TAGS:
+        for p in (2.0, 1.0, 0.5):
+            m, factors = Sampler(seed=SEED, dim=n, p=p, tag=tag)._unit_sphere(
+                range(5), STREAM_PRIMARY)
+            if tag in ("ginibre", "rank_one") and p == 2.0:
+                assert factors is None  # normed by its entries, factored by evaluate
+                continue
+            form = schmidt_from_factors(*factors)
+            oracle = schmidt(m)
+            assert form.shape == oracle.shape and form.rank.tolist() == oracle.rank.tolist()
+            assert np.allclose(form.s, oracle.s, rtol=1e-12, atol=0.0), (tag, p)
+            assert np.abs(form.reconstruct() - m).max() <= 1e-12 * np.abs(m).max(), (tag, p)
+            assert np.array_equal(form.gap < DEFAULT_TOL.gap_rtol,
+                                  oracle.gap < DEFAULT_TOL.gap_rtol), (tag, p)
+            value = evaluate(kp, m, DEFAULT_TOL, form)
+            assert np.abs(value - evaluate(kp, m)).max() <= 1e-12 * np.abs(value).max()
+            norms = _norm(m, p, factors[1])
+            assert np.allclose(norms, schatten_norm(m, p), rtol=1e-12, atol=0.0), (tag, p)
+            assert np.allclose(norms, 1.0, rtol=1e-12, atol=0.0), (tag, p)
+    # a contraction keeps sigma alone: its operator norm is max(sigma)
+    a, (u, sigma, v) = Sampler(seed=SEED, dim=n, p=2.0)._contraction(range(5), STREAM_LEFT)
+    assert u is None and v is None
+    assert np.array_equal(_norm(a, math.inf, sigma), sigma.max(axis=1))
+    assert np.allclose(sigma.max(axis=1), schatten_norm(a, math.inf), rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("n, p", [(4, 2.0), (8, 1.0), (64, 2.0)])
@@ -696,13 +752,25 @@ def test_stacked_redraws_match_looped_unit_sphere(tag):
             spec, kind, sampler, 30, 2.0)
 
 
-@pytest.mark.parametrize("estimate", [
-    lambda spec, sampler: estimate_constant(spec, "L", sampler, 80),
-    lambda spec, sampler: distance_estimate(spec, spec, sampler, 80),
-], ids=["estimate_constant", "distance_estimate"])
-def test_estimate_failure_names_the_sample(monkeypatch, estimate):
-    sampler = Sampler(seed=3, dim=4, p=2.0, tag="sparse")
-    bad = sampler.unit_sphere(37)
+def _factored_at_draw(sampler, i):
+    """The matrix that sample i of the primary stream is factored at when
+    drawn: a sparse sample's ginibre block, any other sample's draw."""
+    rng = sampler.generator(STREAM_PRIMARY, i)
+    if sampler.tag != "sparse":
+        return sampler._draw([rng])[0]
+    rows, _ = dyadic_supports(rng, sampler.dim, 2)
+    return complex_matrix(rng, len(rows))
+
+
+@pytest.mark.parametrize("estimate, tag, p", [
+    (lambda spec, sampler: estimate_constant(spec, "L", sampler, 80), "sparse", 2.0),
+    (lambda spec, sampler: distance_estimate(spec, spec, sampler, 80), "sparse", 2.0),
+    (lambda spec, sampler: estimate_constant(spec, "Q", sampler, 80), "ginibre", 1.0),
+], ids=["estimate_constant", "distance_estimate", "ginibre_p1"])
+def test_estimate_failure_names_the_sample(monkeypatch, estimate, tag, p):
+    # the forced failure hits sample 37 where it is factored, at its draw
+    sampler = Sampler(seed=3, dim=4, p=p, tag=tag)
+    bad = _factored_at_draw(sampler, 37)
     svd = np.linalg.svd
 
     def failing_svd(a, *args, **kwargs):
@@ -712,10 +780,10 @@ def test_estimate_failure_names_the_sample(monkeypatch, estimate):
 
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
     with pytest.raises(NumericError) as info:
-        estimate(KPBicentralizer("s", 2.0), sampler)
+        estimate(KPBicentralizer("s", p), sampler)
     diagnostics = info.value.diagnostics
     assert diagnostics["sample_index"] == 37
-    assert (diagnostics["seed"], diagnostics["dim"], diagnostics["tag"]) == (3, 4, "sparse")
+    assert (diagnostics["seed"], diagnostics["dim"], diagnostics["tag"]) == (3, 4, tag)
 
 
 def _poisoned_evaluate(monkeypatch, bad):
@@ -1237,6 +1305,44 @@ def test_stacked_fit_matches_looped_oracle(kind, side, tag, n, count):
         assert (fit.ratios, fit.residual, fit.rank_deficient) == expected[1:]
 
 
+@pytest.mark.parametrize("tag", ["sparse", "ginibre", "rank_one"])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("n, count", [(8, 24), (32, 40), (16, 37)],
+                         ids=["n8", "n32", "n16-37-samples"])
+def test_fit_on_drawn_chunks_matches_the_plain_stack(tag, p, n, count):
+    # the drawn forms and values against the same samples factored by the
+    # fit, with more samples than n: an underdetermined fit amplifies ulps
+    spec = LiftedQuasilinear(KPOnH("s"), p=p, q=1.0)
+    sampler = Sampler(seed=5, dim=n, p=p, tag=tag)
+    drawn = fit_morphism(spec, "right", sampler.unit_sphere_chunks(range(count)), q=1.0, p=p)
+    plain = fit_morphism(spec, "right", sampler.unit_sphere(range(count)), q=1.0, p=p)
+    assert drawn.rank_deficient == plain.rank_deficient
+    assert np.abs(drawn.matrix - plain.matrix).max() <= 1e-12 * np.abs(plain.matrix).max()
+    assert np.allclose(drawn.ratios, plain.ratios, rtol=1e-12, atol=0.0)
+    assert drawn.residual == pytest.approx(plain.residual, rel=1e-12, abs=0.0)
+    if tag in ("ginibre", "rank_one") and p == 2.0:  # drawn with no factors
+        assert np.array_equal(drawn.matrix, plain.matrix) and drawn.ratios == plain.ratios
+
+
+@pytest.mark.parametrize("tag", ["sparse", "ginibre", "haar_spectral"])
+def test_fit_ratios_prefix_stable_on_drawn_chunks(small_chunks, tag):
+    # chunks of 16 samples at n = 8: sample i's ratio against the fitted
+    # morphism is that of its lone draw, form and values, at every count
+    n = 8
+    k = small_chunks // n**2
+    spec = LiftedQuasilinear(KPOnH("s"), p=1.0, q=1.0)
+    sampler = Sampler(seed=5, dim=n, p=1.0, tag=tag)
+    for count in (k - 1, k, k + 1, 2 * k + 1):
+        fit = fit_morphism(spec, "left", sampler.unit_sphere_chunks(range(count)),
+                           q=1.0, p=1.0)
+        assert len(fit.ratios) == count
+        for i in range(k - 1):
+            m, (u, s, v) = sampler._unit_sphere([i], STREAM_PRIMARY)
+            y = evaluate(spec, m, DEFAULT_TOL, schmidt_from_factors(u, s, v))
+            lone = _norm(y - m @ fit.matrix, 1.0) / _norm(m, 1.0, s)
+            assert lone[0] == fit.ratios[i], (count, i)
+
+
 def test_fit_needs_samples(rng):
     with pytest.raises(InputError):
         fit_morphism(RightMultiplication(complex_matrix(rng, 4)), "left", [],
@@ -1244,6 +1350,9 @@ def test_fit_needs_samples(rng):
     with pytest.raises(InputError):
         fit_morphism(RightMultiplication(complex_matrix(rng, 4)), "middle",
                      [np.eye(4)], q=2.0, p=2.0)
+    with pytest.raises(InputError):  # a draw of no chunks
+        fit_morphism(RightMultiplication(complex_matrix(rng, 4)), "left",
+                     Sampler(seed=1, dim=4, p=2.0).unit_sphere_chunks([]), q=2.0, p=2.0)
 
 
 # --- gamma_summing_mc --------------------------------------------------------
