@@ -68,7 +68,6 @@ __all__ = [
     "trace_functional",
     "localize",
     "validate_projection",
-    "linear_from_rank_ones",
     "qmap_to_doc",
     "qmap_from_doc",
     "spec_to_doc",
@@ -513,21 +512,6 @@ def trace_functional(spec: CentralizerSpec, f, tol: Tolerances = DEFAULT_TOL) ->
     phase = form.y @ xh
     root = (form.x * np.sqrt(form.s)) @ xh
     return complex(np.trace(phase @ root @ evaluate(spec, root, tol)))
-
-
-def linear_from_rank_ones(ell: Callable[[np.ndarray], complex], n: int) -> np.ndarray:
-    """Matrix L with ell(f) = trace(L f), recovered from rank-one values.
-
-    ``ell(rank_one(e_i, e_j))`` is exactly the (i, j) entry of L, so a
-    linear functional that is continuous in the first rank-one slot is
-    pinned down by n^2 evaluations.
-    """
-    basis = np.eye(n, dtype=np.complex128)
-    L = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            L[i, j] = complex(ell(rank_one(basis[i], basis[j])))
-    return L
 
 
 # --- wire format --------------------------------------------------------------

@@ -8,6 +8,8 @@ identical configurations yield byte-identical artifacts.  The other
 environment input is SCHATLAB_OUT, the default output directory.  LAPACK
 can round otherwise under another thread count, so a replay that does not
 reproduce its witness names the recorded and the current counts.
+The argument parser is built once per process and reused by every ``main``
+call in it (in-process replays, ``scripts/run_all.py``).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import inspect
 import json
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import schatlab
@@ -274,7 +277,10 @@ def _manifest_blas_threads(report) -> dict | None:
     return manifest.get("blas_threads") if isinstance(manifest, dict) else None
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use.  The command functions
+    are bound here once, and read the module globals they call when they run."""
     parser = argparse.ArgumentParser(
         prog="schatlab",
         description="seeded experiments on matrix quasinorms and centralizers")
@@ -304,8 +310,16 @@ def main(argv=None) -> int:
     p_rep.add_argument("--atol", type=float, default=1e-12,
                        help="nonnegative tolerance on the reproduced ratio")
     p_rep.set_defaults(fn=_cmd_replay)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    """Parse ``argv`` (default ``sys.argv[1:]``) and run its command.
+
+    The parser is built once per process; every call parses into a fresh
+    namespace, so no flag of one call reaches the next.
+    """
+    args = _parser().parse_args(argv)
     return args.fn(args)
 
 

@@ -746,15 +746,6 @@ def _recipe(kind: str, context: dict, seed: int):
         for name, method, stream, ix in _KIND_INPUTS[kind]}
 
 
-def _stored_input(report: EstimateReport, m) -> dict:
-    """One input of a sample as witnesses stored it before they kept their
-    index alone: a matrix, or a modulus pair with its slot."""
-    if report.kind != "modulus":
-        return mat_to_json(m)
-    encode = vec_to_json if m.ndim == 2 else mat_to_json
-    return {"g": encode(m[0]), "f": encode(m[1]), "slot": report.context["slot"]}
-
-
 # report kind -> (scorer, recipe), built from a report alone by measurement
 # and replay: ``scorer(context, tol)`` gives ``score(inputs, chunk=None)``,
 # one ratio per sample, sharing the chunk's terms with its other scorers;
@@ -892,11 +883,15 @@ def reevaluate_witness(report: EstimateReport,
                        tol: Tolerances = DEFAULT_TOL) -> float:
     """Recompute the witness ratio of a report: its kind's recipe re-draws
     sample ``witness.index`` and its scorer rates it; gamma rescores its
-    stored row.  Refused: a context its kind cannot read, stored inputs
-    (as older witnesses hold) unlike the re-drawn sample, and a witness
-    ratio unlike the value, but for gamma's (its value is a mean)."""
+    stored row.  Refused: a context its kind cannot read, a witness that
+    stores its ``inputs`` (written before witnesses kept their index alone),
+    and a witness ratio unlike the value, but for gamma's (its value is a
+    mean)."""
     if report.kind not in REPORT_KINDS:
         raise InputError(f"cannot replay report of kind {report.kind!r}")
+    if "inputs" in report.witness:
+        raise InputError("the witness stores its inputs: the report predates index-only "
+                         "witnesses and must be re-run")
     ratio = report.witness.get("ratio")
     if report.kind != "gamma" and ratio != report.value:
         raise InputError(f"witness ratio {ratio!r} differs from the report value "
@@ -913,13 +908,7 @@ def reevaluate_witness(report: EstimateReport,
     if not (type(i) is int and 0 <= i < report.samples):
         raise InputError(f"witness index {i!r} is not a sample of the report's stream")
     chunk = _Chunk(range(i, i + 1), tol)
-    x = draw(chunk)
-    stored = report.witness.get("inputs")
-    # float reprs round-trip, so equal JSON is equal bits, signed zeros included
-    if stored is not None and json.dumps(stored, sort_keys=True) != json.dumps(
-            {name: _stored_input(report, m[0]) for name, m in x.items()}, sort_keys=True):
-        raise InputError(f"witness inputs are not sample {i} of the report's stream")
-    return float(score(x, chunk)[0])
+    return float(score(draw(chunk), chunk)[0])
 
 
 def _split_index(total: float, part: float) -> float:

@@ -22,7 +22,6 @@ from schatlab.centralizers import (
     evaluate,
     kp_bicentralizer,
     lift_quasilinear,
-    linear_from_rank_ones,
     localize,
     lower_s,
     qmap_from_doc,
@@ -414,19 +413,6 @@ def test_estimate_witness_carries_frame_flag():
     rep = estimate_constant(KPBicentralizer("s", 2.0), "L",
                             Sampler(seed=SEED, dim=5, p=2.0), 20)
     assert rep.witness["frame_ambiguous"] in (False, True)
-
-
-def test_linear_functional_reconstruction(rng):
-    # a linear functional continuous on rank-ones is trace against a
-    # fixed matrix; recover that matrix from rank-one probes
-    n = 5
-    hidden = complex_matrix(rng, n)
-    ell = lambda f: trace(hidden @ f)
-    recovered = linear_from_rank_ones(ell, n)
-    assert np.allclose(recovered, hidden, atol=1e-12)
-    for _ in range(10):
-        f = complex_matrix(rng, n)
-        assert ell(f) == pytest.approx(trace(recovered @ f), rel=1e-10)
 
 
 # --- quasilinear vector maps -------------------------------------------------

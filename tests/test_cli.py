@@ -38,6 +38,12 @@ def constants_config(tmp_path, **overrides):
     return doc
 
 
+def _cli_env():
+    """This environment, with the package on the path of a child process."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
+
+
 # --- validation --------------------------------------------------------------
 
 
@@ -611,10 +617,8 @@ def test_replay_refuses_an_unreachable_min_norm(tmp_path, capsys):
     # every draw stays below the threshold; the redraws are capped, so replay
     # fails structured within seconds (a subprocess, so a hang fails the test)
     report = _broken_report(tmp_path, capsys, "constants", _context(min_norm=1e30))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-m", "schatlab.cli", "replay", str(report)],
-                          capture_output=True, text=True, timeout=60, env=env)
+                          capture_output=True, text=True, timeout=60, env=_cli_env())
     assert done.returncode == 2, done.stderr
     err = json.loads(done.stdout)["error"]
     assert err["type"] == "replay" and "min_norm" in err["message"]
@@ -767,23 +771,16 @@ def _with_stored_inputs(doc):
     return doc
 
 
-def test_replay_checks_stored_witness_inputs(tmp_path, capsys):
+def test_replay_refuses_stored_witness_inputs(tmp_path, capsys):
     doc = constants_config(tmp_path, kinds=["Q", "L", "R", "B"], tag="rank_one")
     assert main(["run", str(write_config(tmp_path, doc))]) == 0
     capsys.readouterr()
     report = tmp_path / "out" / "report.json"
-    old = _with_stored_inputs(read_json(report))
-    report.write_text(json.dumps(old))
+    report.write_text(json.dumps(_with_stored_inputs(read_json(report))))
     for i in range(4):
-        assert main(["replay", str(report), "--index", str(i), "--atol", "0"]) == 0
-        assert json.loads(capsys.readouterr().out)["ok"]
-    for i, rep in enumerate(old["reports"]):
-        entry = rep["witness"]["inputs"]["f"]["re"]
-        entry[5] = math.nextafter(entry[5], -math.inf)  # one ulp off
-        report.write_text(json.dumps(old))
         assert main(["replay", str(report), "--index", str(i), "--atol", "inf"]) == 2
         err = json.loads(capsys.readouterr().out)["error"]
-        assert err["type"] == "replay" and "not sample" in err["message"]
+        assert err["type"] == "replay" and "must be re-run" in err["message"]
 
 
 def test_replay_accepts_gamma_mean_unlike_its_witness(tmp_path, capsys):
@@ -1004,6 +1001,74 @@ def test_list_builtins_mentions_operations(capsys):
         assert token in text
     assert main(["list"]) == 0
     assert "kp_bicentralizer" in capsys.readouterr().out
+
+
+# --- one parser per process ----------------------------------------------------
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys):
+    """Every ``main`` call parses with the one parser built on first use.
+
+    The command functions are bound when the parser is built, and they read
+    the module globals they call (``run_experiment``, ``write_json``) when
+    they run, so the tests that patch those globals still reach them.
+    """
+    import schatlab.cli as cli
+
+    path = write_config(tmp_path, constants_config(tmp_path))
+    assert main(["run", str(path)]) == 0
+    assert main(["validate", str(path)]) == 0
+    assert main(["replay", str(tmp_path / "out" / "report.json"), "--atol", "0"]) == 0
+    assert main(["list"]) == 0
+    capsys.readouterr()
+    info = cli._parser.cache_info()
+    assert info.misses == 1 and info.hits >= 3
+
+
+def test_run_flags_do_not_reach_the_next_run(tmp_path, capsys):
+    path = write_config(tmp_path, constants_config(tmp_path))
+    assert main(["run", str(path), "--seed", "43", "--samples", "10", "--dims", "5",
+                 "--tag", "rank_one", "--output", str(tmp_path / "flagged")]) == 0
+    assert [(row["seed"], row["samples"], row["dim"])
+            for row in read_csv(tmp_path / "flagged" / "results.csv")] == [("43", "10", "5")]
+    assert main(["run", str(path)]) == 0
+    capsys.readouterr()
+    (tmp_path / "out").rename(tmp_path / "in-process")
+    done = subprocess.run([sys.executable, "-m", "schatlab.cli", "run", str(path)],
+                          capture_output=True, text=True, timeout=120, env=_cli_env())
+    assert done.returncode == 0, done.stderr
+    for name in ("results.csv", "report.json", "manifest.json"):
+        assert ((tmp_path / "in-process" / name).read_bytes()
+                == (tmp_path / "out" / name).read_bytes()), name
+
+
+def test_replay_flags_do_not_reach_the_next_replay(tmp_path, capsys):
+    doc = constants_config(tmp_path, kinds=["Q", "L"])
+    assert main(["run", str(write_config(tmp_path, doc))]) == 0
+    capsys.readouterr()
+    report = tmp_path / "out" / "report.json"
+    doc = read_json(report)
+    rep = doc["reports"][0]  # a witness 1e-13 off: within the default 1e-12, not within 0
+    rep["value"] = rep["witness"]["ratio"] = rep["value"] + 1e-13
+    report.write_text(json.dumps(doc))
+    assert main(["replay", str(report), "--index", "1", "--atol", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "L"
+    assert main(["replay", str(report), "--atol", "0"]) == 4
+    capsys.readouterr()
+    assert main(["replay", str(report)]) == 0
+    reply = json.loads(capsys.readouterr().out)
+    assert reply["kind"] == "Q" and reply["ok"] and 0.0 < reply["delta"] <= 1e-12
+
+
+@pytest.mark.parametrize("argv", [["run"], ["replay", "report.json", "--index", "x"]],
+                         ids=["run-without-config", "index-text"])
+def test_parser_exit_leaves_the_next_call_working(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["validate", str(write_config(tmp_path, constants_config(tmp_path)))]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
 
 
 # --- fuzzed report documents ---------------------------------------------------
