@@ -1342,6 +1342,42 @@ def test_fit_ratios_prefix_stable_on_drawn_chunks(small_chunks, tag):
             assert lone[0] == fit.ratios[i], (count, i)
 
 
+def _signed_zeros_and_nans():
+    # bit patterns a zero test by value would lose: -0.0 in either part, a NaN payload
+    words = np.zeros((2, 4, 4, 2), dtype=np.uint64)
+    words[0, 0, 1, 0] = words[0, 2, 3, 1] = np.uint64(1 << 63)  # -0.0 real, -0.0 imaginary
+    words[1, 1, 1] = np.uint64(1 << 63)  # -0.0 - 0.0j
+    words[1, 3, 0, 1] = np.uint64(0x7FF8_0000_0000_0123)  # 0 + NaN(0x123) j
+    return words.view(np.complex128)[..., 0]
+
+
+_PACKED_STACKS = {
+    "sparse": lambda: Sampler(seed=5, dim=64, p=1.0, tag="sparse").unit_sphere(range(6)),
+    "dense": lambda: Sampler(seed=5, dim=16, p=1.0, tag="ginibre").unit_sphere(range(6)),
+    "all-zero": lambda: np.zeros((1, 8, 8), dtype=np.complex128),
+    "one-zero-sample": lambda: np.concatenate(
+        [np.zeros((1, 8, 8)), Sampler(seed=5, dim=8, p=2.0).unit_sphere(range(2))]),
+    "signed-zeros-and-nans": _signed_zeros_and_nans,
+    "columns": lambda: Sampler(seed=5, dim=8, p=2.0).unit_sphere(range(5))[..., :1],
+    "sparse-columns": lambda: Sampler(seed=5, dim=64, p=1.0,
+                                      tag="sparse").unit_sphere(range(6))[..., 3:4],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PACKED_STACKS))
+def test_packed_samples_round_trip_bit_for_bit(name):
+    stack = np.ascontiguousarray(_PACKED_STACKS[name]())
+    shape, bits, entries = packed = metrology._pack(stack)
+    out = metrology._unpack(packed)
+    assert out.shape == stack.shape == shape and out.dtype == np.complex128
+    assert out.tobytes() == stack.tobytes()
+    # one bit per entry, and only the entries that are not +0.0+0.0j
+    assert len(bits) == -(-stack.size // 8)
+    assert len(entries) == np.count_nonzero(stack.view(np.uint64).reshape(-1, 2).any(axis=1))
+    if name == "sparse":  # one dyadic block per sample: most entries are not held
+        assert entries.nbytes < stack.nbytes / 2
+
+
 def test_fit_needs_samples(rng):
     with pytest.raises(InputError):
         fit_morphism(RightMultiplication(complex_matrix(rng, 4)), "left", [],
@@ -1442,10 +1478,12 @@ def _traced_peak(run):
 
 
 def test_gamma_memory_is_bounded():
-    # 100,000 norms are 0.8 MB; the whole block and its products would be ~38 MB
+    # 100,000 norms are 0.76 MiB, squared in place, plus one temporary of
+    # that size for the standard error (~1.6 MiB traced); a second array of
+    # squares makes ~2.4 MiB, the whole block and its products ~38 MB
     peak = _traced_peak(lambda: gamma_summing_mc(np.eye(8, dtype=complex), 100_000,
                                                  seed=SEED))
-    assert peak <= 8 * 2**20
+    assert peak <= 2 * 2**20
 
 
 # the canned splitting configuration of the lifted coordinate map
@@ -1454,11 +1492,19 @@ _LIFT_SPLITTING = json.loads((Path(__file__).resolve().parents[1] / "scripts" / 
 
 
 def test_splitting_fit_memory_is_bounded():
-    # the canned lift at n = 64: the samples and their values (12.6 MB each)
-    # stay whole, the rest one chunk at a time (~98 MB if fitted whole)
+    # the canned lift at n = 64 with 192 samples: held dense, the samples and
+    # their values are 12 MiB each (~25 MiB traced), ~98 MB if fitted whole;
+    # held packed, the sparse ones shrink to their blocks (~5.5 MiB traced)
     cfg = parse_config({**_LIFT_SPLITTING, "dims": [64], "samples": 192})
     peak = _traced_peak(lambda: run_experiment(cfg))
-    assert peak <= 2 * 192 * 64**2 * 16 + 4 * 2**20
+    assert peak <= 8 * 2**20
+
+
+def test_dense_splitting_fit_memory_is_bounded():
+    # dense samples pack to themselves plus one mask bit an entry (~25.2 MiB traced)
+    cfg = parse_config({**_LIFT_SPLITTING, "dims": [64], "samples": 192, "tag": "ginibre"})
+    peak = _traced_peak(lambda: run_experiment(cfg))
+    assert peak <= 2 * 192 * 64**2 * (16 + 1 / 8) + 4 * 2**20
 
 
 def test_gamma_deterministic():
