@@ -64,8 +64,6 @@ from .metrology import (  # noqa: F401
     EstimateReport,
     Sampler,
     TwistedTable,
-    contravariant_defect,
-    covariant_defect,
     distance_estimate,
     estimate_constant,
     estimate_constants,

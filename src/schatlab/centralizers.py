@@ -17,7 +17,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .ioutil import doc_hash
+from .ioutil import doc_hash, jsonable
 from .matcore import (
     DEFAULT_TOL,
     SCHMIDT_BACKENDS,
@@ -188,6 +188,9 @@ class LinearMap(QuasilinearMap):
     kind = "linear"
     matrix: np.ndarray
 
+    def __post_init__(self):
+        _check_square(self, "matrix")
+
     def evaluate(self, cols, tol):
         L = as_matrix(self.matrix)
         if L.shape[1] != cols.shape[-2]:
@@ -325,6 +328,9 @@ class RightMultiplication(CentralizerSpec):
     kind = "right_multiplication"
     g: np.ndarray
 
+    def __post_init__(self):
+        _check_square(self, "g")
+
     def evaluate(self, f, tol):
         g = as_matrix(self.g)
         if f.shape[-1] != g.shape[0]:
@@ -434,6 +440,14 @@ def lower_s(spec: CentralizerSpec, s: float, h, p_inner: float | None = None,
     return (form or schmidt(h, tol)).expand(lowered)
 
 
+def _check_square(node, name: str) -> None:
+    """Refuse a node whose matrix field ``name`` is not square."""
+    shape = as_matrix(getattr(node, name)).shape
+    if shape[0] != shape[1]:
+        raise InputError(f"{node.kind} {name} must be a square matrix, got shape {shape}",
+                         {"field": name})
+
+
 def validate_projection(e, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     e = as_matrix(e)
     if e.shape[0] != e.shape[1]:
@@ -537,8 +551,9 @@ def _codec(tp) -> tuple[Callable, Callable]:
         PhiName: (_same, lambda name: get_phi(name).name),  # the name of a registered phi
         Backend: (_same, checked(lambda name: name in SCHMIDT_BACKENDS,
                                  f"schmidt backend must be one of {list(SCHMIDT_BACKENDS)}")),
-        float: (_same, validate_index),
-        float | None: (_same, lambda v: v if v is None else validate_index(v)),
+        # an infinite index is "inf", as in a configuration
+        float: (jsonable, validate_index),
+        float | None: (jsonable, lambda v: v if v is None else validate_index(v)),
         # [c.real, c.imag] keeps an int coefficient an int on the wire
         complex: (lambda c: [c.real, c.imag], _complex_from_doc),
         np.ndarray: (mat_to_json, mat_from_json),

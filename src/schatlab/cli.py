@@ -34,7 +34,7 @@ from .experiments import (
     parse_config,
     run_experiment,
 )
-from .ioutil import jsonable_float, read_json, write_csv, write_json
+from .ioutil import jsonable, jsonable_float, read_json, write_csv, write_json
 from .matcore import InputError, NumericError
 from .metrology import ESTIMATE_KINDS, EstimateReport, reevaluate_witness
 from .seqcore import PHI_TABLE
@@ -162,11 +162,7 @@ def run_config(cfg: ExperimentConfig) -> Path:
         "version": __version__,
         "experiment": cfg.experiment,
         "reports": [rep.to_doc() for rep in result["reports"]],
-        "rows": [
-            {k: jsonable_float(v) if isinstance(v, float) else v
-             for k, v in row.items()}
-            for row in result["rows"]
-        ],
+        "rows": [{k: jsonable(v) for k, v in row.items()} for row in result["rows"]],
     }
     if "spec_hash" in result:
         report["spec_hash"] = result["spec_hash"]

@@ -25,7 +25,7 @@ from .centralizers import (
     spec_from_doc,
     spec_hash,
 )
-from .ioutil import doc_hash, jsonable_float
+from .ioutil import doc_hash, jsonable
 from .matcore import (
     DEFAULT_TOL,
     InputError,
@@ -98,8 +98,7 @@ class ExperimentConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if value is not None:
-                out[f.name] = (list(value) if isinstance(value, tuple) else
-                               jsonable_float(value) if isinstance(value, float) else value)
+                out[f.name] = list(value) if isinstance(value, tuple) else jsonable(value)
         return out
 
     def hash(self) -> str:

@@ -42,6 +42,11 @@ def jsonable_float(v: float):
     return float(v)
 
 
+def jsonable(v):
+    """``v`` for a JSON document: a float through ``jsonable_float``, else as is."""
+    return jsonable_float(v) if isinstance(v, float) else v
+
+
 def write_json(path, doc) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n",
                           encoding="utf-8")

@@ -41,7 +41,7 @@ from .centralizers import (
     spec_from_doc,
     spec_to_doc,
 )
-from .ioutil import jsonable_float
+from .ioutil import jsonable, jsonable_float
 from .matcore import (
     DEFAULT_TOL,
     InputError,
@@ -78,8 +78,6 @@ __all__ = [
     "estimate_constant",
     "estimate_constants",
     "distance_estimate",
-    "covariant_defect",
-    "contravariant_defect",
     "max_over_stream",
     "reevaluate_witness",
     "REPORT_KINDS",
@@ -286,12 +284,12 @@ class Sampler:
     min_norm: float = 1e-8
 
     def __post_init__(self):
-        # the seed and dimension decode as a document's integers do
+        # the seed, dimension and index decode as a document's do
         object.__setattr__(self, "seed", as_integer(self.seed))
         object.__setattr__(self, "dim", validate_dim(self.dim))
         if self.seed < 0:
             raise InputError("sampler seed must be a nonnegative integer")
-        validate_index(self.p)
+        object.__setattr__(self, "p", validate_index(self.p))
         if isinstance(self.min_norm, bool) or not (
                 isinstance(self.min_norm, (int, float)) and 0.0 < self.min_norm < math.inf):
             raise InputError(f"sampler min_norm must be a positive finite number, "
@@ -519,7 +517,7 @@ class EstimateReport:
             "seed": self.seed,
             "witness": self.witness,
             "note": self.note,
-            "context": self.context,
+            "context": {k: jsonable(v) for k, v in self.context.items()},
         }
         if self.stderr is not None:
             doc["stderr"] = jsonable_float(self.stderr)
@@ -549,21 +547,15 @@ _REPORT_CODECS = {
 _KIND_NOTE = "max over samples; lower bound of the true supremum"
 
 # inputs of each sampler-drawn report kind: (name, sampler method giving a
-# stack and its drawn factors, stream, context key of the index, which a
-# contraction ignores); kinds that read the same input share its stack in
-# one pass
+# stack and its drawn factors, stream), all drawn at the context's index p;
+# kinds that read the same input share its stack in one pass
 _KIND_INPUTS = {
-    "Q": (("f", "_unit_sphere", STREAM_PRIMARY, "p"),
-          ("g", "_unit_sphere", STREAM_SECONDARY, "p")),
-    "L": (("a", "_contraction", STREAM_LEFT, "p"), ("f", "_unit_sphere", STREAM_PRIMARY, "p")),
-    "R": (("a", "_contraction", STREAM_RIGHT, "p"), ("f", "_unit_sphere", STREAM_PRIMARY, "p")),
-    "B": (("a", "_contraction", STREAM_LEFT, "p"), ("b", "_contraction", STREAM_RIGHT, "p"),
-          ("f", "_unit_sphere", STREAM_PRIMARY, "p")),
-    "distance": (("f", "_unit_sphere", STREAM_PRIMARY, "p"),),
-    "covariant": (("g", "_unit_sphere", STREAM_PRIMARY, "p2"),
-                  ("f", "_unit_sphere", STREAM_SECONDARY, "s")),
-    "contravariant": (("g", "_unit_sphere", STREAM_PRIMARY, "q2"),
-                      ("f", "_unit_sphere", STREAM_SECONDARY, "p")),
+    "Q": (("f", "_unit_sphere", STREAM_PRIMARY), ("g", "_unit_sphere", STREAM_SECONDARY)),
+    "L": (("a", "_contraction", STREAM_LEFT), ("f", "_unit_sphere", STREAM_PRIMARY)),
+    "R": (("a", "_contraction", STREAM_RIGHT), ("f", "_unit_sphere", STREAM_PRIMARY)),
+    "B": (("a", "_contraction", STREAM_LEFT), ("b", "_contraction", STREAM_RIGHT),
+          ("f", "_unit_sphere", STREAM_PRIMARY)),
+    "distance": (("f", "_unit_sphere", STREAM_PRIMARY),),
 }
 ESTIMATE_KINDS = ("Q", "L", "R", "B")
 
@@ -649,11 +641,11 @@ class _Chunk:
 
 
 def _spec_scorer(ratio):
-    """Scorer factory of ``ratio(ev, norm, x, ix)`` over the specs of a context.
+    """Scorer factory of ``ratio(ev, norm, x, p, q)`` over the specs of a context.
 
-    ``ev(m)`` evaluates the context's spec and ``ev(m, key)`` the one in
-    ``context[key]``; ``norm(m, p)`` is ``_norm``, the Schatten p-norm,
-    of an input; ``ix`` maps each index name to its value.  Given the
+    ``ev(m)`` evaluates the context's spec and ``ev(m, "spec_b")`` its
+    second one; ``norm(m, p)`` is ``_norm``, the Schatten p-norm, of an
+    input; ``p`` and ``q`` are the context's indices.  Given the
     chunk the inputs come from, both are chunk terms, keyed by what they
     compute (the spec document and the tolerances, or the index), so every
     scorer of the chunk reads one value.  An input drawn factored is
@@ -661,12 +653,10 @@ def _spec_scorer(ratio):
     """
 
     def scorer(ctx, tol):
-        specs = {key: spec_from_doc(ctx[key])
-                 for key in ("spec", "spec_b", "candidate") if key in ctx}
+        specs = {key: spec_from_doc(ctx[key]) for key in ("spec", "spec_b") if key in ctx}
         # JSON, not doc_hash: a document may hold a non-finite number
         docs = {key: json.dumps(ctx[key], sort_keys=True) for key in specs}
-        ix = {key: validate_index(ctx[key])
-              for key in ("p", "q", "s", "p2", "r", "q2") if key in ctx}
+        p, q = validate_index(ctx["p"]), validate_index(ctx["q"])
 
         def score(x, chunk=None):
             chunk = _Chunk((), tol) if chunk is None else chunk
@@ -678,7 +668,7 @@ def _spec_scorer(ratio):
             def norm(m, p):
                 return chunk.term(("norm", p), m, lambda: _norm(m, p, chunk.values(m)))
 
-            return ratio(ev, norm, x, ix)
+            return ratio(ev, norm, x, p, q)
         return score
     return scorer
 
@@ -693,8 +683,8 @@ def _defect_ratio(kind):
     input (ginibre and rank_one samples at p = 2, f + g, a f, ...) itself.
     """
 
-    def ratio(ev, norm, x, ix):
-        f, p = x["f"], ix["p"]
+    def ratio(ev, norm, x, p, q):
+        f = x["f"]
         if kind == "Q":
             g = x["g"]
             defect = ev(f + g) - ev(f) - ev(g)
@@ -711,39 +701,26 @@ def _defect_ratio(kind):
             a, b = x["a"], x["b"]
             defect = ev(a @ f @ b) - a @ ev(f) @ b
             denom = norm(a, math.inf) * norm(f, p) * norm(b, math.inf)
-        return _norm(defect, ix["q"]) / denom
+        return _norm(defect, q) / denom
     return ratio
 
 
-def _distance_ratio(ev, norm, x, ix):
+def _distance_ratio(ev, norm, x, p, q):
     f = x["f"]
-    return _norm(ev(f) - ev(f, "spec_b"), ix["q"]) / norm(f, ix["p"])
-
-
-def _covariant_ratio(ev, norm, x, ix):
-    g, f = x["g"], x["f"]
-    defect = ev(g @ f) - ev(g, "candidate") @ f
-    return _norm(defect, ix["q"]) / (norm(g, ix["p2"]) * norm(f, ix["s"]))
-
-
-def _contravariant_ratio(ev, norm, x, ix):
-    g, f = x["g"], x["f"]
-    defect = g @ ev(f) + ev(g, "candidate") @ f
-    return _norm(defect, ix["r"]) / (norm(g, ix["q2"]) * norm(f, ix["p"]))
+    return _norm(ev(f) - ev(f, "spec_b"), q) / norm(f, p)
 
 
 def _recipe(kind: str, context: dict, seed: int):
     """``draw(chunk)`` of a sampler-drawn kind from a report's seed and context
     alone: the inputs of the samples ``chunk.indices``, as stacks keyed by
     name.  Measurement and replay both draw through it."""
-    samplers = {ix: Sampler(seed=seed, dim=context["dim"], p=context[ix], tag=context["tag"],
-                            min_norm=context.get("min_norm", Sampler.min_norm))
-                for *_, ix in _KIND_INPUTS[kind]}
+    sampler = Sampler(seed=seed, dim=context["dim"], p=context["p"], tag=context["tag"],
+                      min_norm=context.get("min_norm", Sampler.min_norm))
     # keyed by what draws it, a stack is shared by the jobs of a pass
     return lambda chunk: {
-        name: chunk.draw((method, stream, samplers[ix]),
-                         partial(getattr(samplers[ix], method), chunk.indices, stream))
-        for name, method, stream, ix in _KIND_INPUTS[kind]}
+        name: chunk.draw((method, stream, sampler),
+                         partial(getattr(sampler, method), chunk.indices, stream))
+        for name, method, stream in _KIND_INPUTS[kind]}
 
 
 # report kind -> (scorer, recipe), built from a report alone by measurement
@@ -753,8 +730,7 @@ def _recipe(kind: str, context: dict, seed: int):
 REPORT_KINDS: dict[str, tuple] = {
     kind: (_spec_scorer(ratio), partial(_recipe, kind))
     for kind, ratio in (*((kind, _defect_ratio(kind)) for kind in ESTIMATE_KINDS),
-                        ("distance", _distance_ratio), ("covariant", _covariant_ratio),
-                        ("contravariant", _contravariant_ratio))
+                        ("distance", _distance_ratio))
 }
 
 
@@ -909,55 +885,6 @@ def reevaluate_witness(report: EstimateReport,
         raise InputError(f"witness index {i!r} is not a sample of the report's stream")
     chunk = _Chunk(range(i, i + 1), tol)
     return float(score(draw(chunk), chunk)[0])
-
-
-def _split_index(total: float, part: float) -> float:
-    """Return w with 1/w = 1/total - 1/part (must stay positive)."""
-    total = validate_index(total)
-    part = validate_index(part)
-    inv = ((0.0 if math.isinf(total) else 1.0 / total)
-           - (0.0 if math.isinf(part) else 1.0 / part))
-    if inv < 0.0:
-        raise InputError(f"index split 1/{total} - 1/{part} is negative")
-    return math.inf if inv == 0.0 else 1.0 / inv
-
-
-def covariant_defect(spec: CentralizerSpec, candidate: CentralizerSpec,
-                     s: float, sampler: Sampler, n_samples: int,
-                     p1: float | None = None, q1: float | None = None,
-                     tol: Tolerances = DEFAULT_TOL) -> EstimateReport:
-    """Defect of a candidate index-raised companion of ``spec``.
-
-    Measures max |spec(g f) - candidate(g) f|_q1 / (|g|_p2 |f|_s) with
-    1/p2 = 1/p1 - 1/s.  A companion exists and is unique up to strong
-    equivalence, but no formula constructs it; this checker scores
-    whatever candidate the caller supplies.
-    """
-    p1, q1 = _resolve_indices(spec, p1, q1)
-    s = validate_index(s)
-    p2 = _split_index(p1, s)
-    return _sampled(("covariant",), {"p": p1, "q": q1, "s": s, "p2": p2,
-                                     "spec": spec_to_doc(spec),
-                                     "candidate": spec_to_doc(candidate)},
-                    sampler, n_samples, tol)[0]
-
-
-def contravariant_defect(spec: CentralizerSpec, candidate: CentralizerSpec,
-                         r: float, sampler: Sampler, n_samples: int,
-                         p1: float | None = None, q1: float | None = None,
-                         tol: Tolerances = DEFAULT_TOL) -> EstimateReport:
-    """Defect of a candidate index-dual companion of ``spec``.
-
-    Measures max |g spec(f) + candidate(g) f|_r / (|g|_q2 |f|_p1) with
-    1/q2 = 1/r - 1/q1; same checking role as ``covariant_defect``.
-    """
-    p1, q1 = _resolve_indices(spec, p1, q1)
-    r = validate_index(r)
-    q2 = _split_index(r, q1)
-    return _sampled(("contravariant",), {"p": p1, "q": q1, "r": r, "q2": q2,
-                                         "spec": spec_to_doc(spec),
-                                         "candidate": spec_to_doc(candidate)},
-                    sampler, n_samples, tol)[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -168,6 +168,23 @@ def test_validate_rejects_malformed_spec(tmp_path, capsys, spec):
     _rejected_by_cli(tmp_path, capsys, constants_config(tmp_path, spec=spec), "spec")
 
 
+_G23 = {"rows": 2, "cols": 3, "re": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], "im": [0.0] * 6}
+
+
+@pytest.mark.parametrize("spec, dims, kinds", [
+    ({"kind": "right_multiplication", "g": _G23}, [2], ["Q", "L", "R"]),
+    ({"kind": "lifted_quasilinear", "qmap": {"kind": "linear", "matrix": _G23},
+      "p": 2.0, "q": 2.0}, [3], ["L"]),
+], ids=["right_multiplication", "lifted_linear"])
+def test_validate_rejects_a_non_square_matrix(tmp_path, capsys, spec, dims, kinds):
+    # a matrix the spec multiplies by must be square; refused at decode, not mid-run
+    doc = constants_config(tmp_path, spec=spec, dims=dims, kinds=kinds)
+    _rejected_by_cli(tmp_path, capsys, doc, "spec")
+    path = write_config(tmp_path, doc)
+    main(["validate", str(path)])
+    assert "must be a square matrix" in json.loads(capsys.readouterr().out)["error"]["message"]
+
+
 def modulus_vec_config(tmp_path, spec):
     return {"experiment": "modulus", "spec": spec, "slot": "vec", "dims": [4],
             "p": 2.0, "q": 2.0, "seed": 3, "samples": 10,
@@ -517,6 +534,44 @@ def _strict_json(text):
     def reject(name):
         raise ValueError(f"not JSON: {name}")
     return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"spec": {"kind": "lifted_quasilinear", "qmap": _KP_ON_H, "p": 1.0, "q": "inf"},
+     "p": 1.0, "q": "inf", "kinds": ["Q", "L", "R", "B"]},
+    {"spec": {"kind": "lowered", "inner": _KP, "s": "inf"}, "kinds": ["Q", "B"]},
+    {"p": "inf", "kinds": ["Q", "L"]},
+], ids=["lift-q-inf", "lowered-s-inf", "config-p-inf"])
+def test_infinite_index_runs_to_standard_json(tmp_path, capsys, overrides):
+    # an infinite index is written "inf" in spec documents, hashes and contexts
+    path = write_config(tmp_path, constants_config(tmp_path, dims=[4], samples=20, **overrides))
+    assert main(["validate", str(path)]) == 0
+    assert main(["run", str(path)]) == 0
+    capsys.readouterr()
+    report = tmp_path / "out" / "report.json"
+    doc = _strict_json(report.read_text())
+    assert "Infinity" not in report.read_text()
+    for i, rep in enumerate(doc["reports"]):
+        assert "inf" in (rep["context"]["p"], rep["context"]["q"],
+                         *rep["context"]["spec"].values())
+        assert main(["replay", str(report), "--index", str(i), "--atol", "0"]) == 0
+        assert _strict_json(capsys.readouterr().out)["ok"]
+
+
+def test_replay_refuses_a_retired_kind(tmp_path, capsys):
+    # the companion defects are gone: their reports fail structured, naming the kind
+    assert main(["run", str(write_config(tmp_path, constants_config(tmp_path)))]) == 0
+    report = tmp_path / "out" / "report.json"
+    doc = read_json(report)
+    for kind in ("covariant", "contravariant"):
+        doc["reports"][0]["kind"] = kind
+        doc["reports"][0]["context"].update(s=2.0, p2=2.0, r=1.0, q2=2.0, candidate=_KP)
+        report.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["replay", str(report), "--atol", "0"]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "replay" and repr(kind) in err["message"]
+        assert kind not in list_builtins()
 
 
 def test_replay_infinite_witness_ratio(tmp_path, capsys):

@@ -33,8 +33,6 @@ from schatlab.metrology import (
     EstimateReport,
     Sampler,
     TwistedTable,
-    contravariant_defect,
-    covariant_defect,
     distance_estimate,
     estimate_constant,
     estimate_constants,
@@ -492,18 +490,17 @@ TAGS = ("ginibre", "haar_spectral", "rank_one", "sparse")
 KINDS = ("Q", "L", "R", "B")
 
 
-def _looped_ratio(spec, kind, sampler, i, q, other=None, index=None, factored=False):
+def _looped_ratio(spec, kind, sampler, i, q, other=None, factored=False):
     """Ratio of sample i written out alone; ``other`` is the second spec of
-    a distance or a companion's candidate, ``index`` its s or r.  A matrix
-    drawn as u diag(sigma) v* is evaluated at the Schmidt form and normed
-    by the singular values its draw gives (a contraction, drawn with sigma
-    alone, only normed), unless ``factored``; every other matrix is
-    factored."""
+    a distance.  A matrix drawn as u diag(sigma) v* is evaluated at the
+    Schmidt form and normed by the singular values its draw gives (a
+    contraction, drawn with sigma alone, only normed), unless ``factored``;
+    every other matrix is factored."""
     p = sampler.p
     drawn = {}  # id of each input drawn factored -> (input, its form, its values)
 
-    def draw(method, stream, index=p):
-        m, factors = getattr(replace(sampler, p=index), method)([i], stream)
+    def draw(method, stream):
+        m, factors = getattr(sampler, method)([i], stream)
         m = m[0]
         if factors is not None and not factored:
             u, s, v = (None if x is None else x[0] for x in factors)
@@ -519,18 +516,6 @@ def _looped_ratio(spec, kind, sampler, i, q, other=None, index=None, factored=Fa
     if kind == "distance":
         f = draw("_unit_sphere", STREAM_PRIMARY)
         return _norm(ev(spec, f) - ev(other, f), q) / norm(f, p)
-    if kind == "covariant":
-        p2 = 1.0 / (1.0 / p - 1.0 / index)
-        g = draw("_unit_sphere", STREAM_PRIMARY, p2)
-        f = draw("_unit_sphere", STREAM_SECONDARY, index)
-        defect = ev(spec, g @ f) - ev(other, g) @ f
-        return _norm(defect, q) / (norm(g, p2) * norm(f, index))
-    if kind == "contravariant":
-        q2 = 1.0 / (1.0 / index - 1.0 / q)
-        g = draw("_unit_sphere", STREAM_PRIMARY, q2)
-        f = draw("_unit_sphere", STREAM_SECONDARY)
-        defect = g @ ev(spec, f) + ev(other, g) @ f
-        return _norm(defect, index) / (norm(g, q2) * norm(f, p))
     f = draw("_unit_sphere", STREAM_PRIMARY)
     if kind == "Q":
         g = draw("_unit_sphere", STREAM_SECONDARY)
@@ -550,12 +535,11 @@ def _looped_ratio(spec, kind, sampler, i, q, other=None, index=None, factored=Fa
     return _norm(defect, q) / denom
 
 
-def _looped_estimate(spec, kind, sampler, n_samples, q, other=None, index=None,
-                     factored=False):
+def _looped_estimate(spec, kind, sampler, n_samples, q, other=None, factored=False):
     """Oracle: the max-over-stream ratio, one sample at a time."""
     best, best_index = -math.inf, None
     for i in range(n_samples):
-        ratio = _looped_ratio(spec, kind, sampler, i, q, other, index, factored)
+        ratio = _looped_ratio(spec, kind, sampler, i, q, other, factored)
         if ratio > best:
             best, best_index = ratio, i
     return best, best_index
@@ -642,21 +626,12 @@ def test_drawn_forms_keep_estimates_on_the_svd_route(n, p):
         assert rep.value == pytest.approx(value, rel=1e-12, abs=0.0), kind
 
 
-# the second spec, candidate and s or r of each two-spec kind, by n
-_PAIR_KINDS = {
-    "distance": lambda n: (distance_estimate, KPBicentralizer("min_s_1", 2.0), None),
-    "covariant": lambda n: (covariant_defect, KPBicentralizer("s", 4.0), 4.0),
-    "contravariant": lambda n: (contravariant_defect, _spec_of_kind("sum", n), 1.0),
-}
+# the second spec of every distance estimate
+_OTHER = KPBicentralizer("min_s_1", 2.0)
 
 
-def _pair_estimate(spec, kind, sampler, n_samples):
-    """Report of a two-spec kind, and its oracle's (other, index)."""
-    estimate, other, index = _PAIR_KINDS[kind](sampler.dim)
-    if kind == "distance":
-        return estimate(spec, other, sampler, n_samples, p=2.0, q=2.0), (other, index)
-    return (estimate(spec, other, index, sampler, n_samples, p1=2.0, q1=2.0),
-            (other, index))
+def _distance(spec, sampler, n_samples):
+    return distance_estimate(spec, _OTHER, sampler, n_samples, p=2.0, q=2.0)
 
 
 @pytest.mark.parametrize("spec_kind", SPEC_KINDS)
@@ -665,14 +640,13 @@ def test_chunked_pair_estimates_match_per_sample_loop(small_chunks, spec_kind, t
     n, n_samples = 6, 30  # chunks of 28
     spec = _spec_of_kind(spec_kind, n)
     sampler = Sampler(seed=SEED, dim=n, p=2.0, tag=tag)
-    for kind in _PAIR_KINDS:
-        rep, extra = _pair_estimate(spec, kind, sampler, n_samples)
-        value, i = _looped_estimate(spec, kind, sampler, n_samples, 2.0, *extra)
-        assert rep.witness["index"] == i, kind
-        if spec_kind == "kp_bicentralizer":
-            assert rep.value == value, kind
-        else:
-            assert rep.value == pytest.approx(value, rel=1e-12, abs=1e-12), kind
+    rep = _distance(spec, sampler, n_samples)
+    value, i = _looped_estimate(spec, "distance", sampler, n_samples, 2.0, _OTHER)
+    assert rep.witness["index"] == i
+    if spec_kind == "kp_bicentralizer":
+        assert rep.value == value
+    else:
+        assert rep.value == pytest.approx(value, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [4, 12])
@@ -681,10 +655,9 @@ def test_chunked_pair_estimates_bitwise_across_dims(small_chunks, n, tag):
     spec = KPBicentralizer("s", 2.0)
     sampler = Sampler(seed=SEED, dim=n, p=2.0, tag=tag)
     n_samples = small_chunks // n**2 + 3  # past the first chunk edge
-    for kind in _PAIR_KINDS:
-        rep, extra = _pair_estimate(spec, kind, sampler, n_samples)
-        assert (rep.value, rep.witness["index"]) == _looped_estimate(
-            spec, kind, sampler, n_samples, 2.0, *extra), kind
+    rep = _distance(spec, sampler, n_samples)
+    assert (rep.value, rep.witness["index"]) == _looped_estimate(
+        spec, "distance", sampler, n_samples, 2.0, _OTHER)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -721,11 +694,11 @@ def _stream_report(kind, tag):
     sampler = Sampler(seed=SEED, dim=12, p=2.0, tag=tag)
     if kind in KINDS:
         return estimate_constant(spec, kind, sampler, 30)
-    return _pair_estimate(spec, kind, sampler, 30)[0]
+    return _distance(spec, sampler, 30)
 
 
 @pytest.mark.parametrize("kind, tag", [
-    *((kind, tag) for kind in (*KINDS, *_PAIR_KINDS) for tag in TAGS),
+    *((kind, tag) for kind in (*KINDS, "distance") for tag in TAGS),
     ("modulus_mat", "sparse"), ("modulus_vec", "sparse"),
 ])
 def test_reports_invariant_to_chunk_size(monkeypatch, kind, tag):
@@ -915,11 +888,11 @@ def _report_of_kind(kind, tag):
         table = TwistedTable(y_cols=complex_matrix(rng, 8), x_cols=complex_matrix(rng, 8))
         return gamma_summing_mc(table, 400, seed=3,
                                 target=twisted_target(KPOnH("s"), 2.0, 2.0))
-    return _pair_estimate(kp, kind, Sampler(seed=9, dim=5, p=2.0, tag=tag), 40)[0]
+    return _distance(kp, Sampler(seed=9, dim=5, p=2.0, tag=tag), 40)
 
 
 @pytest.mark.parametrize("kind, tag", [
-    *((kind, tag) for kind in _PAIR_KINDS for tag in TAGS),
+    *(("distance", tag) for tag in TAGS),
     ("modulus_mat", None), ("modulus_vec", None), ("gamma", None),
     ("gamma_matrix", None), ("gamma_twisted", None),
 ])
@@ -932,7 +905,7 @@ def test_replay_reproduces_every_report_kind_bitwise(kind, tag):
 
 # --- index-only witnesses: replay re-draws the sample -------------------------
 
-RECIPE_KINDS = (*KINDS, *_PAIR_KINDS, "modulus_mat", "modulus_vec")
+RECIPE_KINDS = (*KINDS, "distance", "modulus_mat", "modulus_vec")
 
 
 def _recorded_ratios(monkeypatch, measure):
@@ -940,7 +913,7 @@ def _recorded_ratios(monkeypatch, measure):
     (kind, context, sample index), chunk by chunk, with the chunk count;
     the context is its JSON, so the two modulus slots are told apart."""
     seen, chunks = {}, set()
-    for kind in (*KINDS, *_PAIR_KINDS, "modulus"):
+    for kind in (*KINDS, "distance", "modulus"):
         scorer, recipe = metrology.REPORT_KINDS[kind]
 
         def recording(ctx, tol, kind=kind, scorer=scorer):
@@ -969,7 +942,7 @@ def test_every_sample_redraws_to_its_chunked_ratio(monkeypatch, n, tag):
 
     def measure():
         return [*estimate_constants(spec, list(KINDS), sampler, n_samples),
-                *(_pair_estimate(spec, kind, sampler, n_samples)[0] for kind in _PAIR_KINDS),
+                _distance(spec, sampler, n_samples),
                 *(_modulus(kind, n, SEED, n_samples) for kind in ("modulus_mat", "modulus_vec"))]
 
     reports, seen, chunks = _recorded_ratios(monkeypatch, measure)
@@ -993,7 +966,7 @@ def test_replay_redraws_with_the_sampler_min_norm(tag):
     sampler = Sampler(seed=2, dim=5, p=2.0, tag=tag, min_norm=min_norm)
     spec = KPBicentralizer("s", 2.0)
     reports = [*estimate_constants(spec, list(KINDS), sampler, 30),
-               *(_pair_estimate(spec, kind, sampler, 30)[0] for kind in _PAIR_KINDS)]
+               _distance(spec, sampler, 30)]
     moved = 0
     for rep in reports:
         assert rep.context["min_norm"] == min_norm
@@ -1009,24 +982,20 @@ def _stored_inputs(rep):
     from the recipe, as reports from before index-only witnesses stored them."""
     i, ctx = rep.witness["index"], rep.context
 
-    def unit(key, stream):
-        return Sampler(seed=rep.seed, dim=ctx["dim"], p=ctx[key],
+    def unit(stream):
+        return Sampler(seed=rep.seed, dim=ctx["dim"], p=ctx["p"],
                        tag=ctx["tag"]).unit_sphere(i, stream)
 
-    if rep.kind == "covariant":
-        inputs = {"g": unit("p2", STREAM_PRIMARY), "f": unit("s", STREAM_SECONDARY)}
-    elif rep.kind == "contravariant":
-        inputs = {"g": unit("q2", STREAM_PRIMARY), "f": unit("p", STREAM_SECONDARY)}
-    elif rep.kind == "modulus":  # pairs, each slot's codec, the slot named
+    if rep.kind == "modulus":  # pairs, each slot's codec, the slot named
         sampler = Sampler(seed=rep.seed, dim=ctx["dim"], p=2.0, tag="sparse")
         encode = mat_to_json if ctx["slot"] == "mat" else vec_to_json
         return {name: {"g": encode(g), "f": encode(f), "slot": ctx["slot"]}
                 for name, stream in (("u", STREAM_PRIMARY), ("v", STREAM_SECONDARY))
                 for g, f in _draw_pairs(sampler, ctx["slot"], [i], stream)}
     else:
-        inputs = {"f": unit("p", STREAM_PRIMARY)}
+        inputs = {"f": unit(STREAM_PRIMARY)}
     if rep.kind == "Q":
-        inputs["g"] = unit("p", STREAM_SECONDARY)
+        inputs["g"] = unit(STREAM_SECONDARY)
     contraction = Sampler(seed=rep.seed, dim=ctx["dim"], p=2.0, tag=ctx["tag"]).contraction
     if rep.kind in ("L", "B"):
         inputs["a"] = contraction(i, STREAM_LEFT)
@@ -1046,8 +1015,8 @@ def test_stored_witness_inputs_are_refused(kind):
     sampler = Sampler(seed=9, dim=5, p=2.0, tag="rank_one")
     if kind in KINDS:
         rep = estimate_constant(spec, kind, sampler, 20)
-    elif kind in _PAIR_KINDS:
-        rep = _pair_estimate(spec, kind, sampler, 20)[0]
+    elif kind == "distance":
+        rep = _distance(spec, sampler, 20)
     else:
         rep = _report_of_kind(kind, None)
     doc = json.loads(json.dumps(rep.to_doc()))
@@ -1104,7 +1073,7 @@ def _merged_over_parts(reports, cuts):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(job=st.sampled_from(["shared", *_PAIR_KINDS, "modulus_mat", "modulus_vec"]),
+@given(job=st.sampled_from(["shared", "distance", "modulus_mat", "modulus_vec"]),
        tag=st.sampled_from(TAGS), n=st.integers(1, 5), stream=st.integers(1, 40).flatmap(
            lambda total: st.tuples(st.just(total), st.sets(st.integers(0, total)))))
 def test_stream_partition_changes_no_report(job, tag, n, stream):
@@ -1113,8 +1082,8 @@ def test_stream_partition_changes_no_report(job, tag, n, stream):
     spec, sampler = KPBicentralizer("s", 2.0), Sampler(seed=SEED, dim=n, p=2.0, tag=tag)
     if job == "shared":
         reports = estimate_constants(spec, list(KINDS), sampler, total)
-    elif job in _PAIR_KINDS:
-        reports = [_pair_estimate(spec, job, sampler, total)[0]]
+    elif job == "distance":
+        reports = [_distance(spec, sampler, total)]
     else:
         reports = [_modulus(job, n, SEED, total)]
     merged = _merged_over_parts(reports, sorted({0, total, *cuts}))
@@ -1153,55 +1122,6 @@ def test_distance_between_schmidt_backends_small(rng):
         b = KPBicentralizer("s", 2.0, backend="eig")
         rep = distance_estimate(a, b, Sampler(seed=SEED, dim=n, p=2.0), 100)
         assert rep.value <= 1e-9
-
-
-# --- index-shift companions --------------------------------------------------
-
-
-def test_covariant_defect_vanishes_for_composition(rng):
-    from schatlab.metrology import covariant_defect
-
-    L = complex_matrix(rng, 5)
-    spec = LiftedQuasilinear(LinearMap(L), p=1.0, q=1.0)
-    candidate = LiftedQuasilinear(LinearMap(L), p=2.0, q=2.0)
-    rep = covariant_defect(spec, candidate, s=2.0,
-                           sampler=Sampler(seed=2, dim=5, p=1.0), n_samples=40)
-    assert rep.value <= 1e-10
-    assert abs(reevaluate_witness(rep) - rep.witness["ratio"]) <= 1e-12
-
-
-def test_covariant_defect_lift_candidate_recorded():
-    from schatlab.metrology import covariant_defect
-
-    spec = LiftedQuasilinear(KPOnH("s"), p=1.0, q=2.0)
-    candidate = LiftedQuasilinear(KPOnH("s"), p=2.0, q=2.0)
-    rep = covariant_defect(spec, candidate, s=2.0,
-                           sampler=Sampler(seed=2, dim=6, p=1.0), n_samples=60)
-    print("covariant lift defect:", round(rep.value, 4))
-    assert math.isfinite(rep.value)
-
-
-def test_contravariant_defect_vanishes_for_composition(rng):
-    from schatlab.metrology import contravariant_defect
-    from schatlab.centralizers import Scaled
-
-    L = complex_matrix(rng, 5)
-    spec = LiftedQuasilinear(LinearMap(L), p=2.0, q=2.0)
-    candidate = Scaled(RightMultiplication(L), -1.0)
-    rep = contravariant_defect(spec, candidate, r=1.0,
-                               sampler=Sampler(seed=2, dim=5, p=2.0),
-                               n_samples=40)
-    assert rep.value <= 1e-10
-    assert abs(reevaluate_witness(rep) - rep.witness["ratio"]) <= 1e-12
-
-
-def test_index_split_rejects_negative():
-    from schatlab.metrology import covariant_defect
-
-    spec = LiftedQuasilinear(KPOnH("s"), p=2.0, q=2.0)
-    with pytest.raises(InputError):
-        covariant_defect(spec, spec, s=1.0,
-                         sampler=Sampler(seed=0, dim=4, p=2.0), n_samples=4)
 
 
 # --- fit_morphism ------------------------------------------------------------
