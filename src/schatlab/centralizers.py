@@ -20,7 +20,6 @@ import numpy as np
 from .ioutil import doc_hash, jsonable
 from .matcore import (
     DEFAULT_TOL,
-    SCHMIDT_BACKENDS,
     InputError,
     SchmidtForm,
     Tolerances,
@@ -29,7 +28,6 @@ from .matcore import (
     as_matrices,
     as_matrix,
     as_vector,
-    checked,
     combine_indices,
     decode_fields,
     mat_from_json,
@@ -78,9 +76,8 @@ __all__ = [
 
 # --- nodes -------------------------------------------------------------------
 
-# string fields that name a registered phi or a Schmidt backend
+# a string field that names a registered phi
 PhiName = typing.NewType("PhiName", str)
-Backend = typing.NewType("Backend", str)
 
 
 class Node:
@@ -237,14 +234,13 @@ class KPBicentralizer(CentralizerSpec):
     takes_form = True
     phi: PhiName
     p: float
-    backend: Backend = "svd"
 
     def __post_init__(self):
         if math.isinf(validate_index(self.p)):
             raise InputError("kp_bicentralizer needs a finite index")
 
     def evaluate(self, f, tol, form=None):
-        return kp_bicentralizer(f, self.phi, self.p, tol, backend=self.backend, form=form)
+        return kp_bicentralizer(f, self.phi, self.p, tol, form=form)
 
     def signature(self):
         return self.p, self.p
@@ -379,7 +375,7 @@ def signature(spec: CentralizerSpec) -> tuple[float | None, float | None]:
 
 
 def kp_bicentralizer(f, phi, p: float, tol: Tolerances = DEFAULT_TOL,
-                     backend: str = "svd", form: SchmidtForm | None = None) -> np.ndarray:
+                     form: SchmidtForm | None = None) -> np.ndarray:
     """Reweight the prescribed expansion of ``f`` by phi along (s_n, n).
 
     The weight sequence is the coordinate map of the singular values, so
@@ -387,8 +383,7 @@ def kp_bicentralizer(f, phi, p: float, tol: Tolerances = DEFAULT_TOL,
     single weight is phi(0, 0)), and the whole map inherits exact
     homogeneity from the expansion convention.  ``form``, the expansion
     of ``f`` where the caller has it (a sample's, from its draw), is used
-    instead of factoring ``f``; it serves every ``backend``, since every
-    route obeys the one convention.
+    instead of factoring ``f``.
     """
     phi = get_phi(phi)
     p = validate_index(p)
@@ -396,7 +391,7 @@ def kp_bicentralizer(f, phi, p: float, tol: Tolerances = DEFAULT_TOL,
         raise InputError("kp_bicentralizer needs a finite index")
     if not phi.vanishes_at_origin:
         raise InputError(f"phi {phi.name!r} must vanish at the origin")
-    return (form or schmidt(f, tol, backend=backend)).expand(lambda part: (
+    return (form or schmidt(f, tol)).expand(lambda part: (
         (part.y * kp_phi_rows(part.s, phi, p)[:, None, :]) @ adjoint(part.x)))
 
 
@@ -549,8 +544,6 @@ def _codec(tp) -> tuple[Callable, Callable]:
     return {
         int: (_same, as_integer),
         PhiName: (_same, lambda name: get_phi(name).name),  # the name of a registered phi
-        Backend: (_same, checked(lambda name: name in SCHMIDT_BACKENDS,
-                                 f"schmidt backend must be one of {list(SCHMIDT_BACKENDS)}")),
         # an infinite index is "inf", as in a configuration
         float: (jsonable, validate_index),
         float | None: (jsonable, lambda v: v if v is None else validate_index(v)),

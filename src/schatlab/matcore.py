@@ -37,7 +37,6 @@ __all__ = [
     "values_norm",
     "concavity_modulus",
     "SchmidtForm",
-    "SCHMIDT_BACKENDS",
     "schmidt",
     "schmidt_from_factors",
     "PolarForm",
@@ -71,8 +70,6 @@ class NumericError(_Diagnosed, RuntimeError):
 class Tolerances:
     """Numerical policy shared by the kernel operations.
 
-    reconstruction_rtol : relative error allowed when a factorization is
-        multiplied back together.
     slack_atol : absolute slack granted to inequality checks.
     zero_rtol : singular values below ``zero_rtol * s_max`` are dropped.
     gap_rtol : relative spectral gap below which singular frames are
@@ -81,7 +78,6 @@ class Tolerances:
         skipped when fixing frame phases.
     """
 
-    reconstruction_rtol: float = 1e-10
     slack_atol: float = 1e-8
     zero_rtol: float = 1e-12
     gap_rtol: float = 1e-6
@@ -408,34 +404,16 @@ def _gauge_fix(x: np.ndarray, y: np.ndarray, gauge_atol: float):
     return x * mu, y * mu
 
 
-SCHMIDT_BACKENDS = ("svd", "eig")
-
-
-def schmidt(f, tol: Tolerances = DEFAULT_TOL, backend: str = "svd") -> SchmidtForm:
+def schmidt(f, tol: Tolerances = DEFAULT_TOL) -> SchmidtForm:
     """Prescribed expansion of ``f`` under the fixed phase convention.
 
-    Values below ``tol.zero_rtol * s_1`` are dropped.  ``backend`` selects
-    the factorization route ("svd", or "eig" which diagonalizes f*f and
-    recovers the y-frame by applying f); both obey the same convention.
-    A (k, m, n) stack is factored in one call, one expansion per matrix.
+    Values below ``tol.zero_rtol * s_1`` are dropped.  A (k, m, n) stack
+    is factored in one SVD call, one expansion per matrix.
     """
     f = as_matrices(f)
     stack = f.reshape((math.prod(f.shape[:-2]),) + f.shape[-2:])
-    if backend == "svd":
-        u, s, vh = _converged(lambda: np.linalg.svd(stack, full_matrices=False), f)
-        x = adjoint(vh)
-    elif backend == "eig":
-        w, x = _converged(lambda: np.linalg.eigh(adjoint(stack) @ stack), f)
-        order = np.argsort(-w, axis=1, kind="stable")
-        w = np.clip(np.take_along_axis(w, order, axis=1), 0.0, None)
-        x = np.take_along_axis(x, order[:, None, :], axis=2)
-        s = np.sqrt(w)
-        live = (s > 0.0)[:, None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = np.where(live, 1.0, 0.0) * (stack @ x) / np.where(live, s[:, None, :], 1.0)
-    else:
-        raise InputError(f"unknown schmidt backend {backend!r}")
-    return _form(s, x, u, f.shape, tol)
+    u, s, vh = _converged(lambda: np.linalg.svd(stack, full_matrices=False), f)
+    return _form(s, adjoint(vh), u, f.shape, tol)
 
 
 def schmidt_from_factors(u, s, v, tol: Tolerances = DEFAULT_TOL) -> SchmidtForm:

@@ -515,7 +515,7 @@ class EstimateReport:
             "value": jsonable_float(self.value),
             "samples": self.samples,
             "seed": self.seed,
-            "witness": self.witness,
+            "witness": {k: jsonable(v) for k, v in self.witness.items()},
             "note": self.note,
             "context": {k: jsonable(v) for k, v in self.context.items()},
         }
@@ -532,8 +532,7 @@ class EstimateReport:
 def _witness(doc) -> dict:
     if not (isinstance(doc, dict) and "ratio" in doc):
         raise TypeError(f"a witness is an object with a ratio, got {doc!r}")
-    float(doc["ratio"])
-    return doc
+    return {**doc, "ratio": float(doc["ratio"])}  # an infinite ratio is written "inf"
 
 
 # how each field of a report document decodes; note and stderr are taken as they are

@@ -440,7 +440,7 @@ def test_qmap_homogeneity(rng):
 
 def test_spec_document_round_trip(rng):
     spec = SumSpec((
-        KPBicentralizer("s", 0.5, backend="eig"),
+        KPBicentralizer("s", 0.5),
         Scaled(LiftedQuasilinear(SumMap((KPOnH("t"),
                                          ScaledMap(LinearMap(complex_matrix(rng, 3)), 0.5j))),
                                  p=1.0, q=2.0), c=2.0 + 1.0j),

@@ -124,8 +124,9 @@ def test_validate_rejects_unknown_tag(tmp_path, capsys):
     _rejected_by_cli(tmp_path, capsys, constants_config(tmp_path, tag="cauchy"), "tag")
 
 
-def test_validate_rejects_unknown_schmidt_backend(tmp_path, capsys):
-    spec = {"kind": "kp_bicentralizer", "phi": "s", "p": 2.0, "backend": "qr"}
+def test_validate_rejects_a_kp_backend_field(tmp_path, capsys):
+    # the Schmidt expansion has one route, so a kp document names none
+    spec = {"kind": "kp_bicentralizer", "phi": "s", "p": 2.0, "backend": "svd"}
     _rejected_by_cli(tmp_path, capsys, constants_config(tmp_path, spec=spec), "spec")
 
 
@@ -247,6 +248,12 @@ def test_validate_rejects_a_dimension_numpy_cannot_hold(tmp_path, capsys):
 
 def test_validate_rejects_boolean_tolerance(tmp_path, capsys):
     doc = constants_config(tmp_path, tolerances={"zero_rtol": True})
+    _rejected_by_cli(tmp_path, capsys, doc, "tolerances")
+
+
+def test_validate_rejects_the_retired_reconstruction_tolerance(tmp_path, capsys):
+    # no factorization is multiplied back and checked, so no tolerance names one
+    doc = constants_config(tmp_path, tolerances={"reconstruction_rtol": 1e-10})
     _rejected_by_cli(tmp_path, capsys, doc, "tolerances")
 
 
@@ -582,7 +589,8 @@ def test_replay_infinite_witness_ratio(tmp_path, capsys):
     assert main(["run", str(path)]) == 0
     capsys.readouterr()
     report = tmp_path / "out" / "report.json"
-    assert json.loads(report.read_text())["reports"][0]["value"] == "inf"
+    rep = _strict_json(report.read_text())["reports"][0]
+    assert rep["value"] == rep["witness"]["ratio"] == "inf"
     assert main(["replay", str(report)]) == 0
     out = _strict_json(capsys.readouterr().out)
     assert out["ok"] and out["delta"] == 0.0
@@ -655,12 +663,15 @@ def _context(**fields):
     ("constants", _first(lambda rep: {**rep, "samples": True})),
     ("constants", _first(lambda rep: {**rep, "witness": {**rep["witness"], "index": True}})),
     ("constants", _first(lambda rep: {**rep, "stream": 0})),
+    # a kp document written when the Schmidt expansion had two routes
+    ("constants", _context(spec={"kind": "kp_bicentralizer", "phi": "s", "p": 2.0,
+                                 "backend": "svd"})),
 ], ids=["gamma-without-ratio", "witness-number", "value-text", "samples-null",
         "report-number", "dim-text", "reports-number", "p-text", "min-norm-text",
         "gamma-table-number", "kind-list", "modulus-pY-text", "modulus-map-number",
         "modulus-inputs-number", "dim-true", "dim-too-big", "modulus-dim-too-big",
         "gamma-row-empty", "samples-fraction", "seed-fraction", "samples-true",
-        "index-true", "unknown-field"])
+        "index-true", "unknown-field", "kp-backend"])
 def test_replay_refuses_a_malformed_report(tmp_path, capsys, experiment, edit):
     report = _broken_report(tmp_path, capsys, experiment, edit)
     assert main(["replay", str(report)]) == 2

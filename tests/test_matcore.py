@@ -232,15 +232,6 @@ def test_schmidt_homogeneity_convention(rng):
             assert np.allclose(lhs, rhs, atol=1e-10)
 
 
-def test_schmidt_backends_agree_on_gapped(rng):
-    for _ in range(10):
-        f = gapped_matrix(rng, 5)
-        a = schmidt(f, backend="svd")
-        b = schmidt(f, backend="eig")
-        assert np.allclose(a.s, b.s, rtol=1e-9)
-        assert np.abs(a.reconstruct() - b.reconstruct()).max() <= 1e-9
-
-
 def test_schmidt_zero_matrix():
     form = schmidt(np.zeros((3, 3)))
     assert form.rank == 0

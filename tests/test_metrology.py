@@ -1116,14 +1116,6 @@ def test_distance_matches_direct_recomputation(rng):
     assert rep.value <= schatten_norm(g, math.inf) + 1e-12
 
 
-def test_distance_between_schmidt_backends_small(rng):
-    for n in (4, 8):
-        a = KPBicentralizer("s", 2.0, backend="svd")
-        b = KPBicentralizer("s", 2.0, backend="eig")
-        rep = distance_estimate(a, b, Sampler(seed=SEED, dim=n, p=2.0), 100)
-        assert rep.value <= 1e-9
-
-
 # --- fit_morphism ------------------------------------------------------------
 
 

@@ -45,3 +45,14 @@ def test_module_defines_every_export(module):
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     missing = _exported(tree) - defined
     assert not missing, sorted(missing)
+
+
+def test_every_tolerance_is_read():
+    # a tolerance nothing reads is a setting a configuration accepts in vain
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    tolerances = next(node for node in trees["matcore.py"].body
+                      if isinstance(node, ast.ClassDef) and node.name == "Tolerances")
+    names = {node.target.id for node in tolerances.body if isinstance(node, ast.AnnAssign)}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert names and not names - read, sorted(names - read)

@@ -3,8 +3,10 @@
 Spec hashes name experiments in every artifact, so the document of each
 spec and vector-map kind must stay byte for byte what it was.  The hashes
 below were recorded with the per-kind encoders that preceded the field
-codec.  Scalars keep their Python type on the wire (an ``int``
-coefficient is written ``2``, not ``2.0``), which is part of the hash.
+codec; those holding a ``kp_bicentralizer`` node were restated once, when
+its ``backend`` field left the document.  Scalars keep their Python type
+on the wire (an ``int`` coefficient is written ``2``, not ``2.0``), which
+is part of the hash.
 """
 
 import json
@@ -64,7 +66,7 @@ def _spec_cases():
     every_qmap = SumMap(tuple(_qmap_cases().values()))
     return {
         "kp_bicentralizer": kp,
-        "kp_bicentralizer_eig_int_p": KPBicentralizer("t", 1, backend="eig"),
+        "kp_bicentralizer_int_p": KPBicentralizer("t", 1),
         "lifted_kp_on_h": LiftedQuasilinear(KPOnH("s"), p=1.0, q=1.0),
         "lifted_linear": LiftedQuasilinear(LinearMap(_mat(4, 3)), p=0.5, q=2.0),
         "lowered": Lowered(kp, s=4.0),
@@ -76,7 +78,7 @@ def _spec_cases():
         "scaled_complex": Scaled(kp, 2.0 - 0.5j),
         "sum_empty": zero_spec(),
         "every_kind": SumSpec((
-            KPBicentralizer("s", 0.5, backend="eig"),
+            KPBicentralizer("s", 0.5),
             Scaled(LiftedQuasilinear(every_qmap, p=1.0, q=2.0), c=2.0 + 1.0j),
             Lowered(Scaled(kp, 1), s=4.0, p_inner=2.0),
             Lowered(Localized(RightMultiplication(_mat(6, 3)), e=_projection()),
@@ -87,19 +89,19 @@ def _spec_cases():
 
 
 GOLDEN_SPECS = {
-    "kp_bicentralizer": "496713aab7d3ca54b020e1537781d2f32a42fb2df8de85b36b6e621582b37622",
-    "kp_bicentralizer_eig_int_p": "5d1a439239cc27f4be20392f427e0883710c8a991164af52518048b00dd8f9aa",
+    "kp_bicentralizer": "b2bd4ba1652a68e783f6a6f99a481f2da0c298ee5d41d4be1b00f2c4536eb585",
+    "kp_bicentralizer_int_p": "3996bf9ff4164d4a940f2d1259447957ac7b591a4e9c4f1caf38b7cac0191fac",
     "lifted_kp_on_h": "84a634b19c6f084cff279dc93484547118c30c6086f9c05cd4e29ed57f2a5591",
     "lifted_linear": "c76a2970ad40c1ca5645ff601e8c3bd32178378bb4e4fbc0a288f87db6262520",
-    "lowered": "753974acc64d701b1a23cbd11ac4bd1837c5adf97c5f3ec37d0b7f7dc0c27c8d",
-    "lowered_p_inner": "076154f5fc045e2520b087644c8f4ff2498713b95a9cc4c6215953976e6802e5",
-    "localized": "5b866661758b50c59f9e873dda076ecbcd167bc277f2cef70944de0446ed7c98",
+    "lowered": "56fdccc4b96f94e936bfb03620b4d11f5e19c596737612b32a394884830a7dee",
+    "lowered_p_inner": "b6d1ec6824b5664182b0c669ae2281e6e00d99e01e8fcb2e00e09e317a86481f",
+    "localized": "51c6a225ea941ca78c1dfb8d31251d0e6342231655a3e51fb9b995a969f35f6a",
     "right_multiplication": "e3807b9591b52a097ffb3eac32da3aeb59bb2e9e657dbc9b66b4a6f7de4a3de5",
-    "scaled_float": "f436e557f49904fb21a48fd034ef98767b50c692c6eb5cddcec46c4e2edc571d",
-    "scaled_int": "16544e8bcad1058d4e86c10bd99427bac4cb75578dae9a060f1905a73dbcdb0f",
-    "scaled_complex": "12205b59fb1756b341bc8648b867f390f8742272228b5540ad0bb6d63492dd52",
+    "scaled_float": "91f5a0efd88f3cdacfdcdbd7410bd2bcad68d68ccd46822d624fc9ea8a45633a",
+    "scaled_int": "3c85f6f24c26dd7fcb1628102f655479fbfe3860a400d18539f15aeae450b684",
+    "scaled_complex": "1d4d66d03865503f7ba16767aa77fd4bf89645fbc8a804fc3885de481a49dc2f",
     "sum_empty": "bb21cb5825bb7c1fb2abd0e324c4c2149d83d4b493cdaa970ac61f2b029975b9",
-    "every_kind": "f8584b99008afad57d9bf5642ad5d1ebefa798cf8a442c740963bc221e66051b",
+    "every_kind": "f426a756796abb843d341404805b9d5a1e14e71ea2c7b46f5147fe2667e0fc66",
 }
 
 GOLDEN_QMAPS = {
@@ -115,7 +117,7 @@ GOLDEN_QMAPS = {
 # spec hashes of the canned configurations (the modulus config carries a
 # vector map, hashed through its own document)
 GOLDEN_CONFIGS = {
-    "constants_kp.json": "496713aab7d3ca54b020e1537781d2f32a42fb2df8de85b36b6e621582b37622",
+    "constants_kp.json": "b2bd4ba1652a68e783f6a6f99a481f2da0c298ee5d41d4be1b00f2c4536eb585",
     "modulus_z2.json": "76c558b1a24f62783dc7f5b356a07d7957e5ad24870340278038f844dfc526ca",
     "splitting_lift.json": "84a634b19c6f084cff279dc93484547118c30c6086f9c05cd4e29ed57f2a5591",
 }
@@ -153,8 +155,8 @@ def test_spec_document_refuses_a_boolean_index():
 def test_scalars_keep_their_wire_type():
     doc = spec_to_doc(Scaled(KPBicentralizer("s", 2), 3))
     assert json.dumps(doc, sort_keys=True) == (
-        '{"c": [3, 0], "inner": {"backend": "svd", "kind": "kp_bicentralizer", '
-        '"p": 2, "phi": "s"}, "kind": "scaled"}')
+        '{"c": [3, 0], "inner": {"kind": "kp_bicentralizer", "p": 2, "phi": "s"}, '
+        '"kind": "scaled"}')
     assert "p_inner" not in spec_to_doc(Lowered(KPBicentralizer("s", 2.0), s=4.0))
 
 
@@ -165,5 +167,5 @@ def test_canned_config_spec_hashes(name):
         doc = qmap_to_doc(qmap_from_doc(cfg["spec"]))
     else:
         doc = spec_to_doc(spec_from_doc(cfg["spec"]))
-    assert doc == cfg["spec"] or doc == {"backend": "svd", **cfg["spec"]}
+    assert doc == cfg["spec"]
     assert doc_hash(doc) == GOLDEN_CONFIGS[name]
