@@ -254,7 +254,7 @@ def _cmd_replay(args) -> int:
         "kind": rep.kind,
         "recorded": jsonable_float(recorded),
         "recomputed": jsonable_float(recomputed),
-        "delta": delta,
+        "delta": jsonable_float(delta),
         "ok": delta <= args.atol,
     }
     if not reply["ok"]:  # a thread count unlike the run's can explain the drift

@@ -36,9 +36,10 @@ def format_float(v: float) -> str:
 
 
 def jsonable_float(v: float):
-    # json cannot carry inf; experiments may report it for empty spectra
-    if isinstance(v, float) and math.isinf(v):
-        return "inf" if v > 0 else "-inf"
+    # standard json carries neither inf (empty spectra) nor NaN (a one-sample
+    # stderr): both are written as the CSV writes them
+    if isinstance(v, float) and not math.isfinite(v):
+        return format_float(v)
     return float(v)
 
 

@@ -270,11 +270,11 @@ class Sampler:
     "sparse" (ginibre blocks of dyadic random size).  Identical
     (seed, tag) always reproduce the same stream.
 
-    The estimators draw through ``_unit_sphere`` and ``_contraction``,
-    which give each stack with its factors: a haar_spectral sample's and
-    a contraction's from the draw, a sparse sample's from one SVD of its
-    block, a ginibre or rank_one sample's off p = 2 from one SVD of the
-    draw.  A sample's norm, values and Schmidt form are read off them.
+    ``_draw`` is the one dispatch on the tag.  The estimators draw through
+    ``_unit_sphere`` and ``_contraction``: each stack with its factors, a
+    haar_spectral sample's and a contraction's from the draw, a sparse
+    sample's from one SVD of its block, a ginibre or rank_one sample's off
+    p = 2 from one SVD of the draw.  Norms, values and forms are read off them.
     """
 
     seed: int
@@ -301,10 +301,6 @@ class Sampler:
         """The generator of each index, ``np.random.default_rng(SeedSequence(
         seed, spawn_key=(stream, index)))`` draw for draw, hashed together."""
         return _pcg64_generators(self.seed, int(stream), indices)
-
-    def generator(self, stream: int, index: int) -> np.random.Generator:
-        """The generator of one index; see ``generators``."""
-        return self.generators(stream, (index,))[0]
 
     def _ginibre(self, rngs, count: int, n: int) -> np.ndarray:
         """``count`` (n, n) Ginibre matrices from each generator, (k, count, n, n).
@@ -370,45 +366,38 @@ class Sampler:
                 u[at, rows, np.arange(w)], v[at, cols, np.arange(w)] = bu, bv
         return (m, u, s, v) if factored else (m,)
 
-    def _draw(self, rngs) -> np.ndarray:
-        """One matrix from each generator, in order, as a (k, n, n) stack.
-
-        Each generator yields the same numbers as for a lone draw; the
-        fills and the factorizations run once per stack.
+    def _draw(self, rngs, factored: bool = False) -> tuple:
+        """``(stack,)``: one matrix from each generator, in order, as a
+        (k, n, n) stack; with ``factored``, ``(stack, u, sigma, v)`` where a
+        norm or a form needs the factors or they are cheap: a haar_spectral
+        stack's from its draw, a sparse one's from its blocks, a ginibre or
+        rank_one one's off p = 2 from one SVD (at p = 2 it is normed by its
+        entries and stays ``(stack,)``).  Each generator yields the numbers
+        of a lone draw; the fills and the factorizations run once per stack.
         """
+        if self.tag == "haar_spectral":
+            drawn = self._spectral(rngs)
+            return drawn if factored else drawn[:1]
+        if self.tag == "sparse":
+            return self._sparse(rngs, factored)
         if self.tag == "ginibre":
-            return self._ginibre(rngs, 1, self.dim)[:, 0]
-        if self.tag == "haar_spectral":
-            return self._spectral(rngs)[0]
-        if self.tag == "sparse":
-            return self._sparse(rngs, factored=False)[0]
-        return np.stack([self._rank_one(rng) for rng in rngs])
-
-    def _factored(self, rngs) -> tuple:
-        """``(_draw(rngs),)``, then its factors (u, sigma, v) where a norm or
-        a form needs them or they are cheap: a haar_spectral stack's from
-        its draw, a sparse one's from its blocks, a ginibre or rank_one
-        one's off p = 2 from one SVD.  At p = 2 a ginibre or rank_one
-        sample, normed by its entries, is not factored."""
-        if self.tag == "haar_spectral":
-            return self._spectral(rngs)
-        if self.tag == "sparse":
-            return self._sparse(rngs, factored=True)
-        m = self._draw(rngs)
-        return (m,) if self.p == 2.0 else (m, *svd_factors(m))
+            m = self._ginibre(rngs, 1, self.dim)[:, 0]
+        else:
+            m = np.stack([self._rank_one(rng) for rng in rngs])
+        return (m, *svd_factors(m)) if factored and self.p != 2.0 else (m,)
 
     def _unit_sphere(self, indices, stream: int) -> tuple:
         """``unit_sphere`` of the samples ``indices``, drawn as one stack,
-        and its factors (u, sigma, v) as ``_factored`` gives them, sigma
+        and its factors (u, sigma, v) as ``_draw`` gives them, sigma
         divided by the norm as the matrix is, or None.  Each norm is
         ``_norm`` of the draw, off p = 2 read from its sigma."""
         rngs = self.generators(stream, indices)
-        drawn = self._factored(rngs)
+        drawn = self._draw(rngs, factored=True)
         m, values = drawn[0], (drawn[2] if len(drawn) > 1 else None)
         norm = _norm(m, self.p, values)
         for j in np.flatnonzero(norm < self.min_norm):
             for _ in range(MAX_REDRAWS):
-                for whole, part in zip(drawn, self._factored([rngs[j]])):
+                for whole, part in zip(drawn, self._draw([rngs[j]], factored=True)):
                     whole[j] = part[0]
                 norm[j] = _norm(m[j], self.p, None if values is None else values[j])
                 if norm[j] >= self.min_norm:
@@ -435,15 +424,11 @@ class Sampler:
 
         ``index`` is one sample index, or a sequence of them for a
         (k, n, n) stack.  Every sample, redraws included, comes from its
-        own generator, so a stack holds exactly the lone samples.  The
-        stack is filled ``CHUNK_ENTRIES`` entries at a time, so beside the
-        output stack a call holds one chunk's draws.
+        own generator, so a stack holds exactly the lone samples: the
+        stacks of ``unit_sphere_chunks``, concatenated.
         """
-        indices = np.atleast_1d(index)
-        n = self.dim
-        out = np.empty((len(indices), n, n), dtype=np.complex128)
-        for part in _chunked(len(indices), n**2):
-            out[part] = self._unit_sphere(indices[part], stream)[0]
+        out = np.concatenate([np.empty((0, self.dim, self.dim), dtype=np.complex128),
+                              *(m for m, _ in self.unit_sphere_chunks(index, stream))])
         return out if np.ndim(index) else out[0]
 
     def unit_sphere_chunks(self, index, stream: int = STREAM_PRIMARY):
@@ -475,18 +460,14 @@ class Sampler:
 
     def gaussian_rows(self, count: int, width: int, rows: int,
                       stream: int = STREAM_GAUSS, index: int = 0):
-        """The (count, width) block of ``gaussian_block`` as successive pieces
-        of ``rows`` rows (the last one shorter), drawn in turn from its one
-        generator; their concatenation is the block, bit for bit."""
-        rng = self.generator(stream, index)
+        """(count, width) standard complex normals, row-prefix stable, as
+        successive pieces of ``rows`` rows (the last one shorter), drawn in
+        turn from the one generator of ``(stream, index)``: one piece of
+        ``count`` rows is the whole block, bit for bit."""
+        rng = self.generators(stream, (index,))[0]
         for start in range(0, max(count, 1), rows):
             z = rng.standard_normal((min(rows, count - start), width, 2))
             yield (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
-
-    def gaussian_block(self, count: int, width: int,
-                       stream: int = STREAM_GAUSS, index: int = 0) -> np.ndarray:
-        """(count, width) standard complex normals, row-prefix stable."""
-        return next(self.gaussian_rows(count, width, max(count, 1), stream, index))
 
 
 @dataclass
@@ -894,7 +875,8 @@ class FitResult:
     right multiplication f -> f G, those of right modules by composition
     f -> L f.  The Frobenius metric keeps the fit convex and closed-form;
     ``residual`` is then re-measured as the worst (p, q) defect ratio, so
-    the probe never overstates triviality.
+    the probe never overstates triviality; as in ``max_over_stream``, NaN
+    never wins, whatever the sample order.
     """
 
     matrix: np.ndarray
@@ -985,7 +967,8 @@ def fit_morphism(spec: CentralizerSpec, side: str, samples, q: float,
         approx = fc @ morph if side == "left" else morph @ fc
         ratios += (_norm(y - approx, q) / _norm(fc, p, values)).tolist()
     ratios = tuple(ratios)
-    return FitResult(matrix=morph, residual=max(ratios), side=side,
+    residual = max((r for r in ratios if not math.isnan(r)), default=-math.inf)
+    return FitResult(matrix=morph, residual=residual, side=side,
                      rank_deficient=rank_deficient, ratios=ratios)
 
 

@@ -130,7 +130,7 @@ def _sparse_vectors(rngs, n: int) -> np.ndarray:
 def _draw_pairs(sampler: Sampler, slot: str, indices, stream: int) -> np.ndarray:
     """(g, f) of each sample, both from its generator, as a (k, 2, ...) stack."""
     rngs = [rng for rng in sampler.generators(stream, indices) for _ in "gf"]
-    pairs = sampler._draw(rngs) if slot == "mat" else _sparse_vectors(rngs, sampler.dim)
+    pairs = sampler._draw(rngs)[0] if slot == "mat" else _sparse_vectors(rngs, sampler.dim)
     return pairs.reshape(-1, 2, *pairs.shape[1:])
 
 

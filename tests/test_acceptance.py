@@ -218,8 +218,8 @@ def test_criterion_08_gamma_summing():
     lift = LiftedQuasilinear(qm, p=0.5, q=2.0)
     ratios = []
     for i in range(50):
-        u = sampler._draw([sampler.generator(STREAM_PRIMARY, i)])[0]
-        u = 10.0 ** sampler.generator(7, i).uniform(-1, 1) * u
+        u = sampler._draw(sampler.generators(STREAM_PRIMARY, [i]))[0][0]
+        u = 10.0 ** sampler.generators(7, [i])[0].uniform(-1, 1) * u
         table = TwistedTable(y_cols=evaluate(lift, u), x_cols=u)
         rep = gamma_summing_mc(table, 4000, seed=SEED + i, target=target)
         ratios.append(rep.value / schatten_norm(u, 0.5))

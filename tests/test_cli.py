@@ -597,6 +597,34 @@ def test_replay_infinite_witness_ratio(tmp_path, capsys):
     assert out["recorded"] == out["recomputed"] == "inf"
 
 
+def test_one_sample_gamma_stderr_is_standard_json(tmp_path, capsys):
+    # one sample leaves the delta-method stderr NaN, written "nan" as the CSV writes it
+    doc = {"experiment": "gamma", "operator": {"kind": "identity", "k": 2}, "seed": 1,
+           "samples": 1, "output": str(tmp_path / "out")}
+    assert main(["run", str(write_config(tmp_path, doc))]) == 0
+    capsys.readouterr()
+    report = tmp_path / "out" / "report.json"
+    rep = _strict_json(report.read_text())["reports"][0]
+    assert rep["stderr"] == "nan" and math.isfinite(rep["value"])
+    assert main(["replay", str(report), "--atol", "0"]) == 0
+    assert _strict_json(capsys.readouterr().out)["ok"]
+
+
+def test_nan_gamma_report_and_replay_line_are_standard_json(tmp_path, capsys):
+    # the squared row norms of 1e308 + 1e308j entries overflow, so the value is NaN
+    big = {"rows": 2, "cols": 2, "re": [1e308] * 4, "im": [1e308] * 4}
+    doc = {"experiment": "gamma", "operator": {"kind": "matrix", "value": big}, "seed": 1,
+           "samples": 20, "output": str(tmp_path / "out")}
+    assert main(["run", str(write_config(tmp_path, doc))]) == 0
+    capsys.readouterr()
+    report = tmp_path / "out" / "report.json"
+    rep = _strict_json(report.read_text())["reports"][0]
+    assert rep["value"] == rep["witness"]["ratio"] == "nan"
+    main(["replay", str(report), "--atol", "0"])
+    out = _strict_json(capsys.readouterr().out)
+    assert out["recorded"] == out["recomputed"] == "nan"
+
+
 def test_replay_bad_index(tmp_path, capsys):
     path = write_config(tmp_path, constants_config(tmp_path))
     main(["run", str(path)])

@@ -94,9 +94,9 @@ def test_unreachable_min_norm_is_refused_one_sample_at_a_time(monkeypatch):
     drawn = []
     draw = Sampler._draw
 
-    def counted(self, rngs):
+    def counted(self, rngs, factored=False):
         drawn.append(len(rngs))
-        return draw(self, rngs)
+        return draw(self, rngs, factored)
 
     monkeypatch.setattr(Sampler, "_draw", counted)
     sampler = Sampler(seed=1, dim=4, p=2.0, tag="rank_one", min_norm=1e30)
@@ -136,7 +136,7 @@ def test_generator_pinned_to_numpy_seed_sequence(seed):
     sampler = Sampler(seed=seed, dim=2, p=2.0)
     for i in (0, 2**32, 2**64 + 1):
         ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, i)))
-        assert sampler.generator(3, i).bit_generator.state == ref.bit_generator.state
+        assert sampler.generators(3, [i])[0].bit_generator.state == ref.bit_generator.state
 
 
 def test_generator_rejects_negative_keys():
@@ -145,7 +145,7 @@ def test_generator_rejects_negative_keys():
         with pytest.raises(ValueError):
             np.random.SeedSequence(3, spawn_key=(stream, index))
         with pytest.raises(InputError):
-            sampler.generator(stream, index)
+            sampler.generators(stream, [index])[0]
     with pytest.raises(InputError):
         _pcg64_generators(3, 0, [0, 5, -1, 2**40])
 
@@ -191,7 +191,7 @@ def test_dyadic_support_draws_match_lone_oracle(n):
 
     for tag in ("rank_one", "sparse"):
         sampler = Sampler(seed=SEED, dim=n, p=2.0, tag=tag)
-        stack = sampler._draw(sampler.generators(STREAM_SECONDARY, indices))
+        stack = sampler._draw(sampler.generators(STREAM_SECONDARY, indices))[0]
         for i in indices:
             lone = _lone_dyadic_draw(rng_of(STREAM_SECONDARY, i), n, tag)
             assert np.array_equal(stack[i], lone), (tag, i)
@@ -209,12 +209,12 @@ def test_dyadic_support_draws_match_lone_oracle(n):
 def test_stacked_fills_match_lone_draws(tag):
     sampler = Sampler(seed=SEED, dim=5, p=2.0, tag=tag)
     indices = range(37)
-    stack = sampler._draw(sampler.generators(STREAM_SECONDARY, indices))
+    stack = sampler._draw(sampler.generators(STREAM_SECONDARY, indices))[0]
     contractions = sampler.contraction(indices, STREAM_RIGHT)
     for i in indices:
         lone = _lone_draw(SEED, STREAM_SECONDARY, i, 5, tag)
         assert np.array_equal(stack[i], lone) and np.array_equal(
-            sampler._draw([sampler.generator(STREAM_SECONDARY, i)])[0], lone), i
+            sampler._draw(sampler.generators(STREAM_SECONDARY, [i]))[0][0], lone), i
         lone = _lone_draw(SEED, STREAM_RIGHT, i, 5, "haar_spectral")
         assert np.array_equal(contractions[i], lone) and np.array_equal(
             sampler.contraction(i, STREAM_RIGHT), lone), i
@@ -222,11 +222,11 @@ def test_stacked_fills_match_lone_draws(tag):
 
 def test_gaussian_block_prefix_stable():
     s = Sampler(seed=4, dim=4, p=2.0)
-    short = s.gaussian_block(10, 4)
-    long = s.gaussian_block(25, 4)
+    short = next(s.gaussian_rows(10, 4, 10))
+    long = next(s.gaussian_rows(25, 4, 25))
     assert np.array_equal(long[:10], short)
     # unit second moment per coordinate
-    big = s.gaussian_block(20000, 4)
+    big = next(s.gaussian_rows(20000, 4, 20000))
     assert np.abs(big).mean() == pytest.approx(math.sqrt(math.pi) / 2.0, abs=0.01)
 
 
@@ -235,13 +235,13 @@ def test_gaussian_rows_concatenate_to_the_block(rows):
     s = Sampler(seed=4, dim=4, p=2.0)
     pieces = list(s.gaussian_rows(25, 3, rows))
     assert [len(piece) for piece in pieces[:-1]] == [rows] * (len(pieces) - 1)
-    assert np.array_equal(np.concatenate(pieces), s.gaussian_block(25, 3))
+    assert np.array_equal(np.concatenate(pieces), next(s.gaussian_rows(25, 3, 25)))
 
 
 def _first_draw(tag, i):
     """The first draw of sample i, before any redraw, on the primary stream."""
     sampler = Sampler(seed=2, dim=5, p=2.0, tag=tag)
-    return sampler._draw([sampler.generator(STREAM_PRIMARY, i)])[0]
+    return sampler._draw(sampler.generators(STREAM_PRIMARY, [i]))[0][0]
 
 
 @pytest.mark.parametrize("tag", ["ginibre", "haar_spectral", "rank_one", "sparse"])
@@ -257,6 +257,7 @@ def test_chunked_unit_sphere_matches_lone_draws(monkeypatch, tag):
     assert len({i // 7 for i in np.flatnonzero(redrawn)}) >= 3  # redraws in three chunks
     stack = sampler.unit_sphere(np.arange(30))
     assert stack.shape == (30, 5, 5)
+    assert sampler.unit_sphere([]).shape == (0, 5, 5)
     for i in range(30):
         assert np.array_equal(stack[i], sampler.unit_sphere(i)), i
         assert np.array_equal(stack[i], first[i]) != redrawn[i], i
@@ -393,7 +394,7 @@ def test_sparse_chunks_factor_blocks_not_samples(monkeypatch):
     sampler = Sampler(seed=SEED, dim=n, p=1.0, tag="sparse")
     samples = {m.tobytes() for stream in (STREAM_PRIMARY, STREAM_SECONDARY)
                for m in (*sampler.unit_sphere(range(count), stream),
-                         *sampler._draw(sampler.generators(stream, range(count))))}
+                         *sampler._draw(sampler.generators(stream, range(count)))[0])}
     narrow = [(np.abs(m).sum(axis=1) > 0).sum() < n for stream in (STREAM_PRIMARY,
               STREAM_SECONDARY) for m in sampler.unit_sphere(range(count), stream)]
     calls = _counted_svd(monkeypatch, frame_checks=False)
@@ -728,9 +729,9 @@ def test_stacked_redraws_match_looped_unit_sphere(tag):
 def _factored_at_draw(sampler, i):
     """The matrix that sample i of the primary stream is factored at when
     drawn: a sparse sample's ginibre block, any other sample's draw."""
-    rng = sampler.generator(STREAM_PRIMARY, i)
+    rng = sampler.generators(STREAM_PRIMARY, [i])[0]
     if sampler.tag != "sparse":
-        return sampler._draw([rng])[0]
+        return sampler._draw([rng])[0][0]
     rows, _ = dyadic_supports(rng, sampler.dim, 2)
     return complex_matrix(rng, len(rows))
 
@@ -1164,6 +1165,19 @@ def test_fit_rank_deficient_flag(rng):
     assert fit.rank_deficient
 
 
+def test_fit_residual_ignores_a_nan_ratio_in_any_order():
+    # a zero sample's ratio is 0/0; as in max_over_stream, NaN never wins
+    spec = KPBicentralizer("s", 2.0)
+    samples = Sampler(seed=1, dim=4, p=2.0).unit_sphere(range(3))
+    zero = np.zeros((1, 4, 4), dtype=complex)
+    with np.errstate(invalid="ignore"):
+        first, last = (fit_morphism(spec, "left", stack, q=2.0, p=2.0)
+                       for stack in (np.concatenate([zero, samples]),
+                                     np.concatenate([samples, zero])))
+    assert math.isnan(first.ratios[0]) and math.isnan(last.ratios[-1])
+    assert first.residual == last.residual == max(last.ratios[:-1])
+
+
 def _looped_fit(spec, side, samples, q, p, tol=DEFAULT_TOL):
     """fit_morphism written out sample by sample: the stacked fit's oracle."""
     mats = [as_matrix(f) for f in samples]
@@ -1365,7 +1379,7 @@ def test_streamed_gamma_matches_block(name, pieces):
     rows = metrology.CHUNK_ENTRIES // 8
     n_samples = rows - 100 if pieces == "one-piece" else 2 * rows + 17
     rep = gamma_summing_mc(table, n_samples, seed=3, target=target)
-    block = Sampler(seed=3, dim=8, p=2.0).gaussian_block(n_samples, 8)
+    block = next(Sampler(seed=3, dim=8, p=2.0).gaussian_rows(n_samples, 8, n_samples))
     scorer, recipe = metrology.REPORT_KINDS["gamma"]
     assert recipe is None  # the witness row is stored, not re-drawn
     score = scorer(rep.context, DEFAULT_TOL)
