@@ -48,11 +48,6 @@ from .centralizers import (  # noqa: F401
     apply_qmap,
     evaluate,
     frame_ambiguous,
-    kp_bicentralizer,
-    lift_quasilinear,
-    localize,
-    lower_s,
-    signature,
     spatial_part,
     spec_from_doc,
     spec_hash,

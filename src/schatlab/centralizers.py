@@ -56,15 +56,10 @@ __all__ = [
     "SumSpec",
     "zero_spec",
     "frame_ambiguous",
-    "signature",
     "evaluate",
-    "kp_bicentralizer",
-    "lift_quasilinear",
-    "lower_s",
     "SpatialPart",
     "spatial_part",
     "trace_functional",
-    "localize",
     "validate_projection",
     "qmap_to_doc",
     "qmap_from_doc",
@@ -228,7 +223,13 @@ def apply_qmap_cols(m: QuasilinearMap, cols: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KPBicentralizer(CentralizerSpec):
-    """Weighted singular expansion with weights phi(log(|f|_p/s_n), log n)."""
+    """Weighted singular expansion with weights phi(log(|f|_p/s_n), log n).
+
+    The weight sequence is the coordinate map of the singular values, so
+    rank-one inputs map to 0 (the single weight is phi(0, 0), and phi must
+    vanish at the origin), and the map inherits exact homogeneity from the
+    expansion convention.
+    """
 
     kind = "kp_bicentralizer"
     takes_form = True
@@ -238,9 +239,13 @@ class KPBicentralizer(CentralizerSpec):
     def __post_init__(self):
         if math.isinf(validate_index(self.p)):
             raise InputError("kp_bicentralizer needs a finite index")
+        phi = get_phi(self.phi)
+        if not phi.vanishes_at_origin:
+            raise InputError(f"phi {phi.name!r} must vanish at the origin")
 
     def evaluate(self, f, tol, form=None):
-        return kp_bicentralizer(f, self.phi, self.p, tol, form=form)
+        return (form or schmidt(f, tol)).expand(lambda part: (
+            (part.y * kp_phi_rows(part.s, self.phi, self.p)[:, None, :]) @ adjoint(part.x)))
 
     def signature(self):
         return self.p, self.p
@@ -250,9 +255,11 @@ class KPBicentralizer(CentralizerSpec):
 class LiftedQuasilinear(CentralizerSpec):
     """Lift of a vector map along the prescribed expansion.
 
-    Acts by ``sum_k s_k rank_one(x_k, qmap(y_k))``.  The right-centralizer
-    estimate it targets is only backed for 0 < p < 2 and q > p; evaluation
-    outside that window is permitted but ``within_guarantee`` is False.
+    Acts by ``sum_k s_k rank_one(x_k, qmap(y_k))``, so on a normalized
+    rank-one x (x) y the value is exactly rank_one(x, qmap(y)).  The
+    right-centralizer estimate it targets is only backed for 0 < p < 2 and
+    q > p; evaluation outside that window is permitted but
+    ``within_guarantee`` is False.
     """
 
     kind = "lifted_quasilinear"
@@ -266,7 +273,8 @@ class LiftedQuasilinear(CentralizerSpec):
         return 0.0 < self.p < 2.0 and self.q > self.p
 
     def evaluate(self, f, tol, form=None):
-        return lift_quasilinear(self.qmap, f, self.p, tol, form=form)
+        return (form or schmidt(f, tol)).expand(lambda part: (
+            (apply_qmap_cols(self.qmap, part.y) * part.s[:, None, :]) @ adjoint(part.x)))
 
     def signature(self):
         return self.p, self.q
@@ -274,10 +282,11 @@ class LiftedQuasilinear(CentralizerSpec):
 
 @dataclass(frozen=True, eq=False)
 class Lowered(CentralizerSpec):
-    """Index lowering: h -> inner(u |h|^(p1/p2)) |h|^(p1/s).
+    """Index lowering: h -> inner(u |h|^(p1/p2)) |h|^(p1/s), h = u |h|.
 
     ``p2`` is the inner map's input index (taken from its signature when
-    not given) and p1 satisfies 1/p1 = 1/p2 + 1/s.
+    not given) and p1 satisfies 1/p1 = 1/p2 + 1/s.  Both polar parts come
+    from one factorization of h.
     """
 
     kind = "lowered"
@@ -286,16 +295,27 @@ class Lowered(CentralizerSpec):
     s: float
     p_inner: float | None = None
 
-    def evaluate(self, f, tol, form=None):
-        return lower_s(self.inner, self.s, f, p_inner=self.p_inner, tol=tol, form=form)
-
-    def signature(self):
-        p2, q2 = self.inner.signature()
-        p2 = p2 if self.p_inner is None else self.p_inner
+    def _input_indices(self) -> tuple[float, float]:
+        """(p2, p1), the inner map's input index and the lowered one."""
+        p2 = self.inner.signature()[0] if self.p_inner is None else self.p_inner
         if p2 is None:
             raise InputError("lowering needs the inner map's input index")
-        q1 = None if q2 is None else combine_indices(q2, self.s)
-        return combine_indices(p2, self.s), q1
+        return p2, combine_indices(p2, self.s)
+
+    def evaluate(self, f, tol, form=None):
+        p2, p1 = self._input_indices()
+
+        def lowered(part):
+            xh = adjoint(part.x)
+            inner_arg = (part.y * (part.s ** (p1 / p2))[:, None, :]) @ xh
+            radial = (part.x * (part.s ** (p1 / self.s))[:, None, :]) @ xh
+            return evaluate(self.inner, inner_arg, tol) @ radial
+
+        return (form or schmidt(f, tol)).expand(lowered)
+
+    def signature(self):
+        q2 = self.inner.signature()[1]
+        return self._input_indices()[1], None if q2 is None else combine_indices(q2, self.s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,7 +330,10 @@ class Localized(CentralizerSpec):
         validate_projection(self.e)
 
     def evaluate(self, f, tol):
-        return localize(self.inner, self.e, f, tol)
+        e = validate_projection(self.e, tol)
+        if f.shape[-1] != e.shape[0]:
+            raise InputError(f"cannot localize {f.shape} through {e.shape}")
+        return evaluate(self.inner, f @ e, tol)
 
     def fixed_dim(self) -> int:
         inner = self.inner.fixed_dim()
@@ -369,72 +392,6 @@ def frame_ambiguous(f, tol: Tolerances = DEFAULT_TOL) -> bool:
     return bool(schmidt(as_matrix(f), tol).gap < tol.gap_rtol)
 
 
-def signature(spec: CentralizerSpec) -> tuple[float | None, float | None]:
-    """Natural (input, output) indices of a spec, where determined."""
-    return spec.signature()
-
-
-def kp_bicentralizer(f, phi, p: float, tol: Tolerances = DEFAULT_TOL,
-                     form: SchmidtForm | None = None) -> np.ndarray:
-    """Reweight the prescribed expansion of ``f`` by phi along (s_n, n).
-
-    The weight sequence is the coordinate map of the singular values, so
-    rank-one inputs map to 0 whenever phi vanishes at the origin (the
-    single weight is phi(0, 0)), and the whole map inherits exact
-    homogeneity from the expansion convention.  ``form``, the expansion
-    of ``f`` where the caller has it (a sample's, from its draw), is used
-    instead of factoring ``f``.
-    """
-    phi = get_phi(phi)
-    p = validate_index(p)
-    if math.isinf(p):
-        raise InputError("kp_bicentralizer needs a finite index")
-    if not phi.vanishes_at_origin:
-        raise InputError(f"phi {phi.name!r} must vanish at the origin")
-    return (form or schmidt(f, tol)).expand(lambda part: (
-        (part.y * kp_phi_rows(part.s, phi, p)[:, None, :]) @ adjoint(part.x)))
-
-
-def lift_quasilinear(qmap: QuasilinearMap, u, p: float, tol: Tolerances = DEFAULT_TOL,
-                     form: SchmidtForm | None = None) -> np.ndarray:
-    """Lift a vector map through the prescribed expansion of ``u``.
-
-    ``sum_k s_k rank_one(x_k, qmap(y_k))``; on a normalized rank-one
-    x (x) y the value is exactly rank_one(x, qmap(y)).  ``form``, the
-    expansion of ``u`` where the caller has it, is used instead of
-    factoring ``u``.
-    """
-    validate_index(p)
-    return (form or schmidt(u, tol)).expand(lambda part: (
-        (apply_qmap_cols(qmap, part.y) * part.s[:, None, :]) @ adjoint(part.x)))
-
-
-def lower_s(spec: CentralizerSpec, s: float, h, p_inner: float | None = None,
-            tol: Tolerances = DEFAULT_TOL, form: SchmidtForm | None = None) -> np.ndarray:
-    """Evaluate the index-lowered map at ``h``.
-
-    With ``h = u |h|`` this is ``spec(u |h|^(p1/p2)) @ |h|^(p1/s)`` where
-    p2 is the inner input index and 1/p1 = 1/p2 + 1/s.  Both polar parts
-    come from one factorization of ``h``, or from ``form``, its expansion
-    where the caller has it.
-    """
-    s = validate_index(s)
-    if p_inner is None:
-        p_inner = signature(spec)[0]
-    if p_inner is None:
-        raise InputError("lowering needs the inner map's input index")
-    p2 = validate_index(p_inner)
-    p1 = combine_indices(p2, s)
-
-    def lowered(part):
-        xh = adjoint(part.x)
-        inner_arg = (part.y * (part.s ** (p1 / p2))[:, None, :]) @ xh
-        radial = (part.x * (part.s ** (p1 / s))[:, None, :]) @ xh
-        return evaluate(spec, inner_arg, tol) @ radial
-
-    return (form or schmidt(h, tol)).expand(lowered)
-
-
 def _check_square(node, name: str) -> None:
     """Refuse a node whose matrix field ``name`` is not square."""
     shape = as_matrix(getattr(node, name)).shape
@@ -453,15 +410,6 @@ def validate_projection(e, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if np.abs(e @ e - e).max(initial=0.0) > tol.slack_atol * scale:
         raise InputError("projection must be idempotent")
     return e
-
-
-def localize(spec: CentralizerSpec, e, f, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Evaluate ``spec`` at ``f e`` for a finite-rank projection ``e``."""
-    e = validate_projection(e, tol)
-    f = as_matrices(f)
-    if f.shape[-1] != e.shape[0]:
-        raise InputError(f"cannot localize {f.shape} through {e.shape}")
-    return evaluate(spec, f @ e, tol)
 
 
 def evaluate(spec: CentralizerSpec, f, tol: Tolerances = DEFAULT_TOL,

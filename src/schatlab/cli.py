@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import inspect
 import json
+import math
 import os
 import sys
 from functools import lru_cache
@@ -249,7 +250,9 @@ def _cmd_replay(args) -> int:
         _emit_error({"type": "replay", "message": str(exc)})
         return 2
     recorded = float(rep.witness["ratio"])
-    delta = 0.0 if recomputed == recorded else abs(recomputed - recorded)  # inf - inf is NaN
+    # inf - inf is NaN, and a NaN recomputed from a NaN is reproduced
+    same = recomputed == recorded or (math.isnan(recomputed) and math.isnan(recorded))
+    delta = 0.0 if same else abs(recomputed - recorded)
     reply = {
         "kind": rep.kind,
         "recorded": jsonable_float(recorded),

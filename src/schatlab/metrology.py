@@ -37,7 +37,6 @@ from .centralizers import (
     CentralizerSpec,
     evaluate,
     frame_ambiguous,
-    signature,
     spec_from_doc,
     spec_to_doc,
 )
@@ -554,7 +553,7 @@ def _chunked(count: int, entries: int) -> list[slice]:
 
 
 def _resolve_indices(spec, p, q):
-    sig_p, sig_q = signature(spec)
+    sig_p, sig_q = spec.signature()
     p = sig_p if p is None else p
     q = sig_q if q is None else q
     if p is None or q is None:
@@ -840,9 +839,9 @@ def reevaluate_witness(report: EstimateReport,
     """Recompute the witness ratio of a report: its kind's recipe re-draws
     sample ``witness.index`` and its scorer rates it; gamma rescores its
     stored row.  Refused: a context its kind cannot read, a witness that
-    stores its ``inputs`` (written before witnesses kept their index alone),
-    and a witness ratio unlike the value, but for gamma's (its value is a
-    mean)."""
+    stores its ``inputs`` (written before witnesses kept their index alone)
+    or lacks its ``index`` (gamma's: its ``inputs_gaussian``), and a witness
+    ratio unlike the value, but for gamma's (its value is a mean)."""
     if report.kind not in REPORT_KINDS:
         raise InputError(f"cannot replay report of kind {report.kind!r}")
     if "inputs" in report.witness:
@@ -853,14 +852,17 @@ def reevaluate_witness(report: EstimateReport,
         raise InputError(f"witness ratio {ratio!r} differs from the report value "
                          f"{report.value!r}")
     scorer, recipe = REPORT_KINDS[report.kind]
+    key = "index" if recipe else "inputs_gaussian"
+    if key not in report.witness:
+        raise InputError(f"the {report.kind} witness has no {key!r}")
     try:
         score = scorer(report.context, tol)
         draw = recipe(report.context, report.seed) if recipe else None
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed {report.kind} report context: {exc!r}") from None
     if recipe is None:
-        return float(score(vec_from_json(report.witness["inputs_gaussian"])[None])[0])
-    i = report.witness["index"]
+        return float(score(vec_from_json(report.witness[key])[None])[0])
+    i = report.witness[key]
     if not (type(i) is int and 0 <= i < report.samples):
         raise InputError(f"witness index {i!r} is not a sample of the report's stream")
     chunk = _Chunk(range(i, i + 1), tol)
@@ -1059,7 +1061,7 @@ def gamma_summing_mc(table, n_samples: int, seed: int, target=None) -> EstimateR
         se_mean = float(squares.std(ddof=1)) / math.sqrt(n_samples)
     else:
         se_mean = float("nan")
-    stderr = se_mean / (2.0 * value) if value > 0.0 else 0.0
+    stderr = 0.0 if value == 0.0 else se_mean / (2.0 * value)  # NaN for a NaN value
     note = "Monte Carlo mean of squared norms; stderr by the delta method"
     if n_samples < 100:
         note += "; WARNING: fewer than 100 samples"

@@ -15,10 +15,10 @@ from schatlab.centralizers import (
     KPBicentralizer,
     KPOnH,
     LiftedQuasilinear,
+    Lowered,
     RightMultiplication,
     apply_qmap,
     evaluate,
-    lower_s,
 )
 from schatlab.cli import run_config
 from schatlab.experiments import parse_config
@@ -141,7 +141,7 @@ def test_criterion_05_rank_one_identities():
             lift = evaluate(LiftedQuasilinear(qm, p=0.5, q=1.0), u)
             worst = max(worst, np.abs(lift - rank_one(x, apply_qmap(qm, y))).max())
             inner = RightMultiplication(complex_matrix(rng, n))
-            low = lower_s(inner, 2.0, u, p_inner=2.0)
+            low = evaluate(Lowered(inner, 2.0, p_inner=2.0), u)
             worst = max(worst, np.abs(
                 low - evaluate(inner, u) @ rank_one(x, x)).max())
     check(5, "rank-one identities hold to 1e-12 at n <= 16",

@@ -20,13 +20,8 @@ from schatlab.centralizers import (
     SumSpec,
     apply_qmap,
     evaluate,
-    kp_bicentralizer,
-    lift_quasilinear,
-    localize,
-    lower_s,
     qmap_from_doc,
     qmap_to_doc,
-    signature,
     spatial_part,
     spec_from_doc,
     spec_hash,
@@ -47,19 +42,19 @@ from schatlab.metrology import Sampler, estimate_constant
 from conftest import SEED, complex_matrix, complex_vector, gapped_matrix, haar_unitary
 
 
-# --- kp_bicentralizer --------------------------------------------------------
+# --- KPBicentralizer ---------------------------------------------------------
 
 
 def test_kp_rank_one_vanishes(rng):
     for n in (2, 5, 16):
         x = complex_vector(rng, n, unit=True)
         y = complex_vector(rng, n, unit=True)
-        out = kp_bicentralizer(3.7 * rank_one(x, y), "s", 1.0)
+        out = evaluate(KPBicentralizer("s", 1.0), 3.7 * rank_one(x, y))
         assert np.abs(out).max() <= 1e-12
 
 
 def test_kp_hand_value_diag():
-    out = kp_bicentralizer(np.diag([2.0, 1.0]).astype(complex), "s", 1.0)
+    out = evaluate(KPBicentralizer("s", 1.0), np.diag([2.0, 1.0]).astype(complex))
     expected = np.diag([2.0 * math.log(1.5), math.log(3.0)])
     assert np.allclose(out, expected, atol=1e-12)
 
@@ -76,7 +71,7 @@ def test_kp_unitary_equivariance(rng):
 
 
 def test_kp_zero_matrix():
-    assert np.allclose(kp_bicentralizer(np.zeros((3, 3)), "s", 2.0), 0.0)
+    assert np.allclose(evaluate(KPBicentralizer("s", 2.0), np.zeros((3, 3))), 0.0)
 
 
 def test_kp_requires_vanishing_phi():
@@ -84,7 +79,7 @@ def test_kp_requires_vanishing_phi():
 
     bad = LipschitzFn("offset", lambda s, t: s + 1.0, 1.0, vanishes_at_origin=False)
     with pytest.raises(InputError):
-        kp_bicentralizer(np.eye(2), bad, 2.0)
+        KPBicentralizer(bad, 2.0)
 
 
 def test_kp_matches_sequence_recipe(rng):
@@ -96,10 +91,10 @@ def test_kp_matches_sequence_recipe(rng):
     form = schmidt(f)
     weights = kp_phi(form.s.astype(complex), "s", 1.0)
     expected = (form.y * weights) @ form.x.conj().T
-    assert np.allclose(kp_bicentralizer(f, "s", 1.0), expected, atol=1e-13)
+    assert np.allclose(evaluate(KPBicentralizer("s", 1.0), f), expected, atol=1e-13)
 
 
-# --- lift_quasilinear --------------------------------------------------------
+# --- LiftedQuasilinear -------------------------------------------------------
 
 
 def test_lift_rank_one_exact(rng):
@@ -107,7 +102,7 @@ def test_lift_rank_one_exact(rng):
     for n in (2, 5, 16):
         x = complex_vector(rng, n, unit=True)
         y = complex_vector(rng, n, unit=True)
-        out = lift_quasilinear(qm, rank_one(x, y), 0.5)
+        out = evaluate(LiftedQuasilinear(qm, p=0.5, q=2.0), rank_one(x, y))
         expected = rank_one(x, apply_qmap(qm, y))
         assert np.abs(out - expected).max() <= 1e-12
 
@@ -117,7 +112,7 @@ def test_lift_linear_map_is_composition(rng):
     qm = LinearMap(L)
     for _ in range(10):
         u = complex_matrix(rng, 6)
-        out = lift_quasilinear(qm, u, 1.0)
+        out = evaluate(LiftedQuasilinear(qm, p=1.0, q=2.0), u)
         assert np.abs(out - L @ u).max() <= 1e-10 * max(1.0, np.abs(L @ u).max())
 
 
@@ -141,7 +136,7 @@ def test_lift_guarantee_window():
     assert not LiftedQuasilinear(KPOnH("s"), p=2.5, q=3.0).within_guarantee
 
 
-# --- lower_s -----------------------------------------------------------------
+# --- Lowered -----------------------------------------------------------------
 
 
 def test_lower_rank_one_identity(rng):
@@ -150,7 +145,7 @@ def test_lower_rank_one_identity(rng):
         x = complex_vector(rng, 6, unit=True)
         y = complex_vector(rng, 6, unit=True)
         u = rank_one(x, y)
-        out = lower_s(inner, 2.0, u, p_inner=2.0)
+        out = evaluate(Lowered(inner, 2.0, p_inner=2.0), u)
         expected = evaluate(inner, u) @ rank_one(x, x)
         assert np.abs(out - expected).max() <= 1e-12
 
@@ -167,7 +162,7 @@ def test_lower_right_multiplication_substitution(rng):
         pf = polar(h)
         direct = (pf.phase @ modulus_power(h, p1 / p2) @ g
                   @ modulus_power(h, p1 / s))
-        out = lower_s(inner, s, h, p_inner=p2)
+        out = evaluate(Lowered(inner, s, p_inner=p2), h)
         assert np.abs(out - direct).max() <= 1e-9 * max(1.0, np.abs(direct).max())
 
 
@@ -175,7 +170,7 @@ def test_lower_bounded_spec_stays_bounded(rng):
     # sup |lowered(h)|_q1 / |h|_p1 <= sup|phi| exactly, by the norm split
     inner = KPBicentralizer("min_s_1", 2.0)
     spec = Lowered(inner, s=2.0)
-    p1, q1 = signature(spec)
+    p1, q1 = spec.signature()
     assert p1 == pytest.approx(1.0) and q1 == pytest.approx(1.0)
     worst = 0.0
     for _ in range(50):
@@ -187,12 +182,12 @@ def test_lower_bounded_spec_stays_bounded(rng):
 
 def test_lower_zero_input(rng):
     inner = RightMultiplication(complex_matrix(rng, 4))
-    assert np.allclose(lower_s(inner, 2.0, np.zeros((4, 4)), p_inner=2.0), 0.0)
+    assert np.allclose(evaluate(Lowered(inner, 2.0, p_inner=2.0), np.zeros((4, 4))), 0.0)
 
 
 def test_lower_needs_inner_index(rng):
     with pytest.raises(InputError):
-        lower_s(RightMultiplication(complex_matrix(rng, 4)), 2.0, np.eye(4))
+        evaluate(Lowered(RightMultiplication(complex_matrix(rng, 4)), 2.0), np.eye(4))
 
 
 # --- spatial_part ------------------------------------------------------------
@@ -284,25 +279,25 @@ def test_trace_functional_homogeneous(rng):
         lam * trace_functional(spec, f), rel=1e-9, abs=1e-11)
 
 
-# --- localize ----------------------------------------------------------------
+# --- Localized ---------------------------------------------------------------
 
 
 def test_localize_identity_projection(rng):
     spec = KPBicentralizer("s", 2.0)
     f = complex_matrix(rng, 5)
-    assert np.allclose(localize(spec, np.eye(5), f), evaluate(spec, f), atol=1e-13)
+    assert np.allclose(evaluate(Localized(spec, np.eye(5)), f), evaluate(spec, f), atol=1e-13)
 
 
 def test_localize_zero_projection(rng):
     spec = KPBicentralizer("s", 2.0)
     f = complex_matrix(rng, 5)
-    assert np.allclose(localize(spec, np.zeros((5, 5)), f), 0.0)
+    assert np.allclose(evaluate(Localized(spec, np.zeros((5, 5))), f), 0.0)
 
 
 def test_localize_rejects_non_projection(rng):
     spec = zero_spec()
     with pytest.raises(InputError):
-        localize(spec, complex_matrix(rng, 4), complex_matrix(rng, 4))
+        evaluate(Localized(spec, complex_matrix(rng, 4)), complex_matrix(rng, 4))
     with pytest.raises(InputError):
         validate_projection(np.diag([1.0, 0.5]))
 
@@ -329,7 +324,7 @@ def test_localize_triviality_bound(rng):
     worst = 0.0
     for i in range(300):
         f = sampler.unit_sphere(i)
-        defect = localize(spec, e, f) - f @ evaluate(spec, e)
+        defect = evaluate(Localized(spec, e), f) - f @ evaluate(spec, e)
         worst = max(worst, schatten_norm(defect, p) / schatten_norm(f, p))
     assert math.isfinite(worst)
     assert worst <= measured_l * 2.0 ** (1.0 / p) + 1e-6
@@ -359,12 +354,12 @@ def test_spec_homogeneity(rng):
 
 
 def test_signature_combinations():
-    assert signature(KPBicentralizer("s", 0.5)) == (0.5, 0.5)
-    assert signature(LiftedQuasilinear(KPOnH("s"), p=1.0, q=2.0)) == (1.0, 2.0)
-    p1, q1 = signature(Lowered(KPBicentralizer("s", 2.0), s=2.0))
+    assert KPBicentralizer("s", 0.5).signature() == (0.5, 0.5)
+    assert LiftedQuasilinear(KPOnH("s"), p=1.0, q=2.0).signature() == (1.0, 2.0)
+    p1, q1 = Lowered(KPBicentralizer("s", 2.0), s=2.0).signature()
     assert p1 == pytest.approx(1.0) and q1 == pytest.approx(1.0)
-    assert signature(RightMultiplication(np.eye(2))) == (None, None)
-    assert signature(zero_spec()) == (None, None)
+    assert RightMultiplication(np.eye(2)).signature() == (None, None)
+    assert zero_spec().signature() == (None, None)
 
 
 def test_sum_and_scaled_evaluation(rng):

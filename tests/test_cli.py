@@ -14,6 +14,7 @@ from schatlab.experiments import ConfigError, parse_config, run_experiment
 from schatlab.ioutil import read_csv, read_json
 from schatlab.matcore import mat_to_json
 from schatlab.metrology import STREAM_LEFT, STREAM_PRIMARY, STREAM_RIGHT, STREAM_SECONDARY, Sampler
+from schatlab.seqcore import PHI_TABLE, LipschitzFn
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -77,6 +78,17 @@ def test_validate_rejects_unknown_keys(tmp_path):
 def test_validate_rejects_bad_index(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(constants_config(tmp_path, p=-2.0))
+
+
+def test_validate_rejects_kp_phi_not_vanishing_at_origin(tmp_path, monkeypatch):
+    # rank-one inputs map to phi(0, 0): the spec is refused when decoded, not when run
+    monkeypatch.setitem(PHI_TABLE, "offset", LipschitzFn("offset", lambda s, t: s + 1.0, 1.0,
+                                                         vanishes_at_origin=False))
+    doc = constants_config(tmp_path, spec={"kind": "kp_bicentralizer", "phi": "offset",
+                                           "p": 2.0})
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert info.value.field_name == "spec" and "origin" in str(info.value)
 
 
 def _rejected_by_cli(tmp_path, capsys, doc, field_name):
@@ -625,6 +637,21 @@ def test_nan_gamma_report_and_replay_line_are_standard_json(tmp_path, capsys):
     assert out["recorded"] == out["recomputed"] == "nan"
 
 
+def test_nan_gamma_report_replays_with_nan_stderr(tmp_path, capsys):
+    # a NaN recomputed from a NaN is reproduced, and a NaN mean has a NaN stderr
+    big = {"rows": 2, "cols": 2, "re": [1e308] * 4, "im": [1e308] * 4}
+    doc = {"experiment": "gamma", "operator": {"kind": "matrix", "value": big}, "seed": 1,
+           "samples": 20, "output": str(tmp_path / "out")}
+    assert main(["run", str(write_config(tmp_path, doc))]) == 0
+    capsys.readouterr()
+    report = tmp_path / "out" / "report.json"
+    rep = _strict_json(report.read_text())["reports"][0]
+    assert rep["value"] == rep["stderr"] == "nan"
+    assert main(["replay", str(report), "--atol", "0"]) == 0
+    out = _strict_json(capsys.readouterr().out)
+    assert out["ok"] and out["delta"] == 0.0
+
+
 def test_replay_bad_index(tmp_path, capsys):
     path = write_config(tmp_path, constants_config(tmp_path))
     main(["run", str(path)])
@@ -705,6 +732,18 @@ def test_replay_refuses_a_malformed_report(tmp_path, capsys, experiment, edit):
     assert main(["replay", str(report)]) == 2
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "replay"
+
+
+@pytest.mark.parametrize("experiment, key", [
+    ("constants", "index"), ("modulus", "index"), ("gamma", "inputs_gaussian")])
+def test_replay_names_a_missing_witness_field(tmp_path, capsys, experiment, key):
+    edit = _first(lambda rep: {**rep, "witness": {k: v for k, v in rep["witness"].items()
+                                                  if k != key}})
+    report = _broken_report(tmp_path, capsys, experiment, edit)
+    assert main(["replay", str(report), "--atol", "0"]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "replay" and repr(key) in err["message"]
+    assert err["message"] != repr(key)
 
 
 def test_replay_refuses_an_unreachable_min_norm(tmp_path, capsys):
@@ -1090,7 +1129,7 @@ def test_env_default_output(tmp_path, monkeypatch):
 
 def test_list_builtins_mentions_operations(capsys):
     text = list_builtins()
-    for token in ("kp_bicentralizer", "lower_s", "gamma_summing_mc",
+    for token in ("kp_bicentralizer", "spatial_part", "gamma_summing_mc",
                   "holder_factor", "fit_morphism", "constants"):
         assert token in text
     assert main(["list"]) == 0
