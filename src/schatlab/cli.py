@@ -249,6 +249,9 @@ def _cmd_replay(args) -> int:
     except (OSError, json.JSONDecodeError, KeyError, InputError) as exc:
         _emit_error({"type": "replay", "message": str(exc)})
         return 2
+    except NumericError as exc:  # e.g. a context index too small to norm at
+        _emit_error({"type": "replay", "message": str(exc), "diagnostics": exc.diagnostics})
+        return 2
     recorded = float(rep.witness["ratio"])
     # inf - inf is NaN, and a NaN recomputed from a NaN is reproduced
     same = recomputed == recorded or (math.isnan(recomputed) and math.isnan(recorded))

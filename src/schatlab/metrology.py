@@ -619,74 +619,47 @@ class _Chunk:
         return self._forms.get(self._drawn.get(id(m)))
 
 
-def _spec_scorer(ratio):
-    """Scorer factory of ``ratio(ev, norm, x, p, q)`` over the specs of a context.
+def _spec_scorer(kind: str, ctx: dict, tol: Tolerances):
+    """``score(x, chunk)``: the ``kind`` ratio of each sample of the chunk's inputs ``x``.
 
-    ``ev(m)`` evaluates the context's spec and ``ev(m, "spec_b")`` its
-    second one; ``norm(m, p)`` is ``_norm``, the Schatten p-norm, of an
-    input; ``p`` and ``q`` are the context's indices.  Given the
-    chunk the inputs come from, both are chunk terms, keyed by what they
-    compute (the spec document and the tolerances, or the index), so every
-    scorer of the chunk reads one value.  An input drawn factored is
-    evaluated at its drawn Schmidt form and normed by its drawn values.
+    Q/L/R/B: the defect over its denominator, as ``estimate_constant``
+    states; distance: |spec(f) - spec_b(f)|_q / |f|_p.  |a|_inf, |b|_inf
+    and, off p = 2, |f|_p and |g|_p are norms of the drawn singular values,
+    and the spec reads a drawn Schmidt form where there is one; every other
+    input (f + g, a f, ...) is factored or normed afresh.  The spec's values
+    and the norms are chunk terms, so the scorers of a chunk share them.
     """
+    specs = {key: spec_from_doc(ctx[key]) for key in ("spec", "spec_b") if key in ctx}
+    # JSON, not doc_hash: a document may hold a non-finite number
+    docs = {key: json.dumps(ctx[key], sort_keys=True) for key in specs}
+    p, q = validate_index(ctx["p"]), validate_index(ctx["q"])
 
-    def scorer(ctx, tol):
-        specs = {key: spec_from_doc(ctx[key]) for key in ("spec", "spec_b") if key in ctx}
-        # JSON, not doc_hash: a document may hold a non-finite number
-        docs = {key: json.dumps(ctx[key], sort_keys=True) for key in specs}
-        p, q = validate_index(ctx["p"]), validate_index(ctx["q"])
+    def score(x, chunk):
+        def ev(m, key="spec"):
+            return chunk.term(("evaluate", docs[key], tol), m,
+                              lambda: evaluate(specs[key], m, tol, chunk.form(m)))
 
-        def score(x, chunk=None):
-            chunk = _Chunk((), tol) if chunk is None else chunk
+        def norm(m, p):
+            return chunk.term(("norm", p), m, lambda: _norm(m, p, chunk.values(m)))
 
-            def ev(m, key="spec"):
-                return chunk.term(("evaluate", docs[key], tol), m,
-                                  lambda: evaluate(specs[key], m, tol, chunk.form(m)))
-
-            def norm(m, p):
-                return chunk.term(("norm", p), m, lambda: _norm(m, p, chunk.values(m)))
-
-            return ratio(ev, norm, x, p, q)
-        return score
-    return scorer
-
-
-def _defect_ratio(kind):
-    """Q/L/R/B defect over its denominator, as ``estimate_constant`` states.
-
-    |a|_inf and |b|_inf are the contractions' largest drawn singular
-    values.  |f|_p and |g|_p are l^2 entry norms at p = 2; at other p they
-    come from the sample's drawn values.  The spec reads a sample's drawn
-    Schmidt form where it was drawn factored and factors every other
-    input (ginibre and rank_one samples at p = 2, f + g, a f, ...) itself.
-    """
-
-    def ratio(ev, norm, x, p, q):
-        f = x["f"]
+        f, a, b = x["f"], x.get("a"), x.get("b")
+        if kind == "distance":
+            return _norm(ev(f) - ev(f, "spec_b"), q) / norm(f, p)
         if kind == "Q":
             g = x["g"]
             defect = ev(f + g) - ev(f) - ev(g)
             denom = norm(f, p) + norm(g, p)
         elif kind == "L":
-            a = x["a"]
             defect = ev(a @ f) - a @ ev(f)
             denom = norm(a, math.inf) * norm(f, p)
         elif kind == "R":
-            a = x["a"]
             defect = ev(f @ a) - ev(f) @ a
             denom = norm(a, math.inf) * norm(f, p)
         else:
-            a, b = x["a"], x["b"]
             defect = ev(a @ f @ b) - a @ ev(f) @ b
             denom = norm(a, math.inf) * norm(f, p) * norm(b, math.inf)
         return _norm(defect, q) / denom
-    return ratio
-
-
-def _distance_ratio(ev, norm, x, p, q):
-    f = x["f"]
-    return _norm(ev(f) - ev(f, "spec_b"), q) / norm(f, p)
+    return score
 
 
 def _recipe(kind: str, context: dict, seed: int):
@@ -703,13 +676,11 @@ def _recipe(kind: str, context: dict, seed: int):
 
 
 # report kind -> (scorer, recipe), built from a report alone by measurement
-# and replay: ``scorer(context, tol)`` gives ``score(inputs, chunk=None)``,
-# one ratio per sample, sharing the chunk's terms with its other scorers;
+# and replay: ``scorer(context, tol)`` gives ``score(inputs, chunk)``, one
+# ratio per sample, sharing the chunk's terms with its other scorers;
 # ``recipe(context, seed)`` gives ``draw(chunk)``, the inputs of its samples.
 REPORT_KINDS: dict[str, tuple] = {
-    kind: (_spec_scorer(ratio), partial(_recipe, kind))
-    for kind, ratio in (*((kind, _defect_ratio(kind)) for kind in ESTIMATE_KINDS),
-                        ("distance", _distance_ratio))
+    kind: (partial(_spec_scorer, kind), partial(_recipe, kind)) for kind in _KIND_INPUTS
 }
 
 
@@ -913,9 +884,9 @@ def fit_morphism(spec: CentralizerSpec, side: str, samples, q: float,
     ``samples`` is a (k, n, n) stack, a sequence of matrices, or an
     iterator of drawn chunks ``(stack, factors)``, as
     ``Sampler.unit_sphere_chunks`` gives them; a stack is walked in chunks
-    of ``CHUNK_ENTRIES`` entries that carry no factors.  Each chunk is read
-    as a ``_Chunk``: the spec is evaluated at its drawn Schmidt form where
-    it has one, and its Gram and cross terms are added to the sums at once,
+    of ``CHUNK_ENTRIES`` entries that carry no factors.  The spec is
+    evaluated at a chunk's drawn Schmidt form where it has one, and the
+    chunk's Gram and cross terms are added to the sums at once,
     in sample order, as a loop over the samples would add them.  A second
     pass scores the ratios chunk by chunk, |f|_p from the drawn singular
     values where there are some.
@@ -944,9 +915,10 @@ def fit_morphism(spec: CentralizerSpec, side: str, samples, q: float,
 
     def summed(drawn):
         nonlocal gram, cross
-        chunk = _Chunk((), tol)
-        fc = chunk.draw("f", lambda: drawn)
-        y = evaluate(spec, fc, tol, chunk.form(fc))
+        fc, factors = drawn
+        u, values, v = factors or (None, None, None)
+        form = None if u is None else schmidt_from_factors(u, values, v, tol)
+        y = evaluate(spec, fc, tol, form)
         if side == "left":
             gram_terms, cross_terms = adjoint(fc) @ fc, adjoint(fc) @ y
         else:
@@ -954,7 +926,7 @@ def fit_morphism(spec: CentralizerSpec, side: str, samples, q: float,
         for g, c in zip(gram_terms, cross_terms):
             gram += g
             cross += c
-        return _pack(fc), _pack(y), chunk.values(fc)
+        return _pack(fc), _pack(y), values
 
     # map() holds no chunk while it draws the next one
     chunks = list(map(summed, samples))

@@ -153,7 +153,7 @@ def _modulus_scorer(ctx, tol):
     def norms(pairs):
         return _pair_norms(pairs[:, 0], pairs[:, 1], mapping, pY, pX, tol)
 
-    return lambda x, chunk=None: norms(x["u"] + x["v"]) / (norms(x["u"]) + norms(x["v"]))
+    return lambda x, chunk: norms(x["u"] + x["v"]) / (norms(x["u"]) + norms(x["v"]))
 
 
 REPORT_KINDS["modulus"] = (_modulus_scorer, _modulus_recipe)

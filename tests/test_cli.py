@@ -758,6 +758,23 @@ def test_replay_refuses_an_unreachable_min_norm(tmp_path, capsys):
     assert "(seed 42, dim 6, tag 'ginibre')" in err["message"]
 
 
+@pytest.mark.parametrize("field", ["q", "p"])
+def test_replay_refuses_a_numeric_failure_structured(tmp_path, capsys, field):
+    # no l^p norm is finite at index 0.001: the witness cannot be rescored
+    # (a subprocess, so a traceback on stderr fails the test)
+    doc = constants_config(tmp_path, dims=[4], kinds=["Q", "L", "R", "B"], seed=1, samples=10)
+    assert main(["run", str(write_config(tmp_path, doc))]) == 0
+    capsys.readouterr()
+    report = tmp_path / "out" / "report.json"
+    report.write_text(json.dumps(_context(**{field: 1e-3})(read_json(report))))
+    done = subprocess.run([sys.executable, "-m", "schatlab.cli", "replay", str(report)],
+                          capture_output=True, text=True, timeout=60, env=_cli_env())
+    assert (done.returncode, done.stderr) == (2, ""), done.stderr
+    err = json.loads(done.stdout)["error"]
+    assert len(done.stdout.splitlines()) == 1 and err["type"] == "replay"
+    assert "overflows at index p = 0.001" in err["message"] and "diagnostics" in err
+
+
 @pytest.mark.parametrize("atol", ["nan", "-1"])
 def test_replay_refuses_bad_atol(tmp_path, capsys, atol):
     path = write_config(tmp_path, constants_config(tmp_path))
@@ -1208,7 +1225,7 @@ def test_parser_exit_leaves_the_next_call_working(tmp_path, capsys, argv):
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 _REPORT_JUNK = (_DROP, None, True, False, 0, -1, 1.5, 2**70, 1e30, "", "x", "inf",
-                [], [1], {}, {"x": 1})
+                [], [1], {}, {"x": 1}, 1e-3)
 
 
 @pytest.fixture(scope="module")

@@ -56,3 +56,14 @@ def test_every_tolerance_is_read():
     read = {node.attr for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     assert names and not names - read, sorted(names - read)
+
+
+ROOT = SRC.parents[1]
+PY_FILES = sorted(str(p.relative_to(ROOT)) for top in ("src", "tests", "scripts")
+                  for p in (ROOT / top).rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", PY_FILES)
+def test_file_parses_under_python_3_10_grammar(path):
+    # pyproject.toml declares Python >= 3.10; newer syntax would fail to import there
+    ast.parse((ROOT / path).read_text(encoding="utf-8"), filename=path, feature_version=(3, 10))
