@@ -696,11 +696,12 @@ def max_over_stream(jobs, sampler: Sampler, n_samples: int,
     one input (``dim`` per vector of a "vec" slot, else ``dim**2``), so a
     stack or a term they share is made once per chunk.  Each job keeps its
     own first strict maximum, and NaN never wins; its witness is the index
-    and ratio (for Q/L/R/B, also ``frame_ambiguous``) of the winner.  A job
-    whose chunk fails is rescored sample by sample, so its error names the
-    failing sample; the jobs listed after it stop, and the error raised is
-    that of the first listed job that fails, as if the jobs had run one
-    after another.  One report per job, in job order.
+    and ratio (for Q/L/R/B, also ``frame_ambiguous``) of the winner, for
+    which a Q/L/R/B job keeps a copy of the winner's f alone, not its
+    chunk.  A job whose chunk fails is rescored sample by sample, so its
+    error names the failing sample; the jobs listed after it stop, and the
+    error raised is that of the first listed job that fails, as if the
+    jobs had run one after another.  One report per job, in job order.
     """
     if n_samples < 1:
         raise InputError("need at least one sample")
@@ -709,7 +710,7 @@ def max_over_stream(jobs, sampler: Sampler, n_samples: int,
     vec = any(context.get("slot") == "vec" for _, context in jobs)
     best = [-math.inf] * len(jobs)
     witness: list[dict] = [{} for _ in jobs]
-    best_inputs: list = [None] * len(jobs)
+    best_f: list = [None] * len(jobs)
     error, live = None, len(jobs)  # jobs[live:] stop: one before them failed
     for part in _chunked(n_samples, sampler.dim if vec else sampler.dim**2):
         if not live:
@@ -736,13 +737,14 @@ def max_over_stream(jobs, sampler: Sampler, n_samples: int,
             if ratios[k] > best[j]:
                 best[j] = float(ratios[k])
                 witness[j] = {"index": chunk.indices[k], "ratio": best[j]}
-                best_inputs[j] = {name: m[k] for name, m in inputs.items()}
+                if jobs[j][0] in ESTIMATE_KINDS:  # a copy, not a view into the chunk
+                    best_f[j] = inputs["f"][k].copy()
     if error is not None:
         raise error
     reports = []
-    for (kind, context), value, found, inputs in zip(jobs, best, witness, best_inputs):
-        if kind in ESTIMATE_KINDS and inputs is not None:
-            found["frame_ambiguous"] = frame_ambiguous(inputs["f"], tol)
+    for (kind, context), value, found, f in zip(jobs, best, witness, best_f):
+        if f is not None:
+            found["frame_ambiguous"] = frame_ambiguous(f, tol)
         reports.append(EstimateReport(kind=kind, value=value, samples=n_samples,
                                       seed=sampler.seed, witness=found, note=note,
                                       context=context))
@@ -1000,11 +1002,10 @@ def gamma_summing_mc(table, n_samples: int, seed: int, target=None) -> EstimateR
     reported standard error is for the square root (delta method).
 
     The ``STREAM_GAUSS`` block is drawn and scored ``CHUNK_ENTRIES``
-    entries at a time, so a call holds the ``n_samples`` norms, squared
-    in place once all are scored, one piece of the block, and for the
-    standard error one more array of ``n_samples``; the witness is the
-    first row of largest norm, as ``np.argmax`` over the whole block picks
-    it.
+    entries at a time, so a call holds the ``n_samples`` norms and one
+    piece of the block; once all are scored, the norms are squared and
+    their moments taken in place.  The witness is the first row of largest
+    norm, as ``np.argmax`` over the whole block picks it.
     """
     if n_samples < 1:
         raise InputError("need at least one sample")
@@ -1030,7 +1031,10 @@ def gamma_summing_mc(table, n_samples: int, seed: int, target=None) -> EstimateR
     mean = float(squares.mean())
     value = math.sqrt(mean)
     if n_samples > 1:
-        se_mean = float(squares.std(ddof=1)) / math.sqrt(n_samples)
+        # numpy's own std(ddof=1) steps, bit for bit, in the same buffer
+        squares -= mean
+        squares **= 2
+        se_mean = math.sqrt(float(squares.sum()) / (n_samples - 1)) / math.sqrt(n_samples)
     else:
         se_mean = float("nan")
     stderr = 0.0 if value == 0.0 else se_mean / (2.0 * value)  # NaN for a NaN value
