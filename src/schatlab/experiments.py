@@ -42,6 +42,7 @@ from .metrology import (
     SAMPLE_TAGS,
     EstimateReport,
     Sampler,
+    _resolve_indices,
     distance_estimate,
     estimate_constants,
     fit_morphism,
@@ -123,6 +124,13 @@ def _tol(cfg: ExperimentConfig) -> Tolerances:
     return replace(DEFAULT_TOL, **{k: float(v) for k, v in cfg.tolerances.items()})
 
 
+def _check_pinned(cfg: ExperimentConfig, attr: str, fixed: int | None) -> None:
+    """Refuse ``dims`` other than the dimension ``fixed`` that ``attr`` pins."""
+    if fixed is not None and set(cfg.dims) - {fixed}:
+        raise ConfigError(f"{attr} pins dimension {fixed} but dims are {list(cfg.dims)}",
+                          field_name="dims")
+
+
 def _load_spec(cfg: ExperimentConfig, attr: str = "spec",
                decode=spec_from_doc) -> CentralizerSpec | QuasilinearMap:
     """Decode the spec (or, by ``qmap_from_doc``, the vector map) in ``attr``
@@ -141,12 +149,24 @@ def _load_spec(cfg: ExperimentConfig, attr: str = "spec",
         spec.signature()
     except InputError as exc:
         raise ConfigError(f"bad {attr}: {exc}", field_name=attr) from None
-    fixed = spec.fixed_dim()
-    if fixed is not None and set(cfg.dims) - {fixed}:
-        raise ConfigError(
-            f"{attr} pins dimension {fixed} but dims are {list(cfg.dims)}",
-            field_name="dims")
+    _check_pinned(cfg, attr, spec.fixed_dim())
     return spec
+
+
+def _load_operator(cfg: ExperimentConfig) -> np.ndarray:
+    """The gamma operator's columns, at least one: their count pins the dimension."""
+    op = cfg.operator
+    if not isinstance(op, dict) or op.get("kind") not in ("identity", "matrix"):
+        raise ConfigError("gamma needs operator {'kind': 'identity'|'matrix', ...}",
+                          field_name="operator")
+    try:
+        table = (np.eye(validate_dim(op.get("k", 0)), dtype=np.complex128)
+                 if op["kind"] == "identity" else mat_from_json(op.get("value")))
+        validate_dim(table.shape[1])
+    except InputError as exc:
+        raise ConfigError(f"bad {op['kind']} operator: {exc}", field_name="operator") from None
+    _check_pinned(cfg, "operator", table.shape[1])
+    return table
 
 
 FIELDS_STANDARD = ("dim", "kind", "value", "samples", "seed")
@@ -168,85 +188,76 @@ def _sweep(cfg: ExperimentConfig, kinds) -> Callable[[], dict]:
     """Prepare a dimension sweep of ``kinds``: load and check what they
     read, and return the run, one row per dimension and kind in order.
 
-    The Q/L/R/B kinds of a dimension come from one shared pass; each
-    other kind has its measure, which gives an EstimateReport, also
-    reported, or a (value, samples) pair.  A sweep reading ``spec``
-    records its hash.
+    Every experiment runs one.  ``_resolve_indices`` gives its one (p, q),
+    which every kind reads: each index as configured, else the spec's own.
+    The Q/L/R/B kinds of a dimension come from one shared pass; each other
+    kind has its measure, which gives an EstimateReport, also reported, or
+    a (value, samples) pair.  A gamma operator pins the one dimension.  A
+    sweep reading a spec records its hash, but for ``modulus``.
     """
-    if not cfg.dims:
+    table = _load_operator(cfg) if "gamma" in kinds else None
+    dims = cfg.dims if table is None else (table.shape[1],)
+    if not dims:
         raise ConfigError(f"experiment {cfg.experiment!r} needs 'dims'", field_name="dims")
-    if "modulus" in kinds:
-        if cfg.p is None or cfg.q is None:
-            raise ConfigError("modulus needs pY in q and pX in p", field_name="p")
-        if cfg.samples < 2:
-            raise ConfigError("the modulus probe needs at least two samples",
-                              field_name="samples")
-        mapping = _load_spec(cfg, decode=qmap_from_doc if cfg.slot == "vec" else spec_from_doc)
-    spec = _load_spec(cfg) if set(kinds) - {"kp_seq", "modulus"} else None
+    if "modulus" in kinds and cfg.samples < 2:
+        raise ConfigError("the modulus probe needs at least two samples",
+                          field_name="samples")
+    decode = qmap_from_doc if "modulus" in kinds and cfg.slot == "vec" else spec_from_doc
+    spec = _load_spec(cfg, decode=decode) if set(kinds) - {"kp_seq", "gamma"} else None
     spec2 = _load_spec(cfg, "spec2") if "distance" in kinds else None
-    if set(kinds) & {*ESTIMATE_KINDS, "distance"}:
-        for key, index in zip("pq", spec.signature()):
-            if getattr(cfg, key) is None and index is None:
-                raise ConfigError(f"the spec leaves index {key} open; the configuration "
-                                  "must give it", field_name=key)
+    p, q = (cfg.p, cfg.q) if spec is None else _resolve_indices(spec, cfg.p, cfg.q)
     if "kp_seq" in kinds:
-        if cfg.p is None or math.isinf(cfg.p):
+        if p is None or math.isinf(p):
             raise ConfigError("kp_seq needs a finite index p", field_name="p")
         # the flat unit vector's coordinate d^(-1/p) must stay a normal double
-        if max(cfg.dims) ** (-1.0 / cfg.p) < sys.float_info.min:
-            raise ConfigError(f"kp_seq at p = {cfg.p!r}: the flat unit vector of dimension "
-                              f"{max(cfg.dims)} underflows", field_name="p")
+        if max(dims) ** (-1.0 / p) < sys.float_info.min:
+            raise ConfigError(f"kp_seq at p = {p!r}: the flat unit vector of dimension "
+                              f"{max(dims)} underflows", field_name="p")
         phi = get_phi(cfg.phi)
     tol = _tol(cfg)
 
-    def kp_seq(s):
-        """The sequence witness at the flat unit vector of dimension s.dim."""
-        x = np.full(s.dim, s.dim ** (-1.0 / cfg.p), dtype=np.complex128)
-        return lp_norm(kp_phi(x, phi, cfg.p), cfg.p), 1
+    def sampler(d):
+        return Sampler(seed=cfg.seed, dim=d, p=p, tag=cfg.tag)
 
-    measures = {  # kind -> measure of one dimension, given its sampler
-        "kp_seq": kp_seq,
-        "residual": lambda s: (fit_morphism(
-            spec, cfg.side, s.unit_sphere_chunks(range(cfg.samples)), q=cfg.q if cfg.q else s.p,
-            p=s.p, tol=tol).residual, cfg.samples),
-        "distance": lambda s: distance_estimate(
-            spec, spec2, s, cfg.samples, p=cfg.p, q=cfg.q, tol=tol),
-        "modulus": lambda s: quasinorm_modulus_probe(
-            mapping, pY=cfg.q, pX=cfg.p, dim=s.dim, seed=cfg.seed, n_samples=cfg.samples,
-            slot=cfg.slot, tol=tol),
+    measures = {  # kind -> measure of one dimension
+        "kp_seq": lambda d: (lp_norm(kp_phi(  # at the flat unit vector of dimension d
+            np.full(d, d ** (-1.0 / p), dtype=np.complex128), phi, p), p), 1),
+        "residual": lambda d: (fit_morphism(
+            spec, cfg.side, sampler(d).unit_sphere_chunks(range(cfg.samples)), q=q, p=p,
+            tol=tol).residual, cfg.samples),
+        "distance": lambda d: distance_estimate(
+            spec, spec2, sampler(d), cfg.samples, p=p, q=q, tol=tol),
+        "modulus": lambda d: quasinorm_modulus_probe(
+            spec, pY=q, pX=p, dim=d, seed=cfg.seed, n_samples=cfg.samples, tol=tol),
+        "gamma": lambda d: gamma_summing_mc(table, cfg.samples, cfg.seed),
     }
     defects = [kind for kind in kinds if kind in ESTIMATE_KINDS]
 
     def run() -> dict:
         rows, reports = [], []
-        for d in cfg.dims:
-            sampler = Sampler(seed=cfg.seed, dim=d, p=cfg.p if cfg.p else 2.0, tag=cfg.tag)
-            shared = iter(estimate_constants(spec, defects, sampler, cfg.samples, p=cfg.p,
-                                             q=cfg.q, tol=tol) if defects else ())
+        for d in dims:
+            shared = iter(estimate_constants(spec, defects, sampler(d), cfg.samples, p=p,
+                                             q=q, tol=tol) if defects else ())
             for kind in kinds:
-                out = next(shared) if kind in ESTIMATE_KINDS else measures[kind](sampler)
+                out = next(shared) if kind in ESTIMATE_KINDS else measures[kind](d)
                 if isinstance(out, EstimateReport):
                     reports.append(out)
                     out = (out.value, out.samples)
                 rows.append({"dim": d, "kind": kind, "value": out[0],
                              "samples": out[1], "seed": cfg.seed})
         out = {"fieldnames": FIELDS_STANDARD, "rows": rows, "reports": reports}
-        if spec is not None:
+        if spec is not None and "modulus" not in kinds:
             out["spec_hash"] = spec_hash(spec)
         return out
     return run
 
 
-def _growth(cfg: ExperimentConfig) -> Callable[[], dict]:
-    if not cfg.kinds:
-        raise ConfigError("growth needs at least one kind", field_name="kinds")
-    return _sweep(cfg, cfg.kinds)
-
-
-def _constants(cfg: ExperimentConfig) -> Callable[[], dict]:
-    if not cfg.kinds or any(k in _GROWTH_EXTRA_KINDS for k in cfg.kinds):
-        raise ConfigError("constants needs kinds among Q, L, R, B", field_name="kinds")
-    return _sweep(cfg, cfg.kinds)
+def _listed(cfg: ExperimentConfig, allowed) -> tuple[str, ...]:
+    """The configuration's ``kinds``, at least one, each one of ``allowed``."""
+    if not cfg.kinds or set(cfg.kinds) - set(allowed):
+        raise ConfigError(f"{cfg.experiment} needs kinds among {', '.join(allowed)}",
+                          field_name="kinds")
+    return cfg.kinds
 
 
 def _splitting(cfg: ExperimentConfig) -> Callable[[], dict]:
@@ -255,8 +266,6 @@ def _splitting(cfg: ExperimentConfig) -> Callable[[], dict]:
     Trivial maps give residuals at solver precision; growth across the
     dimensions is trend data, never a verdict (the dichotomy is infinite
     dimensional)."""
-    if cfg.p is None or cfg.q is None:
-        raise ConfigError("splitting needs explicit p and q", field_name="p")
     sweep = _sweep(cfg, ("residual",))
 
     def run() -> dict:
@@ -267,33 +276,13 @@ def _splitting(cfg: ExperimentConfig) -> Callable[[], dict]:
     return run
 
 
-def _gamma(cfg: ExperimentConfig) -> Callable[[], dict]:
-    """The operator's columns, then its Monte Carlo Gaussian average."""
-    op = cfg.operator
-    if not isinstance(op, dict) or op.get("kind") not in ("identity", "matrix"):
-        raise ConfigError("gamma needs operator {'kind': 'identity'|'matrix', ...}",
-                          field_name="operator")
-    try:
-        table = (np.eye(validate_dim(op.get("k", 0)), dtype=np.complex128)
-                 if op["kind"] == "identity" else mat_from_json(op.get("value")))
-    except InputError as exc:
-        raise ConfigError(f"bad {op['kind']} operator: {exc}", field_name="operator") from None
-
-    def run() -> dict:
-        rep = gamma_summing_mc(table, cfg.samples, cfg.seed)
-        rows = [{"dim": table.shape[1], "kind": "gamma", "value": rep.value,
-                 "samples": rep.samples, "seed": rep.seed}]
-        return {"fieldnames": FIELDS_STANDARD, "rows": rows, "reports": [rep]}
-    return run
-
-
 EXPERIMENTS: dict[str, Experiment] = {exp.name: exp for exp in (
     Experiment("constants", "measure defect constants (Q, L, R, B) of a spec per dimension",
-               _constants),
+               lambda cfg: _sweep(cfg, _listed(cfg, ESTIMATE_KINDS))),
     Experiment("growth", "dimension sweep of constants, fit residuals or the sequence witness",
-               _growth),
+               lambda cfg: _sweep(cfg, _listed(cfg, ESTIMATE_KINDS + _GROWTH_EXTRA_KINDS))),
     Experiment("gamma", "Monte Carlo Gaussian-average norm of an operator given by columns",
-               _gamma),
+               lambda cfg: _sweep(cfg, ("gamma",))),
     Experiment("distance", "largest sampled gap between two specs, per dimension",
                lambda cfg: _sweep(cfg, ("distance",))),
     Experiment("splitting", "distance to module morphisms per dimension (triviality probe)",

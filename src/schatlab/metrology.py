@@ -457,13 +457,12 @@ class Sampler:
         out = self._contraction(np.atleast_1d(index), stream)[0]
         return out if np.ndim(index) else out[0]
 
-    def gaussian_rows(self, count: int, width: int, rows: int,
-                      stream: int = STREAM_GAUSS, index: int = 0):
+    def gaussian_rows(self, count: int, width: int, rows: int):
         """(count, width) standard complex normals, row-prefix stable, as
         successive pieces of ``rows`` rows (the last one shorter), drawn in
-        turn from the one generator of ``(stream, index)``: one piece of
+        turn from the one generator of ``(STREAM_GAUSS, 0)``: one piece of
         ``count`` rows is the whole block, bit for bit."""
-        rng = self.generators(stream, (index,))[0]
+        rng = self.generators(STREAM_GAUSS, (0,))[0]
         for start in range(0, max(count, 1), rows):
             z = rng.standard_normal((min(rows, count - start), width, 2))
             yield (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
@@ -552,13 +551,15 @@ def _chunked(count: int, entries: int) -> list[slice]:
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
-def _resolve_indices(spec, p, q):
-    sig_p, sig_q = spec.signature()
-    p = sig_p if p is None else p
-    q = sig_q if q is None else q
-    if p is None or q is None:
-        raise InputError("estimate needs explicit input/output indices for this spec")
-    return validate_index(p), validate_index(q)
+def _resolve_indices(spec, p, q) -> tuple[float, float]:
+    """The (p, q) a measurement of ``spec`` reads: each index as given, else
+    the spec's signature's; one both leave open is refused, naming its field."""
+    resolved = []
+    for key, given, own in zip("pq", (p, q), spec.signature()):
+        if given is None and own is None:
+            raise InputError(f"the spec leaves index {key} open; give it", {"field": key})
+        resolved.append(validate_index(own if given is None else given))
+    return tuple(resolved)
 
 
 def _guarantee_note(spec) -> str:
@@ -952,11 +953,17 @@ def fit_morphism(spec: CentralizerSpec, side: str, samples, q: float,
 class TwistedTable:
     """Columns of an operator into a twisted pair space.
 
-    Basis vector e_j is sent to the pair (y_cols[:, j], x_cols[:, j]).
+    Basis vector e_j is sent to the pair (y_cols[:, j], x_cols[:, j]),
+    so both slots have one shape.
     """
 
     y_cols: np.ndarray
     x_cols: np.ndarray
+
+    def __post_init__(self):
+        y, x = np.shape(self.y_cols), np.shape(self.x_cols)
+        if y != x:
+            raise InputError(f"twisted table slots disagree: {y} vs {x}")
 
 
 def _table_to_doc(table) -> dict:

@@ -160,18 +160,19 @@ REPORT_KINDS["modulus"] = (_modulus_scorer, _modulus_recipe)
 
 
 def quasinorm_modulus_probe(mapping, pY: float, pX: float, dim: int, seed: int,
-                            n_samples: int, slot: str = "mat",
-                            tol: Tolerances = DEFAULT_TOL) -> EstimateReport:
+                            n_samples: int, tol: Tolerances = DEFAULT_TOL) -> EstimateReport:
     """Empirical concavity modulus of the twisted quasinorm.
 
     The probe maximizes ``|u + v| / (|u| + |v|)`` over sampled pairs; it
     stays at 1 (up to slack) when the map is additive and both indices
     are at least 1, and detects genuine quasinorm behavior otherwise.
+    The map's type sets the slot the context records: a centralizer spec
+    is probed on matrix pairs ("mat"), a vector map on vector pairs ("vec").
     """
     if n_samples < 2:
         raise InputError("the modulus probe needs at least two samples")
-    doc = ({"spec": spec_to_doc(mapping)} if isinstance(mapping, CentralizerSpec)
-           else {"qmap": qmap_to_doc(mapping)})
+    slot, doc = (("mat", {"spec": spec_to_doc(mapping)}) if isinstance(mapping, CentralizerSpec)
+                 else ("vec", {"qmap": qmap_to_doc(mapping)}))
     return max_over_stream(
         [("modulus", {"pY": pY, "pX": pX, "dim": dim, "slot": slot, "map": doc})],
         Sampler(seed=seed, dim=dim, p=2.0, tag="sparse"), n_samples, tol,

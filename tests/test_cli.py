@@ -421,6 +421,57 @@ def test_distance_experiment(tmp_path):
     assert float(rows[0]["value"]) == 0.0
 
 
+def _rows_and_reports(doc):
+    out = run_experiment(parse_config(doc))
+    return out["rows"], [rep.to_doc() for rep in out["reports"]]
+
+
+def test_growth_kinds_read_one_index_pair(tmp_path):
+    # the lowered spec's signature is (1, 1): the residual fit reads it as Q does
+    doc = {"experiment": "growth", "kinds": ["Q", "residual"], "dims": [4, 8], "seed": 5,
+           "samples": 30, "tag": "sparse", "output": str(tmp_path / "out"),
+           "spec": {"kind": "lowered", "s": 2.0, "inner": _KP}}
+    assert _rows_and_reports(doc) == _rows_and_reports({**doc, "p": 1.0, "q": 1.0})
+
+
+@pytest.mark.parametrize("doc", [
+    {"experiment": "splitting", "spec": _KP, "dims": [4, 8], "side": "right"},
+    {"experiment": "modulus", "spec": _KP, "slot": "mat", "dims": [4]},
+], ids=["splitting", "modulus"])
+def test_sweep_takes_open_indices_from_the_spec(tmp_path, doc):
+    doc = {**doc, "seed": 3, "samples": 12, "output": str(tmp_path / "out")}
+    assert _rows_and_reports(doc) == _rows_and_reports({**doc, "p": 2.0, "q": 2.0})
+
+
+def test_validate_rejects_a_residual_fit_at_open_indices(tmp_path, capsys):
+    # right_multiplication has no indices of its own, and the configuration gives none
+    g = {"rows": 2, "cols": 2, "re": [1.0, 0.0, 0.0, 1.0], "im": [0.0] * 4}
+    doc = {"experiment": "growth", "kinds": ["residual"], "dims": [2], "seed": 1,
+           "samples": 10, "spec": {"kind": "right_multiplication", "g": g},
+           "output": str(tmp_path / "out")}
+    _rejected_by_cli(tmp_path, capsys, doc, "p")
+
+
+@pytest.mark.parametrize("operator, dims, field_name", [
+    ({"kind": "identity", "k": 8}, [3], "dims"),
+    ({"kind": "identity", "k": 8}, [3, 8], "dims"),
+    ({"kind": "matrix", "value": {"rows": 2, "cols": 0, "re": [], "im": []}}, [], "operator"),
+], ids=["identity-other-dim", "identity-extra-dim", "matrix-no-columns"])
+def test_validate_rejects_gamma_dims_unlike_its_operator(tmp_path, capsys, operator, dims,
+                                                        field_name):
+    doc = {"experiment": "gamma", "operator": operator, "dims": dims, "seed": 1,
+           "samples": 10, "output": str(tmp_path / "out")}
+    _rejected_by_cli(tmp_path, capsys, doc, field_name)
+
+
+def test_gamma_dims_may_repeat_the_operator_width(tmp_path):
+    doc = {"experiment": "gamma", "operator": {"kind": "identity", "k": 8}, "seed": 4,
+           "samples": 500, "output": str(tmp_path / "out")}
+    rows, reports = _rows_and_reports(doc)
+    assert [row["dim"] for row in rows] == [8]
+    assert _rows_and_reports({**doc, "dims": [8]}) == (rows, reports)
+
+
 # --- replay ------------------------------------------------------------------
 
 

@@ -680,7 +680,7 @@ def _modulus(kind, dim, seed, n_samples):
         return quasinorm_modulus_probe(KPBicentralizer("s", 2.0), pY=2.0, pX=1.0, dim=dim,
                                        seed=seed, n_samples=n_samples)
     return quasinorm_modulus_probe(KPOnH("s"), pY=2.0, pX=2.0, dim=dim, seed=seed,
-                                   n_samples=n_samples, slot="vec")
+                                   n_samples=n_samples)
 
 
 def _stream_report(kind, tag):
@@ -1374,6 +1374,12 @@ def test_gamma_twisted_table_needs_target(rng):
                          x_cols=complex_matrix(rng, 4))
     with pytest.raises(InputError):
         gamma_summing_mc(table, 100, seed=0)
+
+
+def test_twisted_table_refuses_slots_of_different_shapes(rng):
+    # refused where it is made, not by a broadcast error inside the scorer
+    with pytest.raises(InputError, match="twisted table slots disagree"):
+        TwistedTable(y_cols=complex_matrix(rng, 3, 4), x_cols=complex_matrix(rng, 4))
 
 
 def _gamma_operator(name):

@@ -139,7 +139,7 @@ def test_modulus_probe_vector_z2_recorded():
     values = {}
     for n in (8, 16):
         rep = quasinorm_modulus_probe(qm, pY=2.0, pX=2.0, dim=n, seed=SEED,
-                                      n_samples=200, slot="vec")
+                                      n_samples=200)
         values[n] = rep.value
         assert 0.5 <= rep.value <= 3.0  # normable space: modest modulus
     print("twisted Hilbert modulus probe:", values)
@@ -150,7 +150,7 @@ def test_modulus_probe_degenerate_index():
     from schatlab.centralizers import SumMap
 
     rep = quasinorm_modulus_probe(SumMap(()), pY=2.0, pX=0.5, dim=6,
-                                  seed=SEED, n_samples=150, slot="vec")
+                                  seed=SEED, n_samples=150)
     assert 1.0 < rep.value <= 2.0 + 1e-9  # between norm case and the 1/2 modulus
 
 
@@ -192,7 +192,7 @@ def test_stacked_modulus_matches_scalar_quasinorm_loop(small_chunks, case, pY, p
     slot, mapping, dim, counts = _MODULUS_CASES[case]
     for n_samples in counts:
         rep = quasinorm_modulus_probe(mapping, pY, pX, dim=dim, seed=SEED,
-                                      n_samples=n_samples, slot=slot)
+                                      n_samples=n_samples)
         assert (rep.value, rep.witness["index"]) == _looped_modulus(
             mapping, pY, pX, dim, SEED, n_samples, slot), n_samples
 
@@ -206,8 +206,7 @@ def test_modulus_probe_makes_no_scalar_quasinorm_call(monkeypatch, slot, mapping
         raise AssertionError("the probe scored a pair alone")
 
     monkeypatch.setattr(twisted, "twisted_quasinorm", scalar)
-    rep = quasinorm_modulus_probe(mapping, 2.0, 2.0, dim=6, seed=SEED, n_samples=40,
-                                  slot=slot)
+    rep = quasinorm_modulus_probe(mapping, 2.0, 2.0, dim=6, seed=SEED, n_samples=40)
     assert rep.value > 0.0
 
 
