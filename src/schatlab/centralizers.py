@@ -23,17 +23,19 @@ from .matcore import (
     InputError,
     SchmidtForm,
     Tolerances,
-    adjoint,
     as_integer,
     as_matrices,
     as_matrix,
+    as_square,
     as_vector,
     combine_indices,
     decode_fields,
+    expansion,
     mat_from_json,
     mat_to_json,
     rank_one,
     schmidt,
+    trace,
     validate_index,
 )
 from .seqcore import get_phi, kp_phi_rows
@@ -244,8 +246,8 @@ class KPBicentralizer(CentralizerSpec):
             raise InputError(f"phi {phi.name!r} must vanish at the origin")
 
     def evaluate(self, f, tol, form=None):
-        return (form or schmidt(f, tol)).expand(lambda part: (
-            (part.y * kp_phi_rows(part.s, self.phi, self.p)[:, None, :]) @ adjoint(part.x)))
+        return (form or schmidt(f, tol)).expand(lambda part: expansion(
+            part.y, kp_phi_rows(part.s, self.phi, self.p), part.x))
 
     def signature(self):
         return self.p, self.p
@@ -273,8 +275,8 @@ class LiftedQuasilinear(CentralizerSpec):
         return 0.0 < self.p < 2.0 and self.q > self.p
 
     def evaluate(self, f, tol, form=None):
-        return (form or schmidt(f, tol)).expand(lambda part: (
-            (apply_qmap_cols(self.qmap, part.y) * part.s[:, None, :]) @ adjoint(part.x)))
+        return (form or schmidt(f, tol)).expand(lambda part: expansion(
+            apply_qmap_cols(self.qmap, part.y), part.s, part.x))
 
     def signature(self):
         return self.p, self.q
@@ -306,9 +308,7 @@ class Lowered(CentralizerSpec):
         p2, p1 = self._input_indices()
 
         def lowered(part):
-            xh = adjoint(part.x)
-            inner_arg = (part.y * (part.s ** (p1 / p2))[:, None, :]) @ xh
-            radial = (part.x * (part.s ** (p1 / self.s))[:, None, :]) @ xh
+            inner_arg, radial = part.holder(p1 / p2, p1 / self.s)
             return evaluate(self.inner, inner_arg, tol) @ radial
 
         return (form or schmidt(f, tol)).expand(lowered)
@@ -394,16 +394,12 @@ def frame_ambiguous(f, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 def _check_square(node, name: str) -> None:
     """Refuse a node whose matrix field ``name`` is not square."""
-    shape = as_matrix(getattr(node, name)).shape
-    if shape[0] != shape[1]:
-        raise InputError(f"{node.kind} {name} must be a square matrix, got shape {shape}",
-                         {"field": name})
+    as_square(getattr(node, name), f"{node.kind} {name} must be a square matrix, got shape",
+              {"field": name})
 
 
 def validate_projection(e, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    e = as_matrix(e)
-    if e.shape[0] != e.shape[1]:
-        raise InputError(f"projection must be square, got {e.shape}")
+    e = as_square(e, "projection must be square, got")
     scale = max(1.0, float(np.abs(e).max()) if e.size else 0.0)
     if np.abs(e - e.conj().T).max(initial=0.0) > tol.slack_atol * scale:
         raise InputError("projection must be Hermitian")
@@ -459,16 +455,9 @@ def spatial_part(spec: CentralizerSpec, eta, y,
 
 def trace_functional(spec: CentralizerSpec, f, tol: Tolerances = DEFAULT_TOL) -> complex:
     """Scalar map trace(u |f|^(1/2) spec(|f|^(1/2))), u the phase of f."""
-    f = as_matrix(f)
-    if f.shape[0] != f.shape[1]:
-        raise InputError(f"trace_functional needs a square matrix, got {f.shape}")
-    form = schmidt(f, tol)
-    if form.rank == 0:
-        return 0.0 + 0.0j
-    xh = form.x.conj().T
-    phase = form.y @ xh
-    root = (form.x * np.sqrt(form.s)) @ xh
-    return complex(np.trace(phase @ root @ evaluate(spec, root, tol)))
+    f = as_square(f, "trace_functional needs a square matrix, got")
+    phase, root = schmidt(f, tol).holder(0.0, 0.5)
+    return trace(phase @ root @ evaluate(spec, root, tol))
 
 
 # --- wire format --------------------------------------------------------------

@@ -27,7 +27,9 @@ __all__ = [
     "as_matrix",
     "as_matrices",
     "as_vector",
+    "as_square",
     "adjoint",
+    "expansion",
     "rank_one",
     "trace",
     "singular_values",
@@ -158,41 +160,51 @@ def combine_indices(p: float, s: float) -> float:
     """Return q with 1/q = 1/p + 1/s (inf acts as a neutral element)."""
     p = validate_index(p)
     s = validate_index(s)
-    inv = (0.0 if math.isinf(p) else 1.0 / p) + (0.0 if math.isinf(s) else 1.0 / s)
+    inv = 1.0 / p + 1.0 / s  # 1 / inf is 0.0
     return math.inf if inv == 0.0 else 1.0 / inv
 
 
-def as_matrix(f) -> np.ndarray:
-    a = np.asarray(f, dtype=np.complex128)
-    if a.ndim != 2:
-        raise InputError(f"expected a matrix, got array of shape {a.shape}")
+def _as_array(a, ndims: tuple, expected: str, entries: str) -> np.ndarray:
+    """The one array rule: a complex128 array of one of ``ndims`` dimensions
+    with finite entries; "expected {expected} {shape}" otherwise."""
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim not in ndims:
+        raise InputError(f"expected {expected} {a.shape}")
     if a.size and not np.isfinite(a).all():
-        raise InputError("matrix entries must be finite")
+        raise InputError(f"{entries} entries must be finite")
     return a
+
+
+def as_matrix(f) -> np.ndarray:
+    return _as_array(f, (2,), "a matrix, got array of shape", "matrix")
 
 
 def as_matrices(f) -> np.ndarray:
     """A matrix, or a (k, m, n) stack of matrices."""
-    a = np.asarray(f, dtype=np.complex128)
-    if a.ndim not in (2, 3):
-        raise InputError(f"expected a matrix or a stack of matrices, got shape {a.shape}")
-    if a.size and not np.isfinite(a).all():
-        raise InputError("matrix entries must be finite")
-    return a
+    return _as_array(f, (2, 3), "a matrix or a stack of matrices, got shape", "matrix")
 
 
 def as_vector(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.complex128)
-    if a.ndim != 1:
-        raise InputError(f"expected a vector, got array of shape {a.shape}")
-    if a.size and not np.isfinite(a).all():
-        raise InputError("vector entries must be finite")
-    return a
+    return _as_array(x, (1,), "a vector, got array of shape", "vector")
+
+
+def as_square(f, refusal: str, diagnostics: dict | None = None) -> np.ndarray:
+    """``as_matrix`` of ``f``, refused as "{refusal} {shape}" unless square."""
+    f = as_matrix(f)
+    if f.shape[0] != f.shape[1]:
+        raise InputError(f"{refusal} {f.shape}", diagnostics)
+    return f
 
 
 def adjoint(f) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix in a stack."""
     return np.conj(f).swapaxes(-1, -2)
+
+
+def expansion(left, values, right) -> np.ndarray:
+    """``left diag(values) right*`` for each matrix of a stack: frames
+    (..., m, r) and (..., n, r) as columns, values (..., r)."""
+    return (left * values[..., None, :]) @ adjoint(right)
 
 
 def rank_one(x, y) -> np.ndarray:
@@ -211,42 +223,37 @@ def rank_one(x, y) -> np.ndarray:
 
 def trace(f) -> complex:
     """Sum of the diagonal entries of a square matrix."""
-    f = as_matrix(f)
-    if f.shape[0] != f.shape[1]:
-        raise InputError(f"trace needs a square matrix, got {f.shape}")
-    return complex(np.trace(f))
+    return complex(np.trace(as_square(f, "trace needs a square matrix, got")))
 
 
-def _condition_diagnostics(f: np.ndarray) -> dict:
-    return {
-        "shape": list(f.shape),
-        "frobenius": float(np.linalg.norm(f)),
-        "max_abs": float(np.abs(f).max()) if f.size else 0.0,
-    }
-
-
-def _converged(factor, f: np.ndarray):
-    """``factor()``, a factorization of ``f``; a LAPACK failure is a NumericError."""
+def _converged(name: str, factor, f: np.ndarray):
+    """``factor()``, the factorization ``name`` of ``f``; a LAPACK failure
+    is a NumericError "{name} did not converge" with condition diagnostics."""
     try:
         return factor()
     except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            "singular value decomposition did not converge",
-            diagnostics=_condition_diagnostics(f),
-        ) from exc
+        raise NumericError(f"{name} did not converge", {
+            "shape": list(f.shape),
+            "frobenius": float(np.linalg.norm(f)),
+            "max_abs": float(np.abs(f).max()) if f.size else 0.0,
+        }) from exc
+
+
+def _svd(f: np.ndarray, compute_uv: bool = True) -> tuple:
+    """The thin SVD ``(u, s, v*)``, or ``s`` alone, of a checked matrix or stack."""
+    return _converged("singular value decomposition", lambda: np.linalg.svd(
+        f, full_matrices=False, compute_uv=compute_uv), f)
 
 
 def singular_values(f) -> np.ndarray:
     """Singular values of ``f`` in nonincreasing order (per matrix of a stack)."""
-    f = as_matrices(f)
-    return _converged(lambda: np.linalg.svd(f, compute_uv=False), f)
+    return _svd(as_matrices(f), compute_uv=False)
 
 
 def svd_factors(f) -> tuple:
     """``(u, s, v)`` with ``f = u diag(s) v*``, s nonincreasing (per matrix
     of a stack): the thin SVD, one call for a stack."""
-    f = as_matrices(f)
-    u, s, vh = _converged(lambda: np.linalg.svd(f, full_matrices=False), f)
+    u, s, vh = _svd(as_matrices(f))
     return u, s, adjoint(vh)
 
 
@@ -356,7 +363,12 @@ class SchmidtForm:
         return float(gaps[0]) if self.s.ndim == 1 else gaps.reshape(self.s.shape[:-1])
 
     def reconstruct(self) -> np.ndarray:
-        return self.expand(lambda part: (part.y * part.s[:, None, :]) @ adjoint(part.x))
+        return self.expand(lambda part: expansion(part.y, part.s, part.x))
+
+    def holder(self, a: float, b: float) -> tuple:
+        """``(u |f|^a, |f|^b)`` with ``f = u |f|``, per matrix of a stack;
+        a matrix of rank zero gives zeros."""
+        return expansion(self.y, self.s**a, self.x), expansion(self.x, self.s**b, self.x)
 
     def expand(self, build) -> np.ndarray:
         """Apply ``build`` to the expansion of each matrix.
@@ -411,8 +423,7 @@ def schmidt(f, tol: Tolerances = DEFAULT_TOL) -> SchmidtForm:
     is factored in one SVD call, one expansion per matrix.
     """
     f = as_matrices(f)
-    stack = f.reshape((math.prod(f.shape[:-2]),) + f.shape[-2:])
-    u, s, vh = _converged(lambda: np.linalg.svd(stack, full_matrices=False), f)
+    u, s, vh = _svd(f.reshape((math.prod(f.shape[:-2]),) + f.shape[-2:]))
     return _form(s, adjoint(vh), u, f.shape, tol)
 
 
@@ -467,21 +478,24 @@ class PolarForm:
 
 def polar(f, tol: Tolerances = DEFAULT_TOL) -> PolarForm:
     """Polar decomposition ``f = u |f|`` with ``u`` supported on ran|f|."""
-    form = schmidt(as_matrix(f), tol)
-    phase = form.y @ form.x.conj().T
-    modulus = (form.x * form.s) @ form.x.conj().T
+    phase, modulus = schmidt(as_matrix(f), tol).holder(0.0, 1.0)
     phase.setflags(write=False)
     modulus.setflags(write=False)
     return PolarForm(phase=phase, modulus=modulus)
 
 
 def modulus_power(f, alpha: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Hermitian PSD power ``|f|^alpha`` (alpha > 0) on the range of |f|."""
+    """Hermitian PSD power ``|f|^alpha`` (0 < alpha < inf) on the range of
+    |f|; a power past the double range raises NumericError."""
     alpha = float(alpha)
-    if not alpha > 0.0:
-        raise InputError(f"modulus exponent must be positive, got {alpha!r}")
-    form = schmidt(as_matrix(f), tol)
-    return (form.x * form.s**alpha) @ form.x.conj().T
+    if not 0.0 < alpha < math.inf:
+        raise InputError(f"modulus exponent must be positive and finite, got {alpha!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = schmidt(as_matrix(f), tol).holder(0.0, alpha)[1]
+    if not np.isfinite(power).all():
+        raise NumericError(f"|f|^alpha overflows at exponent alpha = {alpha!r}",
+                           {"exponent": alpha})
+    return power
 
 
 def holder_factor(h, p: float, s: float, tol: Tolerances = DEFAULT_TOL):
@@ -495,16 +509,7 @@ def holder_factor(h, p: float, s: float, tol: Tolerances = DEFAULT_TOL):
     q = combine_indices(p, s)
     if math.isinf(q):
         raise InputError("holder_factor needs a finite target index")
-    h = as_matrix(h)
-    form = schmidt(h, tol)
-    n = h.shape[1]
-    if form.rank == 0:
-        return np.zeros_like(h), np.zeros((n, n), dtype=np.complex128)
-    ep = 0.0 if math.isinf(float(p)) else q / float(p)
-    es = 0.0 if math.isinf(float(s)) else q / float(s)
-    f = (form.y * form.s**ep) @ form.x.conj().T
-    g = (form.x * form.s**es) @ form.x.conj().T
-    return f, g
+    return schmidt(as_matrix(h), tol).holder(q / float(p), q / float(s))
 
 
 def joint_root(f, g, p: float, tol: Tolerances = DEFAULT_TOL):
@@ -521,21 +526,13 @@ def joint_root(f, g, p: float, tol: Tolerances = DEFAULT_TOL):
     if f.shape != g.shape:
         raise InputError(f"joint_root inputs disagree: {f.shape} vs {g.shape}")
     m = f.conj().T @ f + g.conj().T @ g
-    try:
-        w, vecs = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            "eigendecomposition did not converge",
-            diagnostics=_condition_diagnostics(m),
-        ) from exc
+    w, vecs = _converged("eigendecomposition", lambda: np.linalg.eigh(m), m)
     w = np.clip(w, 0.0, None)
-    wmax = float(w.max()) if w.size else 0.0
-    support = w > (tol.zero_rtol**2) * wmax if wmax > 0.0 else np.zeros(w.shape, bool)
+    support = w > (tol.zero_rtol**2) * w.max(initial=0.0)
     root = np.where(support, np.sqrt(w), 0.0)
     inv = np.zeros_like(root)
     inv[support] = 1.0 / root[support]
-    h = (vecs * root) @ vecs.conj().T
-    pinv = (vecs * inv) @ vecs.conj().T
+    h, pinv = expansion(vecs, root, vecs), expansion(vecs, inv, vecs)
     return h, f @ pinv, g @ pinv
 
 

@@ -52,6 +52,7 @@ from .matcore import (
     as_matrix,
     checked,
     decode_fields,
+    expansion,
     lp_rows,
     mat_from_json,
     mat_to_json,
@@ -329,7 +330,7 @@ class Sampler:
         for rng, out in zip(rngs, spectrum):
             rng.random(out=out)  # uniform(0, 1) is 0 + 1 * random(), bit for bit
         u, v = np.moveaxis(self._haar(z), 1, 0)
-        return (u * spectrum[:, None, :]) @ adjoint(v), u, spectrum, v
+        return expansion(u, spectrum, v), u, spectrum, v
 
     def _rank_one(self, rng) -> np.ndarray:
         # spread input frame, output factor a spike of dyadic random width

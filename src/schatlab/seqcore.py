@@ -20,15 +20,12 @@ __all__ = [
     "PHI_TABLE",
     "get_phi",
     "register_phi",
-    "as_sequence",
+    "rank_rows",
     "rank_sequence",
     "lp_norm",
     "kp_phi",
     "kp_phi_rows",
 ]
-
-
-as_sequence = as_vector
 
 
 @dataclass(frozen=True)
@@ -78,17 +75,22 @@ register_phi(LipschitzFn("min_s_1", lambda s, t: np.minimum(s, 1.0),
                          lipschitz=1.0, sup_bound=1.0))
 
 
+def rank_rows(a) -> np.ndarray:
+    """Position of each entry of ``a`` in the decreasing rearrangement of
+    its row (the last axis); ``a`` holds moduli and is trusted."""
+    order = np.argsort(-a, axis=-1, kind="stable")
+    ranks = np.empty(a.shape, dtype=np.int64)
+    np.put_along_axis(ranks, order, np.arange(1, a.shape[-1] + 1), axis=-1)
+    return ranks
+
+
 def rank_sequence(x) -> np.ndarray:
     """Position of each |x(n)| in the decreasing rearrangement of |x|.
 
     Ties are broken by index order (the earlier coordinate outranks the
     later one), so the result is always a permutation of 1..len(x).
     """
-    x = as_sequence(x)
-    order = np.argsort(-np.abs(x), kind="stable")
-    ranks = np.empty(x.size, dtype=np.int64)
-    ranks[order] = np.arange(1, x.size + 1)
-    return ranks
+    return rank_rows(np.abs(as_vector(x))[None, :])[0]
 
 
 def lp_norm(x, p: float) -> float:
@@ -96,7 +98,7 @@ def lp_norm(x, p: float) -> float:
 
     The one-row ``lp_rows``, so bit-identical across permutations of x.
     """
-    return float(lp_rows(as_sequence(x)[None, :], validate_index(p))[0])
+    return float(lp_rows(as_vector(x)[None, :], validate_index(p))[0])
 
 
 def kp_phi(x, phi, p: float) -> np.ndarray:
@@ -108,7 +110,7 @@ def kp_phi(x, phi, p: float) -> np.ndarray:
     forces the limit value), and the zero sequence maps to itself, so the
     map is exactly homogeneous.  This is the one-row ``kp_phi_rows``.
     """
-    return kp_phi_rows(as_sequence(x)[None, :], phi, p)[0]
+    return kp_phi_rows(as_vector(x)[None, :], phi, p)[0]
 
 
 def kp_phi_rows(xs, phi, p: float) -> np.ndarray:
@@ -121,17 +123,12 @@ def kp_phi_rows(xs, phi, p: float) -> np.ndarray:
     if xs.ndim < 2:
         raise InputError(f"expected a batch of sequences, got shape {xs.shape}")
     out = np.zeros_like(xs)
-    if xs.size == 0:
-        return out
     a = np.abs(xs)
     # array root, not lp_rows: the scalar root would move kp_bicentralizer values
     norms = (np.sort(a, axis=-1) ** p).sum(axis=-1)[..., None] ** (1.0 / p)
-    order = np.argsort(-a, axis=-1, kind="stable")
-    ranks = np.empty(xs.shape, dtype=np.int64)
-    np.put_along_axis(ranks, order, np.arange(1, xs.shape[-1] + 1), axis=-1)
     live = (xs != 0) & (norms > 0.0)
     logdist = np.log(np.where(live, norms / np.where(live, a, 1.0), 1.0))
-    logrank = np.log(ranks.astype(np.float64))
+    logrank = np.log(rank_rows(a).astype(np.float64))
     vals = phi(logdist, logrank)
     out[live] = xs[live] * vals[live]
     return out

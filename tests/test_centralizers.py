@@ -32,7 +32,10 @@ from schatlab.centralizers import (
 )
 from schatlab.matcore import (
     InputError,
+    holder_factor,
     mat_to_json,
+    modulus_power,
+    polar,
     rank_one,
     schatten_norm,
     schmidt,
@@ -151,8 +154,6 @@ def test_lower_rank_one_identity(rng):
 
 
 def test_lower_right_multiplication_substitution(rng):
-    from schatlab.matcore import modulus_power, polar
-
     g = complex_matrix(rng, 5)
     inner = RightMultiplication(g)
     s, p2 = 2.0, 2.0
@@ -183,6 +184,20 @@ def test_lower_bounded_spec_stays_bounded(rng):
 def test_lower_zero_input(rng):
     inner = RightMultiplication(complex_matrix(rng, 4))
     assert np.allclose(evaluate(Lowered(inner, 2.0, p_inner=2.0), np.zeros((4, 4))), 0.0)
+
+
+def test_lower_is_holder_factor_per_matrix(rng):
+    # a stack mixing ranks 0, 1 and full: each matrix equals evaluate(inner, f) @ g
+    # with (f, g) = holder_factor(h, p2, s), bit for bit
+    inner = KPBicentralizer("s", 2.0)
+    stack = np.stack([np.zeros((4, 4), dtype=complex),
+                      rank_one(complex_vector(rng, 4), complex_vector(rng, 4)),
+                      complex_matrix(rng, 4), gapped_matrix(rng, 4)])
+    for s in (2.0, 3.0, math.inf):
+        out = evaluate(Lowered(inner, s), stack)
+        for h, value in zip(stack, out):
+            f, g = holder_factor(h, 2.0, s)
+            assert np.array_equal(value, evaluate(inner, f) @ g)
 
 
 def test_lower_needs_inner_index(rng):
@@ -269,6 +284,14 @@ def test_trace_functional_right_multiplication_is_linear(rng):
     lhs = trace_functional(spec, f1 + f2)
     rhs = trace_functional(spec, f1) + trace_functional(spec, f2)
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-11)
+
+
+def test_trace_functional_reads_polar_and_modulus_power(rng):
+    for spec in (KPBicentralizer("s", 2.0), RightMultiplication(complex_matrix(rng, 5))):
+        for f in (complex_matrix(rng, 5), rank_one(complex_vector(rng, 5), complex_vector(rng, 5)),
+                  np.zeros((5, 5), dtype=complex)):
+            r = modulus_power(f, 0.5)
+            assert trace_functional(spec, f) == trace(polar(f).phase @ r @ evaluate(spec, r))
 
 
 def test_trace_functional_homogeneous(rng):

@@ -1350,3 +1350,21 @@ def test_trend_lifted_row_is_the_canned_splitting_config():
     canned = run_experiment(parse_config(read_json(CONFIG_DIR / "splitting_lift.json")))
     row = trend.residuals(trend.rows()["lifted coordinate map"])
     assert row == [r["residual"] for r in canned["rows"]] and len(row) == len(trend.DIMS)
+
+
+def test_strict_json_script_refuses_non_standard_tokens(tmp_path):
+    # the one strict-JSON check that CI runs on every report.json and manifest.json
+    script = CONFIG_DIR.parent / "strict_json.py"
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text('{"value": "inf", "stderr": "nan"}')
+    bad.write_text('{"value": Infinity}')
+
+    def check(*paths):
+        return subprocess.run([sys.executable, str(script), *map(str, paths)],
+                              capture_output=True, text=True, timeout=60)
+
+    done = check(good, good)
+    assert done.returncode == 0 and done.stdout == "2 files parse as standard JSON\n"
+    for paths in ((good, bad), (tmp_path / "missing.json",), ()):
+        assert check(*paths).returncode == 1, paths
+    assert "bad.json: non-standard token Infinity" in check(good, bad).stderr

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -293,6 +294,25 @@ def test_modulus_power_rejects_nonpositive_exponent():
         modulus_power(np.eye(2), 0.0)
 
 
+@pytest.mark.parametrize("alpha", [math.inf, math.nan])
+def test_modulus_power_rejects_a_non_finite_exponent(alpha):
+    with pytest.raises(InputError, match="positive and finite"):
+        modulus_power(np.eye(2), alpha)
+
+
+def test_modulus_power_overflow_is_numeric(rng):
+    # s_1 near 14: 14**800 is past the double range, and the power used to
+    # come back all NaN with RuntimeWarnings alone
+    f = complex_matrix(rng, 3)
+    f *= 14.0 / singular_values(f)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="overflows") as info:
+            modulus_power(f, 800.0)
+    assert info.value.diagnostics == {"exponent": 800.0}
+    assert np.isfinite(modulus_power(f, 200.0)).all()
+
+
 # --- rank_one ----------------------------------------------------------------
 
 
@@ -390,6 +410,21 @@ def test_joint_root_random_bounds(rng):
             bound = (concavity_modulus(p / 2.0) ** 0.5
                      * (schatten_norm(f, p) + schatten_norm(g, p)))
             assert schatten_norm(h, p) <= bound + 1e-8
+
+
+def test_joint_root_eigh_failure_is_numeric(rng, monkeypatch):
+    f, g = complex_matrix(rng, 4), complex_matrix(rng, 4)
+    m = f.conj().T @ f + g.conj().T @ g
+
+    def failing(a):
+        raise np.linalg.LinAlgError("forced failure")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(NumericError) as info:
+        joint_root(f, g, 1.0)
+    assert str(info.value) == "eigendecomposition did not converge"
+    assert info.value.diagnostics == {"shape": [4, 4], "frobenius": float(np.linalg.norm(m)),
+                                      "max_abs": float(np.abs(m).max())}
 
 
 # --- trace -------------------------------------------------------------------

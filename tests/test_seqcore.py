@@ -199,6 +199,16 @@ def test_kp_phi_rows_matches_vector_path(rng):
             assert np.array_equal(rows[i], kp_phi(xs[i], name, 2.0))
 
 
+def test_kp_phi_rows_ranks_are_rank_sequence(rng):
+    # phi = t reads the log-rank alone, so the map shows the ranks it uses
+    xs = np.vstack([complex_vector(rng, 6) for _ in range(4)])
+    xs[1, [0, 3, 5]] = 2.0  # a three-way tie
+    xs[2, 1], xs[2, 4] = 1j, -1.0  # a tie between unequal entries of one modulus
+    rows = kp_phi_rows(xs, "t", 2.0)
+    for x, row in zip(xs, rows):
+        assert np.array_equal(row, x * np.log(rank_sequence(x).astype(np.float64)))
+
+
 def test_kp_phi_requires_finite_index():
     with pytest.raises(InputError):
         kp_phi(np.ones(3, dtype=complex), "s", math.inf)
