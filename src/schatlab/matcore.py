@@ -239,7 +239,7 @@ def _converged(name: str, factor, f: np.ndarray):
         }) from exc
 
 
-def _svd(f: np.ndarray, compute_uv: bool = True) -> tuple:
+def _svd(f: np.ndarray, compute_uv: bool = True):
     """The thin SVD ``(u, s, v*)``, or ``s`` alone, of a checked matrix or stack."""
     return _converged("singular value decomposition", lambda: np.linalg.svd(
         f, full_matrices=False, compute_uv=compute_uv), f)
